@@ -1,5 +1,9 @@
 #include "bench.h"
 
+#include <fcntl.h>
+#include <malloc.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -40,6 +44,20 @@ double PeakRssMiB() {
     }
   }
   return 0;
+}
+
+void ResetPeakRss() {
+  ::malloc_trim(0);
+  // "5" resets the peak resident set size (proc(5), /proc/pid/clear_refs).
+  int fd = ::open("/proc/self/clear_refs", O_WRONLY);
+  const bool reset = fd >= 0 && ::write(fd, "5", 1) == 1;
+  if (fd >= 0) {
+    ::close(fd);
+  }
+  if (!reset) {
+    std::cerr << "spexbench: cannot reset the peak resident set; peak_rss_mb includes the "
+                 "harness\n";
+  }
 }
 
 int64_t Tracer::Record(std::string name, Clock::time_point start, Clock::time_point end,

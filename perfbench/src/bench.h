@@ -39,8 +39,13 @@ class Rng {
 double Quantile(std::vector<double> samples, double q);
 inline double Median(std::vector<double> samples) { return Quantile(std::move(samples), 0.5); }
 
-// Peak resident set of this process so far (VmHWM), in MiB.
+// Peak resident set of this process (VmHWM), in MiB, since the last
+// ResetPeakRss() or since start.
 double PeakRssMiB();
+// Returns freed heap to the system, then resets VmHWM to the current
+// resident set, so a later PeakRssMiB() covers only what runs after it.
+// Warns on stderr when the kernel refuses the reset.
+void ResetPeakRss();
 
 struct RunOptions {
   std::string workload;
@@ -103,9 +108,10 @@ struct Outcome {
   std::vector<double> setup_s;      // One sample per set-up.
   std::vector<double> latency_ms;   // Time to each verdict.
   std::vector<double> items_per_s;  // One sample per batch, round or window.
-  // Peak resident memory once the process has set up and run the workload
-  // once (serve-mixed: once the first server is warm), before the run's
-  // length or the harness's own records can add to it.
+  // Peak resident memory of the workload's own sessions, servers and
+  // batches: the mark is reset once the harness has generated the inputs
+  // and released its sessions, and read after the last timed iteration,
+  // before the correctness gate loads its references.
   double peak_rss_mib = 0;
   // Trace mode: the primary timed call per iteration, with and without the
   // per-layer decomposition running beside it.

@@ -58,6 +58,7 @@ Outcome RunCampaignCorpus(const RunOptions& options) {
     pool = std::make_unique<spex::ThreadPool>(spex::ThreadPool::ResolveThreadCount(0));
   }
 
+  ResetPeakRss();
   std::vector<std::string> first;
   bool replay_traced = false;
   const Clock::time_point begin = Clock::now();
@@ -106,9 +107,6 @@ Outcome RunCampaignCorpus(const RunOptions& options) {
     if (!warmup) {
       out.items_per_s.push_back(static_cast<double>(runs) / (round_ms / 1000.0));
     }
-    if (warmup) {
-      out.peak_rss_mib = PeakRssMiB();
-    }
     if (first.empty()) {
       first = std::move(prints);
     } else {
@@ -152,6 +150,7 @@ Outcome RunCampaignCorpus(const RunOptions& options) {
       out.layer_samples.push_back(std::move(sample));
     }
   }
+  out.peak_rss_mib = PeakRssMiB();
 
   // Gate: every campaign must equal a serial, snapshot-free reference.
   spex::CampaignOptions reference_options;

@@ -106,17 +106,20 @@ spex::StoredVerdict ToStored(const spex::InjectionResult& result) {
 Outcome RunFleetCold(const RunOptions& options) {
   Outcome out;
   out.item = "configs";
-  // The harness session generates the inputs and later holds the
-  // reference check; every timed batch runs on a fresh session of its own.
-  spex::Session harness;
-  FleetGenerator fleet(LoadOrDie(&harness, "squid"), options.seed);
-  const std::vector<spex::ConfigInput> configs = MakeColdFleet(fleet);
+  // The harness session only generates the inputs; every timed batch runs
+  // on a fresh session of its own.
+  std::vector<spex::ConfigInput> configs;
+  {
+    spex::Session harness;
+    configs = MakeColdFleet(FleetGenerator(LoadOrDie(&harness, "squid"), options.seed));
+  }
   const spex::BatchOptions batch_options = FleetBatchOptions();
   std::unique_ptr<spex::ThreadPool> pool;
   if (options.trace) {
     pool = std::make_unique<spex::ThreadPool>(spex::ThreadPool::ResolveThreadCount(0));
   }
 
+  ResetPeakRss();
   std::vector<std::string> first;
   const Clock::time_point begin = Clock::now();
   for (size_t iteration = 0;
@@ -135,9 +138,6 @@ Outcome RunFleetCold(const RunOptions& options) {
     spex::BatchSummary summary = target->CheckConfigBatch(configs, batch_options, &clock);
     Clock::time_point end = Clock::now();
     RecordBatch(summary, start, end, clock, iteration == 0, &first, &out);
-    if (iteration == 0) {
-      out.peak_rss_mib = PeakRssMiB();
-    }
     if (options.trace && iteration > 0) {
       (traced ? out.traced_ms : out.untraced_ms).push_back(MillisBetween(start, end));
     }
@@ -158,6 +158,7 @@ Outcome RunFleetCold(const RunOptions& options) {
       out.layer_samples.push_back(std::move(sample));
     }
   }
+  out.peak_rss_mib = PeakRssMiB();
 
   // Gate: the first batch must equal a serial, snapshot-free check.
   spex::BatchOptions reference_options;
@@ -174,10 +175,11 @@ Outcome RunFleetCold(const RunOptions& options) {
 Outcome RunFleetRecheck(const RunOptions& options) {
   Outcome out;
   out.item = "configs";
-  spex::Session harness;
-  spex::Target* harness_target = LoadOrDie(&harness, "squid");
-  FleetGenerator fleet(harness_target, options.seed);
-  const RecheckFleet recheck = MakeRecheckFleet(fleet);
+  // The harness session generates the inputs and the expected store
+  // counts, and is released before the timed batches.
+  auto harness = std::make_unique<spex::Session>();
+  spex::Target* harness_target = LoadOrDie(harness.get(), "squid");
+  const RecheckFleet recheck = MakeRecheckFleet(FleetGenerator(harness_target, options.seed));
   const spex::BatchOptions batch_options = FleetBatchOptions();
   const spex::ConfigDialect dialect = harness_target->dialect();
   const std::string pristine = options.work_dir + "/recheck-pristine.vst";
@@ -192,16 +194,18 @@ Outcome RunFleetRecheck(const RunOptions& options) {
     target->CheckConfigSet(recheck.seeded, batch_options);
   }
   // Which executions the store must serve: those the seeded fleet had.
-  const CheckPath seeded = RunCheckPath(
-      *harness_target, EffectiveConfigs(ResolveAll(recheck.seeded, dialect)), nullptr);
+  CheckPath seeded = RunCheckPath(*harness_target,
+                                  EffectiveConfigs(ResolveAll(recheck.seeded, dialect)), nullptr);
   const std::set<std::string> seeded_set(seeded.unique_keys.begin(), seeded.unique_keys.end());
-  const CheckPath current = RunCheckPath(
-      *harness_target, EffectiveConfigs(ResolveAll(recheck.current, dialect)), nullptr);
+  const std::vector<std::string> current_keys =
+      RunCheckPath(*harness_target, EffectiveConfigs(ResolveAll(recheck.current, dialect)),
+                   nullptr)
+          .unique_keys;
   size_t expected_hits = 0;
-  for (const std::string& key : current.unique_keys) {
+  for (const std::string& key : current_keys) {
     expected_hits += seeded_set.count(key);
   }
-  const size_t expected_misses = current.unique_keys.size() - expected_hits;
+  const size_t expected_misses = current_keys.size() - expected_hits;
 
   // The traced run's own store: the same record count and shapes, under a
   // scope this benchmark owns, so Lookup and AppendBatch can be timed.
@@ -222,7 +226,10 @@ Outcome RunFleetRecheck(const RunOptions& options) {
     }
     store->AppendBatch(std::move(appends));
   }
+  seeded = CheckPath{};
+  harness.reset();
 
+  ResetPeakRss();
   std::vector<std::string> first;
   const Clock::time_point begin = Clock::now();
   for (size_t iteration = 0;
@@ -249,9 +256,6 @@ Outcome RunFleetRecheck(const RunOptions& options) {
     // The store must serve exactly the unchanged executions.
     out.wrong_verdicts += summary.store_hits != expected_hits ? 1 : 0;
     out.wrong_verdicts += summary.store_misses != expected_misses ? 1 : 0;
-    if (iteration == 0) {
-      out.peak_rss_mib = PeakRssMiB();
-    }
     if (options.trace && iteration > 0) {
       (traced ? out.traced_ms : out.untraced_ms).push_back(MillisBetween(start, end));
     }
@@ -323,6 +327,7 @@ Outcome RunFleetRecheck(const RunOptions& options) {
     store.reset();
     session.reset();  // Releases the store's writer lock before the next restore.
   }
+  out.peak_rss_mib = PeakRssMiB();
 
   // Gate: the same trees checked live, without a store.
   spex::BatchOptions reference_options = batch_options;
@@ -335,7 +340,7 @@ Outcome RunFleetRecheck(const RunOptions& options) {
     std::cerr << "spexbench: fleet-recheck generated no drifted executions\n";
     out.wrong_verdicts += 1;
   }
-  std::cout << "# fleet-recheck: " << current.unique_keys.size() << " unique executions, "
+  std::cout << "# fleet-recheck: " << current_keys.size() << " unique executions, "
             << expected_hits << " expected store hits, " << expected_misses
             << " expected misses, " << recheck.drifted << " drifted trees\n";
   RemoveStore(live);

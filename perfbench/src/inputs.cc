@@ -11,7 +11,13 @@ namespace {
 
 constexpr size_t kSnippetPool = 12;
 constexpr double kSnippetShare = 0.3;
+// An assumption, not a measurement: no trace of /check traffic exists.
+// Request popularity in web and proxy-cache traces is Zipf-like (Breslau et
+// al., "Web Caching and Zipf-like Distributions: Evidence and
+// Implications", INFOCOM 1999); the exponent is the classic Zipf law's.
+// The pool size is likewise assumed.
 constexpr size_t kServePool = 32;
+constexpr double kZipfExponent = 1.0;
 constexpr double kNovelShare = 0.15;
 // A misconfiguration whose replay runs past this many interpreter steps
 // (the step-budget hangs and long count loops) would cost 10-50x a typical
@@ -241,8 +247,13 @@ const std::vector<std::string>& ServeTraffic::TargetNames() {
   return kNames;
 }
 
-ServeTraffic::ServeTraffic(const std::vector<spex::Target*>& targets, uint64_t seed)
-    : seed_(seed) {
+std::vector<ServeTraffic> ServeTraffic::Rounds(const std::vector<spex::Target*>& targets,
+                                               uint64_t seed, size_t rounds) {
+  std::vector<ServeTraffic> traffic;
+  for (size_t r = 0; r < rounds; ++r) {
+    traffic.push_back(ServeTraffic());
+    traffic.back().seed_ = Rng(seed).Fork(0x7007d000 + r).Next();
+  }
   for (size_t t = 0; t < targets.size(); ++t) {
     PerTarget per;
     per.name = targets[t]->name();
@@ -251,25 +262,33 @@ ServeTraffic::ServeTraffic(const std::vector<spex::Target*>& targets, uint64_t s
     const std::vector<spex::Misconfiguration>& misconfigs = targets[t]->Misconfigurations();
     Rng rng = Rng(seed).Fork(0x5e77e000 + t);
     Deck deck(LightMisconfigs(targets[t]), rng.Fork(1));
-    for (size_t j = 0; j < kServePool; ++j) {
-      std::vector<Settings> body;
-      for (const MistakeDraw& draw : DrawMistakes(misconfigs, {}, 1 + j % 3, &deck, &rng)) {
-        body.push_back(MistakeSettings(misconfigs[draw.source], draw.delta));
+    for (ServeTraffic& round : traffic) {
+      per.pool.clear();
+      for (size_t j = 0; j < kServePool; ++j) {
+        std::vector<Settings> body;
+        for (const MistakeDraw& draw : DrawMistakes(misconfigs, {}, 1 + j % 3, &deck, &rng)) {
+          body.push_back(MistakeSettings(misconfigs[draw.source], draw.delta));
+        }
+        per.pool.push_back(std::move(body));
       }
-      per.pool.push_back(std::move(body));
+      round.targets_.push_back(per);
     }
-    targets_.push_back(std::move(per));
   }
-  // Popularity falls off as 1/sqrt(rank): skewed, yet no single body's
-  // replay cost decides a seed's throughput.
+  // Zipf's law: the body of popularity rank r (its pool index) is sent with
+  // probability proportional to 1/r^kZipfExponent.
+  std::vector<double> rank_cdf;
   double total = 0;
   for (size_t j = 0; j < kServePool; ++j) {
-    total += 1.0 / std::sqrt(static_cast<double>(j + 1));
-    rank_cdf_.push_back(total);
+    total += 1.0 / std::pow(static_cast<double>(j + 1), kZipfExponent);
+    rank_cdf.push_back(total);
   }
-  for (double& point : rank_cdf_) {
+  for (double& point : rank_cdf) {
     point /= total;
   }
+  for (ServeTraffic& round : traffic) {
+    round.rank_cdf_ = rank_cdf;
+  }
+  return traffic;
 }
 
 ServeRequest ServeTraffic::Novel(size_t target, size_t pool_index, size_t mistake,
@@ -352,15 +371,19 @@ void DumpInputs(uint64_t seed) {
       }
     }
   }
-  ServeTraffic traffic(targets, seed);
-  for (const ServeRequest& request : traffic.WarmupBodies()) {
-    std::cout << "=== serve-mixed warmup " << traffic.target_name(request.target) << "\n"
-              << request.body;
-  }
-  for (uint64_t k = 0; k < 500; ++k) {
-    ServeRequest request = traffic.Next(1, k);
-    std::cout << "=== serve-mixed timed " << k << " " << traffic.target_name(request.target)
-              << (request.novel ? " novel\n" : " repeat\n") << request.body;
+  const std::vector<ServeTraffic> rounds = ServeTraffic::Rounds(targets, seed, 2);
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    for (const ServeRequest& request : rounds[r].WarmupBodies()) {
+      std::cout << "=== serve-mixed round " << r << " warmup "
+                << rounds[r].target_name(request.target) << "\n"
+                << request.body;
+    }
+    for (uint64_t k = 0; k < 250; ++k) {
+      ServeRequest request = rounds[r].Next(1, k);
+      std::cout << "=== serve-mixed round " << r << " timed " << k << " "
+                << rounds[r].target_name(request.target)
+                << (request.novel ? " novel\n" : " repeat\n") << request.body;
+    }
   }
 }
 

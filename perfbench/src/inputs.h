@@ -77,14 +77,18 @@ struct ServeRequest {
   std::string body;
 };
 
-// serve-mixed traffic over squid, mysql and vsftpd: per target a popular
-// pool of 32 bodies picked with 1/sqrt(rank) skew, and novel bodies that give a
-// pool body's mistake a value never sent before (same key-set, so its
-// snapshot is already warm).
+// serve-mixed traffic over squid, mysql and vsftpd for one round: per
+// target a popular pool of 32 bodies picked by Zipf's law (1/rank), and
+// novel bodies that give a pool body's mistake a value never sent before
+// (same key-set, so its snapshot is already warm).
 class ServeTraffic {
  public:
   static const std::vector<std::string>& TargetNames();
-  ServeTraffic(const std::vector<spex::Target*>& targets, uint64_t seed);
+  // One element per round. Each round deals its own pools from the same
+  // per-target decks, so over the rounds each light misconfiguration lands
+  // in a pool about equally often, whatever the seed.
+  static std::vector<ServeTraffic> Rounds(const std::vector<spex::Target*>& targets,
+                                          uint64_t seed, size_t rounds);
 
   const std::string& target_name(size_t target) const { return targets_[target].name; }
   // Every pool body, then one novel body per parameter the pool touches.
@@ -97,13 +101,14 @@ class ServeTraffic {
   struct PerTarget {
     std::string name;
     spex::ConfigFile template_config;
-    std::vector<std::vector<Settings>> pool;
+    std::vector<std::vector<Settings>> pool;  // By popularity rank.
   };
+  ServeTraffic() = default;
   ServeRequest Novel(size_t target, size_t pool_index, size_t mistake, uint64_t delta) const;
 
   std::vector<PerTarget> targets_;
   std::vector<double> rank_cdf_;
-  uint64_t seed_;
+  uint64_t seed_ = 0;
 };
 
 // HTTP/1.1 /check request for `request`.

@@ -24,7 +24,7 @@ namespace perfbench {
 namespace {
 
 constexpr size_t kConnections = 4;  // Two keep-alive, two close-per-request.
-constexpr size_t kRounds = 5;
+constexpr size_t kRounds = 10;
 constexpr size_t kTracedRounds = 4;  // Alternating untraced and traced.
 constexpr size_t kWarmupWindow = 300;
 constexpr size_t kMaxWarmupWindows = 12;
@@ -206,33 +206,77 @@ void DriveClosedLoop(uint16_t port, const ServeTraffic& traffic,
   }
 }
 
-// Responses collected for the gate: per body, the violation lines of its
+// What the timing record keeps of one timed response: no bytes, so the
+// record does not grow with the bodies.
+struct Timing {
+  size_t request_index = 0;
+  bool keep_alive = false;
+  bool novel = false;
+  bool ok = false;  // HTTP 200.
+  bool degraded = false;
+  Clock::time_point sent;
+  Clock::time_point done;
+};
+
+// Timed-window answers collected for the gate. Per distinct body (by
+// hash): the round and timed-stream index that first sent it, from which
+// the gate regenerates the body, and a hash of the violation lines of its
 // dynamic and of its degraded (static) answers.
 struct Answers {
-  std::unordered_map<std::string, size_t> target_of;  // Body -> target.
-  std::vector<std::string> order;                     // Bodies by first sight.
-  std::unordered_map<std::string, std::string> dynamic;
-  std::unordered_map<std::string, std::string> degraded;
+  struct Seen {
+    size_t round = 0;
+    size_t request_index = 0;
+    size_t lines = 0;
+  };
+  std::unordered_map<size_t, Seen> dynamic;
+  std::unordered_map<size_t, Seen> degraded;
   uint64_t disagreements = 0;
 
-  void Add(const Response& response) {
-    if (target_of.emplace(response.request.body, response.request.target).second) {
-      order.push_back(response.request.body);
-    }
+  void Add(size_t round, const Response& response) {
+    const size_t lines = std::hash<std::string>{}(response.violations);
     auto& answers = response.degraded ? degraded : dynamic;
-    auto [it, inserted] = answers.emplace(response.request.body, response.violations);
-    if (!inserted && it->second != response.violations) {
+    auto [it, inserted] = answers.emplace(std::hash<std::string>{}(response.request.body),
+                                          Seen{round, response.request_index, lines});
+    if (!inserted && it->second.lines != lines) {
       ++disagreements;
     }
   }
 };
 
-std::string Lines(const std::vector<spex::Violation>& violations) {
+size_t LinesHash(const std::vector<spex::Violation>& violations) {
   std::string lines;
   for (const spex::Violation& violation : violations) {
     lines += ViolationLine(violation) + "\n";
   }
-  return lines;
+  return std::hash<std::string>{}(lines);
+}
+
+// The serve targets on a session of their own, checking one body at a time
+// as a 1-config batch: what the server runs per /check, in process.
+class InProcess {
+ public:
+  InProcess() {
+    for (const std::string& name : ServeTraffic::TargetNames()) {
+      targets_.push_back(LoadOrDie(&session_, name));
+    }
+  }
+  const spex::Session& session() const { return session_; }
+  const std::vector<spex::Target*>& targets() const { return targets_; }
+  void Check(const ServeRequest& request) const {
+    spex::ConfigInput input{kServeConfigName, request.body};
+    spex::BatchOptions single;
+    single.check.mode = spex::CheckMode::kDynamic;
+    targets_[request.target]->CheckConfigBatch(std::span(&input, 1), single);
+  }
+
+ private:
+  spex::Session session_;
+  std::vector<spex::Target*> targets_;
+};
+
+std::vector<ServeTraffic> GenerateTraffic(uint64_t seed, size_t rounds) {
+  const InProcess harness;
+  return ServeTraffic::Rounds(harness.targets(), seed, rounds);
 }
 
 }  // namespace
@@ -240,20 +284,18 @@ std::string Lines(const std::vector<spex::Violation>& violations) {
 Outcome RunServeMixed(const RunOptions& options) {
   Outcome out;
   out.item = "checks";
-  spex::Session harness;
-  std::vector<spex::Target*> harness_targets;
-  for (const std::string& name : ServeTraffic::TargetNames()) {
-    harness_targets.push_back(LoadOrDie(&harness, name));
-  }
-  const ServeTraffic traffic(harness_targets, options.seed);
-  const std::vector<ServeRequest> warmup = traffic.WarmupBodies();
+  // The harness session only generates the traffic; the in-process twin
+  // and the gate load sessions of their own.
   const size_t rounds = options.trace ? kTracedRounds : kRounds;
+  const std::vector<ServeTraffic> by_round = GenerateTraffic(options.seed, rounds);
   const double window_s = options.seconds / static_cast<double>(rounds);
   Answers answers;
-  bool harness_warm = false;
 
+  ResetPeakRss();
   for (size_t round = 0; round < rounds; ++round) {
     const bool traced = options.trace && round % 2 == 1;
+    const ServeTraffic& traffic = by_round[round];
+    const std::vector<ServeRequest> warmup = traffic.WarmupBodies();
     spex::ServerOptions server_options;
     server_options.num_workers = 4;
     server_options.max_inflight_replays = kConnections;
@@ -280,6 +322,7 @@ Outcome RunServeMixed(const RunOptions& options) {
         },
         count_warm);
     double previous = 0;
+    size_t warm_requests = 0;  // Sent from stream 0, for the twin to replay.
     for (size_t w = 0; w < kMaxWarmupWindows; ++w) {
       Clock::time_point window_start = Clock::now();
       DriveClosedLoop(
@@ -291,6 +334,7 @@ Outcome RunServeMixed(const RunOptions& options) {
             return std::nullopt;
           },
           count_warm);
+      warm_requests += kWarmupWindow;
       double rate = kWarmupWindow / (MillisSince(window_start) / 1000.0);
       if (w > 0 && std::abs(rate - previous) <= kWarmupAgreement * std::max(rate, previous)) {
         break;
@@ -299,9 +343,6 @@ Outcome RunServeMixed(const RunOptions& options) {
     }
     Clock::time_point setup_end = Clock::now();
     out.setup_s.push_back(MillisBetween(setup_start, setup_end) / 1000.0);
-    if (round == 0) {
-      out.peak_rss_mib = PeakRssMiB();
-    }
     out.failed += warm_failures;
     out.attempted += warm_failures;
 
@@ -309,7 +350,7 @@ Outcome RunServeMixed(const RunOptions& options) {
     const spex::ServerStats stats_before = server.stats();
     const size_t loads_before = server.targets().loads();
     const size_t hits_before = server.targets().hits();
-    std::vector<Response> responses;
+    std::vector<Timing> responses;
     const Clock::time_point start = Clock::now();
     const Clock::time_point stop = start + std::chrono::duration_cast<Clock::duration>(
                                                std::chrono::duration<double>(window_s));
@@ -322,14 +363,13 @@ Outcome RunServeMixed(const RunOptions& options) {
           return std::nullopt;
         },
         [&](Response&& response) {
-          // The gate keeps one copy per distinct body; the timing record
-          // drops the bytes so memory does not grow with throughput.
-          if (response.http_status == 200) {
-            answers.Add(response);
+          const bool ok = response.http_status == 200;
+          if (ok) {
+            answers.Add(round, response);
           }
-          response.request.body = std::string();
-          response.violations = std::string();
-          responses.push_back(std::move(response));
+          responses.push_back(Timing{response.request_index, response.keep_alive,
+                                     response.request.novel, ok, response.degraded,
+                                     response.sent, response.done});
         });
     const spex::ServerStats stats_after = server.stats();
     const size_t loads = server.targets().loads() - loads_before;
@@ -340,9 +380,9 @@ Outcome RunServeMixed(const RunOptions& options) {
     // Throughput per fixed window of completions, over whole windows only.
     std::vector<size_t> per_window;
     std::vector<double> latencies;
-    for (const Response& response : responses) {
+    for (const Timing& response : responses) {
       out.attempted += 1;
-      if (response.http_status != 200) {
+      if (!response.ok) {
         out.failed += 1;
         continue;
       }
@@ -370,33 +410,32 @@ Outcome RunServeMixed(const RunOptions& options) {
     Tracer& tracer = out.tracer;
     LayerSample sample;
     int64_t setup_span = tracer.Record("setup", setup_start, setup_end, -1, -1);
-    for (size_t t = 0; t < harness_targets.size(); ++t) {
-      TraceLoad(traffic.target_name(t), harness.apis(), &tracer, setup_span, &sample);
-    }
     std::vector<int64_t> request_span(responses.size(), -1);
     std::vector<double> keepalive, close, repeat, novel;
     for (size_t r = 0; r < responses.size(); ++r) {
-      const Response& response = responses[r];
+      const Timing& response = responses[r];
       request_span[r] = tracer.Record("request", response.sent, response.done, -1,
                                       static_cast<int64_t>(response.request_index));
       double ms = MillisBetween(response.sent, response.done);
       (response.keep_alive ? keepalive : close).push_back(ms);
-      (response.request.novel ? novel : repeat).push_back(ms);
+      (response.novel ? novel : repeat).push_back(ms);
     }
-    if (!harness_warm) {
-      // The in-process twin gets the same warm-up the server had.
-      harness_warm = true;
-      for (const ServeRequest& request : warmup) {
-        spex::ConfigInput input{kServeConfigName, request.body};
-        spex::BatchOptions single;
-        single.check.mode = spex::CheckMode::kDynamic;
-        harness_targets[request.target]->CheckConfigBatch(std::span(&input, 1), single);
-      }
+    // The in-process twin: a fresh session given the warm-up this round's
+    // server had, then the window's first requests in the order they
+    // completed, each parsed and checked as the server did.
+    const InProcess twin;
+    for (size_t t = 0; t < twin.targets().size(); ++t) {
+      TraceLoad(traffic.target_name(t), twin.session().apis(), &tracer, setup_span, &sample);
     }
-    // The first requests of the window, parsed and checked in process.
+    for (const ServeRequest& request : warmup) {
+      twin.Check(request);
+    }
+    for (size_t k = 0; k < warm_requests; ++k) {
+      twin.Check(traffic.Next(0, k));
+    }
     std::vector<double> parse_us, inproc_ms;
     for (size_t r = 0; r < std::min(kShadowRequests, responses.size()); ++r) {
-      const Response& response = responses[r];
+      const Timing& response = responses[r];
       const ServeRequest request = traffic.Next(1, response.request_index);
       const std::string bytes = CheckRequestBytes(traffic, request, response.keep_alive);
       double parse_ms = tracer.Time("serve.http_parse", request_span[r], -1, [&] {
@@ -404,12 +443,8 @@ Outcome RunServeMixed(const RunOptions& options) {
         parser.Consume(bytes.data(), bytes.size());
       });
       parse_us.push_back(parse_ms * 1000.0);
-      spex::ConfigInput input{kServeConfigName, request.body};
-      spex::BatchOptions single;
-      single.check.mode = spex::CheckMode::kDynamic;
-      inproc_ms.push_back(tracer.Time("serve.inproc_check", request_span[r], -1, [&] {
-        harness_targets[request.target]->CheckConfigBatch(std::span(&input, 1), single);
-      }));
+      inproc_ms.push_back(
+          tracer.Time("serve.inproc_check", request_span[r], -1, [&] { twin.Check(request); }));
     }
     sample["serve.request_p50_ms"] = Median(latencies);
     sample["serve.http_parse_us"] = Median(parse_us);
@@ -430,30 +465,36 @@ Outcome RunServeMixed(const RunOptions& options) {
     sample["target_pool.hits"] = static_cast<double>(hits);
     out.layer_samples.push_back(std::move(sample));
   }
+  out.peak_rss_mib = PeakRssMiB();
 
   // Gate: every answer must equal the in-process check of its body (the
-  // static check when the server degraded the request).
+  // static check when the server degraded the request), on a session that
+  // served nothing.
   out.wrong_verdicts += answers.disagreements;
-  std::vector<std::vector<spex::ConfigInput>> per_target(harness_targets.size());
-  for (const std::string& body : answers.order) {
-    if (answers.dynamic.count(body) > 0) {
-      per_target[answers.target_of[body]].push_back(spex::ConfigInput{kServeConfigName, body});
-    }
-    auto degraded = answers.degraded.find(body);
-    if (degraded != answers.degraded.end()) {
-      spex::Target* target = harness_targets[answers.target_of[body]];
-      out.wrong_verdicts += Lines(target->CheckConfig(body, kServeConfigName)) != degraded->second;
-    }
+  const InProcess reference;
+  std::vector<std::vector<spex::ConfigInput>> per_target(reference.targets().size());
+  std::vector<std::vector<size_t>> expected(reference.targets().size());
+  for (const auto& [body, seen] : answers.dynamic) {
+    ServeRequest request = by_round[seen.round].Next(1, seen.request_index);
+    per_target[request.target].push_back(
+        spex::ConfigInput{kServeConfigName, std::move(request.body)});
+    expected[request.target].push_back(seen.lines);
+  }
+  for (const auto& [body, seen] : answers.degraded) {
+    const ServeRequest request = by_round[seen.round].Next(1, seen.request_index);
+    out.wrong_verdicts +=
+        LinesHash(reference.targets()[request.target]->CheckConfig(request.body,
+                                                                   kServeConfigName)) != seen.lines;
   }
   spex::BatchOptions reference_options;
   reference_options.check.mode = spex::CheckMode::kDynamic;
   reference_options.num_threads = 0;
-  for (size_t t = 0; t < harness_targets.size(); ++t) {
-    spex::BatchSummary reference =
-        harness_targets[t]->CheckConfigBatch(per_target[t], reference_options);
-    for (size_t i = 0; i < reference.reports.size(); ++i) {
-      out.wrong_verdicts +=
-          Lines(reference.reports[i].violations) != answers.dynamic[per_target[t][i].text];
+  for (size_t t = 0; t < per_target.size(); ++t) {
+    spex::BatchSummary batch =
+        reference.targets()[t]->CheckConfigBatch(per_target[t], reference_options);
+    out.wrong_verdicts += batch.reports.size() != expected[t].size();
+    for (size_t i = 0; i < std::min(batch.reports.size(), expected[t].size()); ++i) {
+      out.wrong_verdicts += LinesHash(batch.reports[i].violations) != expected[t][i];
     }
   }
   return out;

@@ -7,10 +7,12 @@ Runs one workload `--runs` times per set, each run on its own seed, and
 prints for every end-to-end metric its median, quartiles (as
 statistics.quantiles(values, n=4) gives them), min/max, and the spread:
 the distance between the quartiles as a share of the median. A set is
-steady when every spread except setup_s stays within a third of the
-metric's bound in BENCHMARK.json. With --sets 2 a second, independent set
-(new seeds) runs after the first, and each metric's second median must not
-be worse than the first by more than its bound.
+steady when every spread, setup_s included, stays within the metric's
+bound in BENCHMARK.json; a spread above a third of its bound is marked
+"tight" (steady, but with little margin) without failing the set. With
+--sets 2 a second, independent set (new seeds) runs after the first, and
+each metric's second median must not be worse than the first by more than
+its bound. Exits 0 when steady, 1 otherwise.
 """
 import argparse
 import json
@@ -50,12 +52,13 @@ def summarize(values, metrics):
         q1, median, q3 = statistics.quantiles(samples, n=4)
         spread = (q3 - q1) / median if median else float("inf")
         bound = metrics[name]["bound"]
-        ok = name == "setup_s" or spread <= bound / 3
+        ok = spread <= bound
         steady = steady and ok
         medians[name] = median
+        verdict = "WIDE" if not ok else "tight" if spread > bound / 3 else "ok"
         print(f"  {name:16s} median={median:<12.6g} q1={q1:<12.6g} q3={q3:<12.6g} "
               f"min={min(samples):<12.6g} max={max(samples):<12.6g} spread={spread:.4f} "
-              f"bound={bound} {'ok' if ok else 'WIDE'}")
+              f"bound={bound} {verdict}")
     return medians, steady
 
 
