@@ -7,6 +7,7 @@
 // trajectory is recorded per run. See ROADMAP.md "Benchmarking".
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -65,6 +66,41 @@ void BM_InferConstraints(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InferConstraints);
+
+// A whole cold target load (what Session::LoadTarget pays), with one
+// counter per phase: milliseconds per load spent in synthesize, parse,
+// lower, annotate and infer.
+void BM_LoadTarget(benchmark::State& state) {
+  ApiRegistry apis = ApiRegistry::BuiltinC();
+  double phase_ms[5] = {};
+  auto timed = [](double* total, auto&& fn) {
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    *total += std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+                  .count();
+  };
+  for (auto _ : state) {
+    DiagnosticEngine diags;
+    TargetBundle bundle;
+    std::unique_ptr<TranslationUnit> unit;
+    std::unique_ptr<Module> module;
+    AnnotationFile annotations;
+    timed(&phase_ms[0], [&] { bundle = SynthesizeTarget(FindTarget("squid")); });
+    timed(&phase_ms[1], [&] { unit = ParseSource(bundle.source, "squid.c", &diags); });
+    timed(&phase_ms[2], [&] { module = LowerToIr(*unit, &diags); });
+    timed(&phase_ms[3], [&] { annotations = ParseAnnotations(bundle.annotations, &diags); });
+    timed(&phase_ms[4], [&] {
+      SpexEngine engine(*module, apis);
+      benchmark::DoNotOptimize(engine.Run(annotations, &diags));
+    });
+  }
+  const char* kPhases[5] = {"synthesize_ms", "parse_ms", "lower_ms", "annotate_ms", "infer_ms"};
+  for (int i = 0; i < 5; ++i) {
+    state.counters[kPhases[i]] =
+        benchmark::Counter(phase_ms[i], benchmark::Counter::kAvgIterations);
+  }
+}
+BENCHMARK(BM_LoadTarget)->Unit(benchmark::kMillisecond);
 
 void BM_SingleInjection(benchmark::State& state) {
   DiagnosticEngine diags;

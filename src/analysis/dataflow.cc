@@ -161,6 +161,20 @@ const std::vector<const Instruction*>& AnalysisContext::CallSitesOf(
   return it != call_sites_.end() ? it->second : empty_;
 }
 
+const ControlDependence& AnalysisContext::ControlDepsFor(const Function& fn) const {
+  std::lock_guard<std::mutex> lock(control_deps_mutex_);
+  std::unique_ptr<ControlDependence>& entry = control_deps_[&fn];
+  if (entry == nullptr) {
+    entry = std::make_unique<ControlDependence>(fn);
+  }
+  return *entry;
+}
+
+void AnalysisContext::ReleaseControlDeps() {
+  std::lock_guard<std::mutex> lock(control_deps_mutex_);
+  control_deps_.clear();
+}
+
 const std::vector<const Instruction*>& AnalysisContext::ReturnsOf(const Function* fn) const {
   auto it = returns_.find(fn);
   return it != returns_.end() ? it->second : empty_;

@@ -16,6 +16,8 @@
 #ifndef SPEX_ANALYSIS_DATAFLOW_H_
 #define SPEX_ANALYSIS_DATAFLOW_H_
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "src/analysis/memloc.h"
+#include "src/ir/dominance.h"
 #include "src/ir/ir.h"
 
 namespace spex {
@@ -51,6 +54,13 @@ class AnalysisContext {
     return module_.FindFunction(name);
   }
 
+  // The control-dependence index of `fn`, built on first use and shared by
+  // mapping extraction and every inference engine. Thread-safe.
+  const ControlDependence& ControlDepsFor(const Function& fn) const;
+  // Drops every cached index (a later query rebuilds it), so a loaded
+  // target does not keep load-only state for its lifetime.
+  void ReleaseControlDeps();
+
  private:
   // Hashed, not ordered: these indexes are only ever point-queried (never
   // iterated), and SpexEngine::Run re-queries them for every parameter.
@@ -61,6 +71,8 @@ class AnalysisContext {
   std::unordered_map<std::string, std::vector<const Instruction*>> call_sites_;
   std::unordered_map<const Function*, std::vector<const Instruction*>> returns_;
   std::vector<const Instruction*> empty_;
+  mutable std::mutex control_deps_mutex_;
+  mutable std::unordered_map<const Function*, std::unique_ptr<ControlDependence>> control_deps_;
 };
 
 // ---------------------------------------------------------------------------

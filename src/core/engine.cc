@@ -120,14 +120,6 @@ SpexEngine::SpexEngine(const Module& module, const ApiRegistry& apis, SpexOption
       dataflow_engine_(context_),
       region_analyzer_(apis) {}
 
-const ControlDependence& SpexEngine::ControlDepsFor(const Function& fn) {
-  auto it = control_deps_.find(&fn);
-  if (it == control_deps_.end()) {
-    it = control_deps_.emplace(&fn, std::make_unique<ControlDependence>(fn)).first;
-  }
-  return *it->second;
-}
-
 const ParamDataflow* SpexEngine::DataflowFor(const std::string& param) const {
   auto it = dataflows_.find(param);
   return it != dataflows_.end() ? &it->second : nullptr;
@@ -179,6 +171,7 @@ ModuleConstraints SpexEngine::InferFromMappings(const std::vector<MappedParam>& 
   }
   InferControlDeps(states, &result);
   InferValueRels(states, &result);
+  context_.ReleaseControlDeps();
   return result;
 }
 
@@ -468,20 +461,17 @@ void SpexEngine::InferRange(ParamState& state, ParamConstraints* out) {
     if (!true_edge.has_value() || !false_edge.has_value() || *true_edge == *false_edge) {
       continue;
     }
-    const Function& fn = *branch->parent()->parent();
-    const ControlDependence& cdeps = ControlDepsFor(fn);
+    const ControlDependence& cdeps = context_.ControlDepsFor(*branch->parent()->parent());
     // Direct regions first: an else-if chain's nested reset must not be
     // attributed to the outer comparison. Fall back to the transitive
     // region only when the direct bodies show no signal at all.
-    RegionBehavior when_true = region_analyzer_.Classify(
-        region_analyzer_.DirectRegionBlocks(cdeps, fn, branch, *true_edge), df);
-    RegionBehavior when_false = region_analyzer_.Classify(
-        region_analyzer_.DirectRegionBlocks(cdeps, fn, branch, *false_edge), df);
+    RegionBehavior when_true =
+        region_analyzer_.Classify(cdeps.DirectRegion(branch, *true_edge), df);
+    RegionBehavior when_false =
+        region_analyzer_.Classify(cdeps.DirectRegion(branch, *false_edge), df);
     if (!when_true.IsInvalid() && !when_false.IsInvalid()) {
-      when_true = region_analyzer_.Classify(
-          region_analyzer_.RegionBlocks(cdeps, fn, branch, *true_edge), df);
-      when_false = region_analyzer_.Classify(
-          region_analyzer_.RegionBlocks(cdeps, fn, branch, *false_edge), df);
+      when_true = region_analyzer_.Classify(cdeps.Region(branch, *true_edge), df);
+      when_false = region_analyzer_.Classify(cdeps.Region(branch, *false_edge), df);
     }
     if (when_true.IsInvalid() && !when_false.IsInvalid()) {
       invalid_conds.push_back({pred, threshold});
@@ -506,13 +496,10 @@ void SpexEngine::InferRange(ParamState& state, ParamConstraints* out) {
         enum_ints.push_back(value);
       }
     }
-    const Function& fn = *sw->parent()->parent();
-    const ControlDependence& cdeps = ControlDepsFor(fn);
-    RegionBehavior default_behavior =
-        region_analyzer_.Classify(region_analyzer_.DirectRegionBlocks(cdeps, fn, sw, 0), df);
+    const ControlDependence& cdeps = context_.ControlDepsFor(*sw->parent()->parent());
+    RegionBehavior default_behavior = region_analyzer_.Classify(cdeps.DirectRegion(sw, 0), df);
     if (!default_behavior.IsInvalid()) {
-      default_behavior =
-          region_analyzer_.Classify(region_analyzer_.RegionBlocks(cdeps, fn, sw, 0), df);
+      default_behavior = region_analyzer_.Classify(cdeps.Region(sw, 0), df);
     }
     if (default_behavior.IsSilentReset()) {
       switch_behavior = OutOfRangeBehavior::kSilentReset;
@@ -566,9 +553,8 @@ void SpexEngine::InferRange(ParamState& state, ParamConstraints* out) {
         *match_edge == *miss_edge_a) {
       continue;
     }
-    const Function& fn = *branch->parent()->parent();
-    const ControlDependence& cdeps = ControlDepsFor(fn);
-    auto miss_blocks = region_analyzer_.DirectRegionBlocks(cdeps, fn, branch, *miss_edge_a);
+    const ControlDependence& cdeps = context_.ControlDepsFor(*branch->parent()->parent());
+    const std::vector<const BasicBlock*>& miss_blocks = cdeps.DirectRegion(branch, *miss_edge_a);
     bool chain_continues = false;
     for (const BasicBlock* block : miss_blocks) {
       for (const auto& instr : block->instructions()) {
@@ -704,8 +690,7 @@ void SpexEngine::InferControlDeps(std::vector<ParamState>& states, ModuleConstra
     std::map<Key, std::set<const Instruction*>> controlled;
     std::map<Key, SourceLoc> dep_locs;
     for (const Instruction* usage : q.usage_sites) {
-      const Function& fn = *usage->parent()->parent();
-      const ControlDependence& cdeps = ControlDepsFor(fn);
+      const ControlDependence& cdeps = context_.ControlDepsFor(*usage->parent()->parent());
       for (const ControlDep& dep : cdeps.TransitiveDeps(usage->parent())) {
         if (dep.branch->instr_kind() != InstrKind::kCondBr) {
           continue;
@@ -742,7 +727,14 @@ void SpexEngine::InferControlDeps(std::vector<ParamState>& states, ModuleConstra
           }
           Key key{pi, pred, constant->constant_int()};
           controlled[key].insert(usage);
-          dep_locs.emplace(key, dep.branch->loc());
+          // The earliest controlling branch names the constraint, whatever
+          // order the usages and their deps are visited in.
+          const SourceLoc& loc = dep.branch->loc();
+          auto [it, inserted] = dep_locs.emplace(key, loc);
+          if (!inserted && std::tie(loc.line, loc.column) <
+                               std::tie(it->second.line, it->second.column)) {
+            it->second = loc;
+          }
         }
       }
     }
@@ -809,10 +801,10 @@ void SpexEngine::InferValueRels(std::vector<ParamState>& states, ModuleConstrain
           auto true_edge = EdgeTakenWhen(branch, use.cmp, 1);
           auto false_edge = EdgeTakenWhen(branch, use.cmp, 0);
           if (true_edge.has_value() && false_edge.has_value() && *true_edge != *false_edge) {
-            const Function& fn = *branch->parent()->parent();
-            const ControlDependence& cdeps = ControlDepsFor(fn);
-            RegionBehavior when_true = region_analyzer_.Classify(
-                region_analyzer_.RegionBlocks(cdeps, fn, branch, *true_edge), p.dataflow);
+            const ControlDependence& cdeps =
+                context_.ControlDepsFor(*branch->parent()->parent());
+            RegionBehavior when_true =
+                region_analyzer_.Classify(cdeps.Region(branch, *true_edge), p.dataflow);
             if (when_true.IsInvalid()) {
               pred = NegateCmpPred(pred);
             }

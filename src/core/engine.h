@@ -19,7 +19,6 @@
 #define SPEX_CORE_ENGINE_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,7 +27,6 @@
 #include "src/apidb/api_registry.h"
 #include "src/core/constraints.h"
 #include "src/core/region.h"
-#include "src/ir/dominance.h"
 #include "src/ir/ir.h"
 #include "src/mapping/annotations.h"
 #include "src/mapping/extractor.h"
@@ -54,7 +52,6 @@ class SpexEngine {
   const AnalysisContext& context() const { return context_; }
   const std::vector<MappedParam>& mappings() const { return mappings_; }
   const ParamDataflow* DataflowFor(const std::string& param) const;
-  const ControlDependence& ControlDepsFor(const Function& fn);
 
  private:
   struct ParamState {
@@ -90,7 +87,6 @@ class SpexEngine {
   RegionAnalyzer region_analyzer_;
   std::vector<MappedParam> mappings_;
   std::map<std::string, ParamDataflow> dataflows_;
-  std::map<const Function*, std::unique_ptr<ControlDependence>> control_deps_;
   // Hashed: point-queried once per cmp operand during control-dep and
   // value-relationship inference, never iterated.
   std::unordered_map<const Value*, std::vector<size_t>> value_to_params_;

@@ -1,44 +1,13 @@
 #include "src/core/region.h"
 
 #include <algorithm>
-#include <set>
 
 namespace spex {
-
-std::vector<const BasicBlock*> RegionAnalyzer::RegionBlocks(const ControlDependence& cdeps,
-                                                            const Function& fn,
-                                                            const Instruction* branch,
-                                                            int edge) const {
-  ControlDep want{branch, edge};
-  std::vector<const BasicBlock*> blocks;
-  for (const auto& block : fn.blocks()) {
-    auto deps = cdeps.TransitiveDeps(block.get());
-    if (std::find(deps.begin(), deps.end(), want) != deps.end()) {
-      blocks.push_back(block.get());
-    }
-  }
-  return blocks;
-}
-
-std::vector<const BasicBlock*> RegionAnalyzer::DirectRegionBlocks(
-    const ControlDependence& cdeps, const Function& fn, const Instruction* branch,
-    int edge) const {
-  ControlDep want{branch, edge};
-  std::vector<const BasicBlock*> blocks;
-  for (const auto& block : fn.blocks()) {
-    const auto& deps = cdeps.DirectDeps(block.get());
-    if (std::find(deps.begin(), deps.end(), want) != deps.end()) {
-      blocks.push_back(block.get());
-    }
-  }
-  return blocks;
-}
 
 RegionBehavior RegionAnalyzer::Classify(const std::vector<const BasicBlock*>& blocks,
                                         const ParamDataflow& df) const {
   RegionBehavior behavior;
   behavior.empty = blocks.empty();
-  std::set<const BasicBlock*> region(blocks.begin(), blocks.end());
 
   for (const BasicBlock* block : blocks) {
     for (const auto& instr : block->instructions()) {
@@ -74,7 +43,8 @@ RegionBehavior RegionAnalyzer::Classify(const std::vector<const BasicBlock*>& bl
   // A reset is a store into one of the parameter's locations whose stored
   // value does not come from the parameter itself.
   for (const StoreDef& store : df.stores) {
-    if (!store.value_tainted && region.count(store.store->parent()) > 0) {
+    if (!store.value_tainted &&
+        std::find(blocks.begin(), blocks.end(), store.store->parent()) != blocks.end()) {
       behavior.resets_param = true;
     }
   }

@@ -11,7 +11,6 @@
 
 #include "src/analysis/dataflow.h"
 #include "src/apidb/api_registry.h"
-#include "src/ir/dominance.h"
 
 namespace spex {
 
@@ -35,21 +34,8 @@ class RegionAnalyzer {
  public:
   explicit RegionAnalyzer(const ApiRegistry& apis) : apis_(apis) {}
 
-  // The blocks that execute only when `branch` takes `edge`, including
-  // blocks nested under further branches inside the region.
-  std::vector<const BasicBlock*> RegionBlocks(const ControlDependence& cdeps,
-                                              const Function& fn, const Instruction* branch,
-                                              int edge) const;
-
-  // Only the blocks *directly* control-dependent on the edge — the
-  // straight-line body of the branch, excluding nested sub-branches. Range
-  // classification uses this first so that an `else if` chain's nested reset
-  // is not attributed to the outer comparison.
-  std::vector<const BasicBlock*> DirectRegionBlocks(const ControlDependence& cdeps,
-                                                    const Function& fn,
-                                                    const Instruction* branch, int edge) const;
-
-  // Classifies the behaviour of a region with respect to parameter `df`.
+  // Classifies the behaviour of a region (a ControlDependence::Region or
+  // DirectRegion) with respect to parameter `df`.
   RegionBehavior Classify(const std::vector<const BasicBlock*>& blocks,
                           const ParamDataflow& df) const;
 

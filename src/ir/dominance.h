@@ -8,7 +8,6 @@
 #define SPEX_IR_DOMINANCE_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/ir/ir.h"
@@ -31,14 +30,10 @@ class DominatorTree {
   bool IsReachable(const BasicBlock* block) const;
 
  private:
-  size_t IndexOf(const BasicBlock* block) const;
-
   const Function& function_;
-  bool post_;
-  size_t n_ = 0;           // Number of real blocks.
+  size_t n_ = 0;             // Number of real blocks.
   size_t virtual_exit_ = 0;  // Index of the virtual exit (post mode only).
-  std::vector<std::vector<uint32_t>> dom_sets_;  // Bitsets, indexed by block index.
-  std::vector<int> idom_;                        // -1 = none.
+  std::vector<int> idom_;    // By block index; -1 = none.
   std::vector<bool> reachable_;
 };
 
@@ -48,17 +43,15 @@ struct ControlDep {
   const Instruction* branch = nullptr;
   int successor_index = -1;
 
-  bool operator<(const ControlDep& other) const {
-    if (branch != other.branch) {
-      return branch < other.branch;
-    }
-    return successor_index < other.successor_index;
-  }
   bool operator==(const ControlDep& other) const {
     return branch == other.branch && successor_index == other.successor_index;
   }
 };
 
+// Control-dependence index of one function, built once at construction so
+// every query is a lookup. Blocks are addressed by index and branch edges
+// by a dense edge id; all lists are ordered by (branch block index, edge)
+// or by block index, so iteration order never depends on heap layout.
 class ControlDependence {
  public:
   explicit ControlDependence(const Function& function);
@@ -69,12 +62,29 @@ class ControlDependence {
   // Transitive closure: direct deps plus the deps of the controlling
   // branches' own blocks. This is the set of conditions that must all hold
   // for `block` to execute.
-  std::vector<ControlDep> TransitiveDeps(const BasicBlock* block) const;
+  const std::vector<ControlDep>& TransitiveDeps(const BasicBlock* block) const;
+
+  // The blocks that execute only when `branch` takes successor `edge`,
+  // including blocks nested under further branches inside the region.
+  const std::vector<const BasicBlock*>& Region(const Instruction* branch, int edge) const;
+
+  // Only the blocks *directly* control-dependent on the edge: the
+  // straight-line body of the branch, excluding nested sub-branches.
+  const std::vector<const BasicBlock*>& DirectRegion(const Instruction* branch, int edge) const;
 
  private:
+  // Block index, or SIZE_MAX if `block` is not a block of this function.
+  size_t IndexOf(const BasicBlock* block) const;
+  // Edge id of (branch, edge), or SIZE_MAX if it is no branch edge here.
+  size_t EdgeId(const Instruction* branch, int edge) const;
+
   const Function& function_;
-  std::map<const BasicBlock*, std::vector<ControlDep>> direct_;
-  std::vector<ControlDep> empty_;
+  std::vector<size_t> first_edge_;  // By block index: id of successor 0's edge.
+  std::vector<ControlDep> edges_;   // By edge id.
+  std::vector<std::vector<ControlDep>> direct_;      // By block index.
+  std::vector<std::vector<ControlDep>> transitive_;  // By block index.
+  std::vector<std::vector<const BasicBlock*>> direct_region_;  // By edge id.
+  std::vector<std::vector<const BasicBlock*>> region_;         // By edge id.
 };
 
 }  // namespace spex

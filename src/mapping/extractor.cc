@@ -87,14 +87,6 @@ std::optional<int64_t> EvalAssumingZero(const Value* value, const Value* call, i
 
 }  // namespace
 
-const ControlDependence& MappingExtractor::ControlDepsFor(const Function& fn) {
-  auto it = control_deps_.find(&fn);
-  if (it == control_deps_.end()) {
-    it = control_deps_.emplace(&fn, std::make_unique<ControlDependence>(fn)).first;
-  }
-  return *it->second;
-}
-
 const Instruction* MappingExtractor::FindArgSlot(const Function& fn, int arg_index) const {
   if (arg_index < 0 || static_cast<size_t>(arg_index) >= fn.arguments().size()) {
     return nullptr;
@@ -278,7 +270,8 @@ void MappingExtractor::ExtractComparison(const MappingAnnotation& annotation,
     return;
   }
   std::set<const Value*> par_set(par_loads.begin(), par_loads.end());
-  const ControlDependence& cdeps = ControlDepsFor(*parser);
+  std::vector<const Value*> var_loads = FindArgRefLoads(*parser, annotation.parser_var);
+  const ControlDependence& cdeps = context_.ControlDepsFor(*parser);
 
   for (const auto& block : parser->blocks()) {
     for (const auto& instr : block->instructions()) {
@@ -326,16 +319,14 @@ void MappingExtractor::ExtractComparison(const MappingAnnotation& annotation,
         continue;
       }
       // Seeds: reads of the value argument inside the matched region.
-      ControlDep want{match_branch, match_edge};
+      const std::vector<const BasicBlock*>& region = cdeps.Region(match_branch, match_edge);
       MappedParam param;
       param.name = name_constant->constant_string();
       param.style = MappingStyle::kComparison;
       param.loc = instr->loc();
-      std::vector<const Value*> var_loads = FindArgRefLoads(*parser, annotation.parser_var);
       for (const Value* load : var_loads) {
-        const auto* load_instr = static_cast<const Instruction*>(load);
-        auto deps = cdeps.TransitiveDeps(load_instr->parent());
-        if (std::find(deps.begin(), deps.end(), want) != deps.end()) {
+        const BasicBlock* block = static_cast<const Instruction*>(load)->parent();
+        if (std::find(region.begin(), region.end(), block) != region.end()) {
           param.seeds.values.push_back(load);
         }
       }
@@ -343,11 +334,7 @@ void MappingExtractor::ExtractComparison(const MappingAnnotation& annotation,
       // storage even when the stored value is a constant rather than the
       // value string itself — the boolean idiom `*var = 1` / `*var = 0`
       // assigns by control flow, not data flow.
-      for (const auto& region_block : parser->blocks()) {
-        auto deps = cdeps.TransitiveDeps(region_block.get());
-        if (std::find(deps.begin(), deps.end(), want) == deps.end()) {
-          continue;
-        }
+      for (const BasicBlock* region_block : region) {
         for (const auto& region_instr : region_block->instructions()) {
           if (region_instr->instr_kind() != InstrKind::kStore) {
             continue;

@@ -7,15 +7,12 @@
 #ifndef SPEX_MAPPING_EXTRACTOR_H_
 #define SPEX_MAPPING_EXTRACTOR_H_
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/analysis/dataflow.h"
 #include "src/apidb/api_registry.h"
-#include "src/ir/dominance.h"
 #include "src/ir/ir.h"
 #include "src/mapping/annotations.h"
 
@@ -64,12 +61,9 @@ class MappingExtractor {
   // All loads realizing an annotated arg reference (`arg0`, `arg0[1]`).
   std::vector<const Value*> FindArgRefLoads(const Function& fn, const ArgRef& ref) const;
 
-  const ControlDependence& ControlDepsFor(const Function& fn);
-
   const Module& module_;
   const AnalysisContext& context_;
   const ApiRegistry& apis_;
-  std::map<const Function*, std::unique_ptr<ControlDependence>> control_deps_;
 };
 
 }  // namespace spex
