@@ -15,6 +15,7 @@
 
 #include "src/api/batch_check.h"
 #include "src/api/config_set.h"
+#include "src/api/report_json.h"
 #include "src/serve/http.h"
 #include "src/support/strings.h"
 
@@ -53,34 +54,19 @@ void SetNonBlocking(int fd) {
   }
 }
 
-std::string StatusJson(const Status& status) {
-  return std::string("{\"type\":\"error\",\"status\":\"") + StatusCodeName(status.code()) +
-         "\",\"message\":\"" + JsonEscape(status.message()) + "\"}\n";
-}
-
-// One violation as a JSONL line. `config` tags batch lines with the
-// report they belong to; null for single checks.
-std::string ViolationJson(const Violation& violation, const std::string* config) {
-  std::string line = "{\"type\":\"violation\"";
-  if (config != nullptr) {
-    line += ",\"config\":\"" + JsonEscape(*config) + "\"";
+// An error body for `status`: HTTP code from the status unless `http` is
+// given, Retry-After on every 503. The front end passes eagain_timeout_ms 0.
+void WriteError(int fd, const Status& status, int eagain_timeout_ms = 5000, int http = 0) {
+  http = http != 0 ? http : HttpStatusFor(status.code());
+  std::string body;
+  AppendStatusJson(&body, status);
+  body += '\n';
+  std::vector<std::pair<std::string, std::string>> extra;
+  if (http == 503) {
+    extra.emplace_back("Retry-After", "1");
   }
-  line += ",\"file\":\"" + JsonEscape(violation.file) + "\"";
-  line += ",\"line\":" + std::to_string(violation.line);
-  line += ",\"category\":\"" + std::string(ViolationCategoryName(violation.category)) + "\"";
-  line += ",\"param\":\"" + JsonEscape(violation.param) + "\"";
-  line += ",\"value\":\"" + JsonEscape(violation.value) + "\"";
-  line += ",\"message\":\"" + JsonEscape(violation.message) + "\"";
-  if (!violation.override_note.empty()) {
-    line += ",\"note\":\"" + JsonEscape(violation.override_note) + "\"";
-  }
-  if (violation.reaction.has_value()) {
-    line += ",\"reaction\":\"" +
-            std::string(ReactionCategoryName(*violation.reaction)) + "\"";
-    line += ",\"prediction\":\"" + JsonEscape(violation.prediction) + "\"";
-  }
-  line += "}\n";
-  return line;
+  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", body, extra, false,
+                    eagain_timeout_ms);
 }
 
 // "=== <name>" framing for /batch bodies. Content before the first frame
@@ -425,10 +411,7 @@ void CheckServer::HandleReadable(int fd) {
     HttpParser::State state = conn->parser->Consume(chunk, static_cast<size_t>(n));
     if (state == HttpParser::State::kError) {
       stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-      Status error = conn->parser->error();
-      int http = HttpStatusFor(error.code());
-      WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(error),
-                        {}, false, /*eagain_timeout_ms=*/0);
+      WriteError(fd, conn->parser->error(), /*eagain_timeout_ms=*/0);
       CloseConn(fd);
       return;
     }
@@ -471,9 +454,8 @@ void CheckServer::ExpireDeadlines(MonotonicTime now) {
     // Slow-loris cutoff: a client that cannot finish its request within
     // the read timeout gets 408 and its connection slot back.
     stat_read_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    WriteHttpResponse(entry.fd, 408, HttpReasonFor(408), "application/json",
-                      StatusJson(Status::DeadlineExceeded("timed out reading request")), {},
-                      false, /*eagain_timeout_ms=*/0);
+    WriteError(entry.fd, Status::DeadlineExceeded("timed out reading request"),
+               /*eagain_timeout_ms=*/0, /*http=*/408);
     CloseConn(entry.fd);
   });
 }
@@ -530,17 +512,13 @@ void CheckServer::DispatchConn(int fd) {
                       : Status::ResourceExhausted(
                             "request queue full (" +
                             std::to_string(queue_->capacity()) + " pending); retry later");
-  int http = HttpStatusFor(status.code());
-  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(status),
-                    {{"Retry-After", "1"}}, false, /*eagain_timeout_ms=*/0);
+  WriteError(fd, status, /*eagain_timeout_ms=*/0);
   DestroyConn(std::move(conn));
 }
 
 void CheckServer::ShedConn(int fd, const Status& status) {
   stat_shed_.fetch_add(1, std::memory_order_relaxed);
-  int http = HttpStatusFor(status.code());
-  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(status),
-                    {{"Retry-After", "1"}}, false, /*eagain_timeout_ms=*/0);
+  WriteError(fd, status, /*eagain_timeout_ms=*/0);
   ::close(fd);
 }
 
@@ -603,16 +581,6 @@ void CheckServer::ServeConn(std::unique_ptr<Conn> conn) {
   Wake();
 }
 
-void CheckServer::WriteError(int fd, const Status& status) {
-  int http = HttpStatusFor(status.code());
-  std::vector<std::pair<std::string, std::string>> extra;
-  if (http == 503) {
-    extra.emplace_back("Retry-After", "1");
-  }
-  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(status),
-                    extra);
-}
-
 bool CheckServer::HandleRequest(int fd, const HttpRequest& request, bool keep_alive) {
   auto [path, query_view] = SplitRequestTarget(request.path);
   std::string query(query_view);
@@ -626,61 +594,9 @@ bool CheckServer::HandleRequest(int fd, const HttpRequest& request, bool keep_al
     return keep_alive;
   }
   if (request.method == "GET" && path == "/statz") {
-    ServerStats snapshot = stats();
-    std::string body = "{";
-    auto field = [&](const char* name, uint64_t value, bool first = false) {
-      if (!first) {
-        body += ',';
-      }
-      body += '"';
-      body += name;
-      body += "\":";
-      body += std::to_string(value);
-    };
-    field("accepted", snapshot.accepted, true);
-    field("served_ok", snapshot.served_ok);
-    field("shed", snapshot.shed);
-    field("degraded", snapshot.degraded);
-    field("budget_degraded", snapshot.budget_degraded);
-    field("invalid_requests", snapshot.invalid_requests);
-    field("not_found", snapshot.not_found);
-    field("deadline_exceeded", snapshot.deadline_exceeded);
-    field("cancelled", snapshot.cancelled);
-    field("read_timeouts", snapshot.read_timeouts);
-    field("internal_errors", snapshot.internal_errors);
-    field("batch_configs", snapshot.batch_configs);
-    field("keepalive_reuses", snapshot.keepalive_reuses);
-    field("store_hits", snapshot.store_hits);
-    field("partial_reads", snapshot.partial_reads);
-    field("client_aborts", snapshot.client_aborts);
-    field("open_connections", snapshot.open_connections);
-    field("idle_keepalive", snapshot.idle_keepalive);
-    field("max_connections", options_.max_connections);
-    field("queue_depth", queue_->size());
-    field("inflight_replays", inflight_replays_.load(std::memory_order_relaxed));
-    field("per_target_replay_budget", targets_->replay_budget());
-    field("targets_loaded", targets_->size());
-    field("target_loads", targets_->loads());
-    field("target_hits", targets_->hits());
-    field("target_evictions", targets_->evictions());
-    // Per-target budget state: how many replay tokens each hot target has
-    // left and how often its traffic degraded — the operator's view of
-    // "which target is the noisy one".
-    body += ",\"target_budget\":[";
-    bool first_target = true;
-    for (const TargetPool::BudgetState& state : targets_->BudgetStates()) {
-      if (!first_target) {
-        body += ',';
-      }
-      first_target = false;
-      body += "{\"name\":\"" + JsonEscape(state.name) + "\"";
-      body += ",\"tokens\":" + std::to_string(static_cast<uint64_t>(state.tokens));
-      body += ",\"degraded\":" + std::to_string(state.degraded) + "}";
-    }
-    body += "]";
-    body += ",\"draining\":";
-    body += draining() ? "true" : "false";
-    body += "}\n";
+    std::string body;
+    AppendStatzJson(&body, stats());
+    body += '\n';
     WriteHttpResponse(fd, 200, "OK", "application/json", body, {}, keep_alive);
     return keep_alive;
   }
@@ -694,7 +610,7 @@ bool CheckServer::HandleRequest(int fd, const HttpRequest& request, bool keep_al
 }
 
 bool CheckServer::HandleCheck(int fd, const std::string& query, const std::string& body,
-                              bool batch, bool keep_alive, TargetPool::Entry*) {
+                              bool batch, bool keep_alive) {
   // The whole request path runs under catch-all containment: a thrown
   // bad_alloc or logic error becomes this request's 500, never the
   // daemon's last words.
@@ -754,159 +670,85 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
     }
     options_.faults.BeforeCheck();
 
-    std::string response;
-    if (!batch) {
-      // A body opening with '{' is the multi-file form: a JSON object
-      // naming the set's files, resolved (includes, last-wins overrides)
-      // to one flattened effective config before checking. Anything else
-      // is the classic raw-config-text form.
-      size_t first_byte = body.find_first_not_of(" \t\r\n");
-      const bool set_body = first_byte != std::string::npos && body[first_byte] == '{';
-      ConfigSetInput set_input;
-      if (set_body) {
-        Status parsed = ParseConfigSetJson(body, &set_input);
-        if (!parsed.ok()) {
-          stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-          WriteError(fd, parsed);
-          return false;
-        }
-      } else {
-        Status valid = ValidateConfigText(body, entry->target->dialect());
-        if (!valid.ok()) {
-          stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-          WriteError(fd, valid);
-          return false;
-        }
-      }
-      std::string name = QueryParam(query, "name");
-      if (name.empty()) {
-        name = set_body ? set_input.name : "config";
-      }
-      // Routed through a 1-config batch rather than CheckConfig: verdicts
-      // are bit-identical (the batch identity guarantee), and the
-      // BatchSummary carries the verdict-store counters a bare CheckConfig
-      // cannot report — so /check can say whether it was served from disk.
-      BatchOptions single_options;
-      single_options.check = check;
-      single_options.num_threads = 1;
-      BatchSummary single_summary;
-      std::vector<ResolvedConfigSet> resolutions;
-      if (set_body) {
-        set_input.name = name;
-        std::vector<ConfigSetInput> sets;
-        sets.push_back(std::move(set_input));
-        single_summary =
-            entry->target->CheckConfigSet(sets, single_options, nullptr, &resolutions);
-        for (const ConfigSetError& set_error : resolutions.front().errors) {
-          response += "{\"type\":\"config_set_error\",\"kind\":\"";
-          response += ConfigSetErrorKindName(set_error.kind);
-          response += "\",\"file\":\"" + JsonEscape(set_error.file) + "\"";
-          response += ",\"line\":" + std::to_string(set_error.line);
-          response += ",\"target\":\"" + JsonEscape(set_error.target) + "\"}\n";
-        }
-      } else {
-        std::vector<ConfigInput> single;
-        single.push_back(ConfigInput{name, body});
-        single_summary = entry->target->CheckConfigBatch(single, single_options);
-      }
-      stat_store_hits_.fetch_add(single_summary.store_hits, std::memory_order_relaxed);
-      const std::vector<Violation>& violations = single_summary.reports.front().violations;
-      for (const Violation& violation : violations) {
-        response += ViolationJson(violation, nullptr);
-      }
-      Status final = token.cancelled()
-                         ? (token.reason() == CancelToken::Reason::kDeadline
-                                ? Status::DeadlineExceeded("request budget exhausted mid-check")
-                                : Status::Cancelled("request cancelled mid-check"))
-                         : Status::Ok();
-      response += "{\"type\":\"summary\",\"status\":\"";
-      response += StatusCodeName(final.code());
-      response += "\",\"target\":\"" + JsonEscape(target_name) + "\"";
-      response += ",\"mode\":\"";
-      response += check.mode == CheckMode::kDynamic ? "dynamic" : "static";
-      response += "\",\"violations\":" + std::to_string(violations.size());
-      if (set_body) {
-        response += ",\"files\":" + std::to_string(resolutions.front().files_resolved);
-      }
-      response += ",\"degraded\":";
-      response += degraded ? "true" : "false";
-      // cached: every suspect execution was served from the persistent
-      // verdict store — nothing replayed for this request.
-      const bool cached = single_summary.total_suspects > 0 &&
-                          single_summary.unique_replays == 0 &&
-                          single_summary.store_hits > 0;
-      response += ",\"cached\":";
-      response += cached ? "true" : "false";
-      response += "}\n";
-      int http = HttpStatusFor(final.code());
-      (final.ok() ? stat_served_ok_
-                  : final.code() == StatusCode::kDeadlineExceeded ? stat_deadline_
-                                                                  : stat_cancelled_)
-          .fetch_add(1, std::memory_order_relaxed);
-      // Only a clean verdict keeps the connection: a request that blew its
-      // budget leaves the connection in a state not worth reasoning about.
-      const bool stay_open = keep_alive && final.ok();
-      WriteHttpResponse(fd, http, HttpReasonFor(http), "application/jsonl", response, {},
-                        stay_open);
-      return stay_open;
-    }
-
+    // The body is /batch frames, a '{'-opening multi-file set (a JSON
+    // object naming the set's files, resolved — includes, last-wins
+    // overrides — to one flattened effective config before checking), or
+    // the classic raw config text.
+    size_t first_byte = body.find_first_not_of(" \t\r\n");
+    const bool set_body = !batch && first_byte != std::string::npos && body[first_byte] == '{';
     std::vector<ConfigInput> inputs;
-    Status framed = ParseBatchBody(body, &inputs);
-    if (!framed.ok()) {
+    ConfigSetInput set_input;
+    Status parsed = batch      ? ParseBatchBody(body, &inputs)
+                    : set_body ? ParseConfigSetJson(body, &set_input)
+                               : ValidateConfigText(body, entry->target->dialect());
+    if (!parsed.ok()) {
       stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-      WriteError(fd, framed);
+      WriteError(fd, parsed);
       return false;
     }
+    std::string name = QueryParam(query, "name");
+    if (name.empty()) {
+      name = set_body ? set_input.name : "config";
+    }
+    // /check runs as a 1-config batch rather than CheckConfig: verdicts
+    // are bit-identical (the batch identity guarantee), and the
+    // BatchSummary carries the verdict-store counters a bare CheckConfig
+    // cannot report — so /check can say whether it was served from disk.
     BatchOptions batch_options;
     batch_options.check = check;
     batch_options.num_threads = 1;  // Concurrency comes from the worker pool.
-    BatchSummary summary = entry->target->CheckConfigBatch(inputs, batch_options);
-    stat_batch_configs_.fetch_add(inputs.size(), std::memory_order_relaxed);
+    std::string response;
+    BatchSummary summary;
+    std::optional<size_t> files;  // Of a config-set body.
+    if (set_body) {
+      set_input.name = name;
+      std::vector<ResolvedConfigSet> resolutions;
+      summary = entry->target->CheckConfigSet({&set_input, 1}, batch_options, nullptr,
+                                              &resolutions);
+      for (const ConfigSetError& set_error : resolutions.front().errors) {
+        AppendConfigSetErrorJson(&response, set_error);
+        response += '\n';
+      }
+      files = resolutions.front().files_resolved;
+    } else {
+      if (!batch) {
+        inputs.push_back(ConfigInput{name, body});
+      }
+      summary = entry->target->CheckConfigBatch(inputs, batch_options);
+    }
+    stat_batch_configs_.fetch_add(batch ? inputs.size() : 0, std::memory_order_relaxed);
     stat_store_hits_.fetch_add(summary.store_hits, std::memory_order_relaxed);
+
+    // One tail for both routes: violation lines (tagged with their config
+    // in a batch), per-config report lines (batch only), the summary line.
     for (const ConfigReport& report : summary.reports) {
       for (const Violation& violation : report.violations) {
-        response += ViolationJson(violation, &report.name);
+        AppendViolationJson(&response, violation, batch ? &report.name : nullptr);
+        response += '\n';
       }
-      response += "{\"type\":\"report\",\"index\":" + std::to_string(report.index);
-      response += ",\"config\":\"" + JsonEscape(report.name) + "\"";
-      response += ",\"status\":\"";
-      response += StatusCodeName(report.status.code());
-      response += "\"";
-      if (!report.status.ok()) {
-        response += ",\"error\":\"" + JsonEscape(report.status.message()) + "\"";
+      if (batch) {
+        AppendServedReportJson(&response, report);
+        response += '\n';
       }
-      response += ",\"violations\":" + std::to_string(report.violations.size());
-      response += ",\"suspects\":" + std::to_string(report.suspects);
-      response += ",\"shared_replays\":" + std::to_string(report.shared_replays);
-      response += "}\n";
     }
-    Status final = token.cancelled()
-                       ? (token.reason() == CancelToken::Reason::kDeadline
-                              ? Status::DeadlineExceeded("request budget exhausted mid-batch")
-                              : Status::Cancelled("request cancelled mid-batch"))
-                       : Status::Ok();
-    response += "{\"type\":\"batch_summary\",\"status\":\"";
-    response += StatusCodeName(final.code());
-    response += "\",\"configs\":" + std::to_string(summary.configs_checked);
-    response += ",\"errors\":" + std::to_string(summary.configs_with_errors);
-    response += ",\"violations\":" + std::to_string(summary.total_violations);
-    response += ",\"total_suspects\":" + std::to_string(summary.total_suspects);
-    response += ",\"unique_replays\":" + std::to_string(summary.unique_replays);
-    response += ",\"degraded\":";
-    response += degraded ? "true" : "false";
-    response += ",\"cached\":";
-    response += (summary.total_suspects > 0 && summary.unique_replays == 0 &&
-                 summary.store_hits > 0)
-                    ? "true"
-                    : "false";
-    response += "}\n";
-    int http = HttpStatusFor(final.code());
-    (final.ok() ? stat_served_ok_
-                : final.code() == StatusCode::kDeadlineExceeded ? stat_deadline_
-                                                                : stat_cancelled_)
+    const ServedCheck served{.status = !token.cancelled() ? StatusCode::kOk
+                                       : token.reason() == CancelToken::Reason::kDeadline
+                                           ? StatusCode::kDeadlineExceeded
+                                           : StatusCode::kCancelled,
+                             .target = target_name,
+                             .mode = check.mode,
+                             .degraded = degraded,
+                             .files = files};
+    AppendServedSummaryJson(&response, served, summary, batch);
+    response += '\n';
+    (served.status == StatusCode::kOk                 ? stat_served_ok_
+     : served.status == StatusCode::kDeadlineExceeded ? stat_deadline_
+                                                      : stat_cancelled_)
         .fetch_add(1, std::memory_order_relaxed);
-    const bool stay_open = keep_alive && final.ok();
+    // Only a clean verdict keeps the connection: a request that blew its
+    // budget leaves the connection in a state not worth reasoning about.
+    const bool stay_open = keep_alive && served.status == StatusCode::kOk;
+    int http = HttpStatusFor(served.status);
     WriteHttpResponse(fd, http, HttpReasonFor(http), "application/jsonl", response, {},
                       stay_open);
     return stay_open;
@@ -941,6 +783,16 @@ ServerStats CheckServer::stats() const {
   snapshot.client_aborts = stat_client_aborts_.load(std::memory_order_relaxed);
   snapshot.open_connections = gauge_open_connections_.load(std::memory_order_relaxed);
   snapshot.idle_keepalive = gauge_idle_keepalive_.load(std::memory_order_relaxed);
+  snapshot.max_connections = options_.max_connections;
+  snapshot.queue_depth = queue_->size();
+  snapshot.inflight_replays = inflight_replays_.load(std::memory_order_relaxed);
+  snapshot.per_target_replay_budget = targets_->replay_budget();
+  snapshot.targets_loaded = targets_->size();
+  snapshot.target_loads = targets_->loads();
+  snapshot.target_hits = targets_->hits();
+  snapshot.target_evictions = targets_->evictions();
+  snapshot.target_budget = targets_->BudgetStates();
+  snapshot.draining = draining();
   return snapshot;
 }
 

@@ -161,8 +161,8 @@ struct ServerOptions {
 };
 
 // Monotonic counters + point-in-time gauges, snapshot via
-// CheckServer::stats(). Every terminal outcome of a request increments
-// exactly one of the outcome counters.
+// CheckServer::stats() and served as /statz. Every terminal outcome of a
+// request increments exactly one of the outcome counters.
 struct ServerStats {
   uint64_t accepted = 0;
   uint64_t served_ok = 0;
@@ -180,9 +180,20 @@ struct ServerStats {
   uint64_t store_hits = 0;         // Unique executions served from the verdict store.
   uint64_t partial_reads = 0;      // Read events that ended with a request still incomplete.
   uint64_t client_aborts = 0;      // Peer closed mid-request (partial/mid-body disconnect).
-  // Gauges (state of the event loop at snapshot time).
+  // Gauges (state of the server at snapshot time).
   uint64_t open_connections = 0;   // Connections the server currently holds.
   uint64_t idle_keepalive = 0;     // Subset parked between keep-alive requests.
+  uint64_t max_connections = 0;    // ServerOptions::max_connections.
+  uint64_t queue_depth = 0;        // Parsed requests waiting for a worker.
+  uint64_t inflight_replays = 0;   // Dynamic checks holding a replay slot.
+  uint64_t per_target_replay_budget = 0;
+  // The target pool; target_budget is empty when budgets are disarmed.
+  uint64_t targets_loaded = 0;
+  uint64_t target_loads = 0;
+  uint64_t target_hits = 0;
+  uint64_t target_evictions = 0;
+  std::vector<TargetPool::BudgetState> target_budget;
+  bool draining = false;
 };
 
 class CheckServer {
@@ -262,8 +273,7 @@ class CheckServer {
   // Routes /check and /batch. `batch` selects the body framing. Returns
   // whether the connection stays open.
   bool HandleCheck(int fd, const std::string& query, const std::string& body, bool batch,
-                   bool keep_alive, TargetPool::Entry* entry_hint = nullptr);
-  void WriteError(int fd, const Status& status);
+                   bool keep_alive);
 
   ServerOptions options_;
   std::unique_ptr<TargetPool> targets_;

@@ -30,13 +30,14 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <set>
-
 #include "src/api/config_set.h"
+#include "src/api/report_json.h"
 #include "src/api/session.h"
 #include "src/corpus/spec.h"
 #include "src/support/verdict_store.h"
@@ -132,39 +133,6 @@ bool GlobMatch(const std::string& pattern, const std::string& text) {
   return p == pattern.size();
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // One version of the target as named on the command line — file paths,
 // not contents; BuildVersions reads them.
 struct VersionArg {
@@ -198,93 +166,72 @@ struct ConfigError {
   std::string message;
 };
 
-// The violation object shared by every JSONL record that carries
-// verdicts (per-config lines and matrix cell records).
-void AppendViolationJson(std::ostream& out, const Violation& v) {
-  out << "{\"category\":\"" << ViolationCategoryName(v.category) << "\",\"param\":\""
-      << JsonEscape(v.param) << "\",\"value\":\"" << JsonEscape(v.value) << "\",\"file\":\""
-      << JsonEscape(v.file) << "\",\"line\":" << v.line << ",\"message\":\""
-      << JsonEscape(v.message) << "\"";
-  if (!v.override_note.empty()) {
-    out << ",\"note\":\"" << JsonEscape(v.override_note) << "\"";
-  }
-  if (v.reaction.has_value()) {
-    out << ",\"reaction\":\"" << ReactionCategoryName(*v.reaction)
-        << "\",\"vulnerability\":" << (IsVulnerability(*v.reaction) ? "true" : "false")
-        << ",\"prediction\":\"" << JsonEscape(v.prediction) << "\"";
-  }
-  out << "}";
-}
-
-void AppendReportJson(std::ostream& out, size_t index, const ConfigReport& report) {
-  out << "\"config\":\"" << JsonEscape(report.name) << "\",\"index\":" << index
-      << ",\"suspects\":" << report.suspects
-      << ",\"shared_replays\":" << report.shared_replays;
-  if (!report.status.ok()) {
-    out << ",\"status\":\"" << StatusCodeName(report.status.code()) << "\",\"error\":\""
-        << JsonEscape(report.status.message()) << "\"";
-  }
-  out << ",\"violations\":[";
-  for (size_t i = 0; i < report.violations.size(); ++i) {
-    if (i != 0) {
-      out << ",";
-    }
-    AppendViolationJson(out, report.violations[i]);
-  }
-  out << "]";
-}
-
-// One JSON line per config as its report streams in, plus a final
-// summary line — the format a fleet pipeline tails.
-class JsonlWriter : public BatchObserver {
+// A report format: the batch stream, the matrix stream, and the records
+// neither check produces — unreadable files and include-tree resolutions.
+class ReportWriter : public BatchObserver, public MatrixObserver {
  public:
-  void OnConfigError(const ConfigError& error) {
-    std::cout << "{\"config\":\"" << JsonEscape(error.name) << "\",\"error\":\""
-              << JsonEscape(error.message) << "\"}\n";
-  }
+  virtual void OnConfigError(const ConfigError& error) = 0;
+  virtual void OnConfigSet(const ResolvedConfigSet& set) = 0;
 
-  // One record per config set ahead of its report: how many files the
-  // include tree resolved and every contained resolution fault.
-  void OnConfigSet(const ResolvedConfigSet& set) {
-    std::cout << "{\"type\":\"config_set\",\"config\":\"" << JsonEscape(set.name)
-              << "\",\"files\":" << set.files_resolved << ",\"errors\":[";
-    for (size_t i = 0; i < set.errors.size(); ++i) {
-      const ConfigSetError& error = set.errors[i];
-      std::cout << (i == 0 ? "" : ",") << "{\"kind\":\"" << ConfigSetErrorKindName(error.kind)
-                << "\",\"file\":\"" << JsonEscape(error.file) << "\",\"line\":" << error.line
-                << ",\"target\":\"" << JsonEscape(error.target) << "\"}";
+  void OnVersionLoaded(const LoadedVersion& version) override {
+    if (!version.status.ok()) {
+      std::cerr << "spexcheck: version '" << version.label
+                << "' failed to load: " << version.status.message() << "\n";
     }
-    std::cout << "]}\n";
-  }
-
-  void OnConfigChecked(size_t index, const ConfigReport& report) override {
-    std::ostringstream line;
-    line << "{";
-    AppendReportJson(line, index, report);
-    line << "}";
-    std::cout << line.str() << "\n";
-  }
-
-  void OnBatchEnd(const BatchSummary& summary) override {
-    std::cout << "{\"summary\":{\"configs_checked\":" << summary.configs_checked
-              << ",\"configs_with_errors\":" << summary.configs_with_errors
-              << ",\"configs_with_violations\":" << summary.configs_with_violations
-              << ",\"total_violations\":" << summary.total_violations
-              << ",\"total_suspects\":" << summary.total_suspects
-              << ",\"unique_replays\":" << summary.unique_replays << ",\"dedup_ratio\":"
-              << summary.DedupRatio() << ",\"store_hits\":" << summary.store_hits
-              << ",\"store_misses\":" << summary.store_misses
-              << ",\"store_appends\":" << summary.store_appends << "}}\n";
   }
 };
 
-class TextWriter : public BatchObserver {
+// One JSON line per config as its report streams in, plus a summary line —
+// the format a fleet pipeline tails. The matrix stream is typed records:
+// "cell", "version", "diff" and one "matrix_summary".
+class JsonlWriter : public ReportWriter {
  public:
-  void OnConfigError(const ConfigError& error) {
+  explicit JsonlWriter(bool matrix) : matrix_(matrix) {}
+
+  void OnConfigError(const ConfigError& error) override {
+    Print(AppendConfigErrorJson, error.name, error.message, /*typed=*/matrix_);
+  }
+  void OnConfigSet(const ResolvedConfigSet& set) override { Print(AppendConfigSetJson, set); }
+  void OnConfigChecked(size_t index, const ConfigReport& report) override {
+    Print(AppendConfigReportJson, index, report);
+  }
+  void OnBatchEnd(const BatchSummary& summary) override { Print(AppendBatchSummaryJson, summary); }
+  void OnCellChecked(size_t version, const std::string& version_label,
+                     const ConfigReport& report) override {
+    Print(AppendMatrixCellJson, version, version_label, report);
+  }
+  void OnVersionChecked(const VersionReport& column) override { Print(AppendVersionJson, column); }
+  void OnTransition(const ConfigTransition& transition) override {
+    Print(AppendTransitionJson, transition);
+  }
+  void OnMatrixEnd(const MatrixSummary& summary) override {
+    Print(AppendMatrixSummaryJson, summary);
+  }
+
+ private:
+  // Prints one record built by an encoder from src/api/report_json.h.
+  template <typename Encode, typename... Args>
+  static void Print(Encode encode, const Args&... args) {
+    std::string line;
+    encode(&line, args...);
+    line += '\n';
+    std::cout << line;
+  }
+
+  const bool matrix_;
+};
+
+// Human-readable report: a line per config plus its violations. In matrix
+// mode, per-version lines and non-stable transitions, then the config ×
+// version grid. Per-cell violation detail is the jsonl format's job — a
+// text grid that printed every violation would bury the upgrade story.
+class TextWriter : public ReportWriter {
+ public:
+  void OnConfigError(const ConfigError& error) override {
     std::cout << error.name << ": ERROR " << error.message << "\n";
   }
 
-  void OnConfigSet(const ResolvedConfigSet& set) {
+  void OnConfigSet(const ResolvedConfigSet& set) override {
     for (const ConfigSetError& error : set.errors) {
       std::cout << set.name << ": include error: " << error.ToString() << "\n";
     }
@@ -324,28 +271,10 @@ class TextWriter : public BatchObserver {
     }
     std::cout << "\n";
   }
-};
-
-// Matrix text report: per-version summary lines and non-stable
-// transitions as they stream, then the config × version grid. Per-cell
-// violation detail is the jsonl format's job — a text grid that printed
-// every violation of every cell would bury the upgrade story.
-class MatrixTextWriter : public MatrixObserver {
- public:
-  void OnConfigError(const ConfigError& error) {
-    std::cout << error.name << ": ERROR " << error.message << "\n";
-  }
 
   void OnMatrixBegin(size_t versions, size_t configs) override {
     std::cout << "matrix: " << versions << " version(s) x " << configs
               << " config(s)\n";
-  }
-
-  void OnVersionLoaded(const LoadedVersion& version) override {
-    if (!version.status.ok()) {
-      std::cerr << "spexcheck: version '" << version.label
-                << "' failed to load: " << version.status.message() << "\n";
-    }
   }
 
   void OnVersionChecked(const VersionReport& column) override {
@@ -432,93 +361,16 @@ class MatrixTextWriter : public MatrixObserver {
   }
 };
 
-// Matrix JSONL: typed records — "cell" per (version, config), "version"
-// per column, "diff" per classified transition, one "matrix_summary".
-class MatrixJsonlWriter : public MatrixObserver {
- public:
-  void OnConfigError(const ConfigError& error) {
-    std::cout << "{\"type\":\"config_error\",\"config\":\"" << JsonEscape(error.name)
-              << "\",\"error\":\"" << JsonEscape(error.message) << "\"}\n";
-  }
-
-  void OnVersionLoaded(const LoadedVersion& version) override {
-    if (!version.status.ok()) {
-      std::cerr << "spexcheck: version '" << version.label
-                << "' failed to load: " << version.status.message() << "\n";
-    }
-  }
-
-  void OnCellChecked(size_t version, const std::string& version_label,
-                     const ConfigReport& report) override {
-    std::ostringstream line;
-    line << "{\"type\":\"cell\",\"version\":" << version << ",\"version_label\":\""
-         << JsonEscape(version_label) << "\",";
-    AppendReportJson(line, report.index, report);
-    line << "}";
-    std::cout << line.str() << "\n";
-  }
-
-  void OnVersionChecked(const VersionReport& column) override {
-    std::ostringstream line;
-    line << "{\"type\":\"version\",\"version\":" << column.index << ",\"label\":\""
-         << JsonEscape(column.label) << "\"";
-    if (!column.status.ok()) {
-      line << ",\"status\":\"" << StatusCodeName(column.status.code())
-           << "\",\"error\":\"" << JsonEscape(column.status.message()) << "\"";
-    } else {
-      line << ",\"configs_checked\":" << column.batch.configs_checked
-           << ",\"configs_with_violations\":" << column.batch.configs_with_violations
-           << ",\"configs_with_errors\":" << column.batch.configs_with_errors
-           << ",\"total_violations\":" << column.batch.total_violations
-           << ",\"total_suspects\":" << column.batch.total_suspects
-           << ",\"unique_replays\":" << column.batch.unique_replays
-           << ",\"store_hits\":" << column.batch.store_hits
-           << ",\"store_appends\":" << column.batch.store_appends;
-    }
-    line << "}";
-    std::cout << line.str() << "\n";
-  }
-
-  void OnTransition(const ConfigTransition& transition) override {
-    std::cout << "{\"type\":\"diff\",\"config\":\"" << JsonEscape(transition.config)
-              << "\",\"config_index\":" << transition.config_index
-              << ",\"from\":" << transition.from_version
-              << ",\"to\":" << transition.to_version << ",\"from_label\":\""
-              << JsonEscape(transition.from_label) << "\",\"to_label\":\""
-              << JsonEscape(transition.to_label) << "\",\"transition\":\""
-              << TransitionName(transition.transition)
-              << "\",\"added\":" << transition.added
-              << ",\"removed\":" << transition.removed
-              << ",\"changed\":" << transition.changed << ",\"detail\":\""
-              << JsonEscape(transition.detail) << "\"}\n";
-  }
-
-  void OnMatrixEnd(const MatrixSummary& summary) override {
-    std::cout << "{\"type\":\"matrix_summary\",\"versions_requested\":"
-              << summary.versions_requested
-              << ",\"versions_checked\":" << summary.versions_checked
-              << ",\"configs\":" << summary.configs << ",\"cells\":" << summary.cells
-              << ",\"total_violations\":" << summary.total_violations
-              << ",\"unique_replays\":" << summary.unique_replays
-              << ",\"store_hits\":" << summary.store_hits << ",\"regressions\":"
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kRegression)]
-              << ",\"fixes\":"
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kFix)]
-              << ",\"changed_reactions\":"
-              << summary.transitions_by_kind[static_cast<size_t>(
-                     Transition::kChangedReaction)]
-              << ",\"stable\":"
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kStable)]
-              << "}\n";
-  }
-};
-
 int Fail(const std::string& message) {
   std::cerr << "spexcheck: " << message << "\n";
   return 2;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
+  // Flags that take the next argument as their value.
+  static const std::set<std::string> kValueFlags = {
+      "--target", "--source",  "--annotations", "--template", "--dialect",       "--label",
+      "--mode",   "--threads", "--format",      "--pattern",  "--include-roots", "--store"};
   // Binds a per-version flag to the version it follows.
   auto last_source = [&](const char* flag) -> VersionArg* {
     if (options->versions.empty() || options->versions.back().corpus.empty() == false) {
@@ -529,45 +381,32 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
+    const char* value = nullptr;
+    if (kValueFlags.count(arg) != 0) {
       if (i + 1 >= argc) {
-        *error = std::string(flag) + " requires an argument";
-        return nullptr;
+        *error = arg + " requires an argument";
+        return false;
       }
-      return argv[++i];
-    };
+      value = argv[++i];
+    }
     if (arg == "--help" || arg == "-h") {
       std::cout << kUsage;
       std::exit(0);
     } else if (arg == "--matrix") {
       options->matrix = true;
     } else if (arg == "--target") {
-      const char* value = next("--target");
-      if (value == nullptr) return false;
-      VersionArg version;
-      version.corpus = value;
-      options->versions.push_back(std::move(version));
+      options->versions.emplace_back().corpus = value;
     } else if (arg == "--source") {
-      const char* value = next("--source");
-      if (value == nullptr) return false;
-      VersionArg version;
-      version.source_path = value;
-      options->versions.push_back(std::move(version));
+      options->versions.emplace_back().source_path = value;
     } else if (arg == "--annotations") {
-      const char* value = next("--annotations");
-      if (value == nullptr) return false;
       VersionArg* version = last_source("--annotations");
       if (version == nullptr) return false;
       version->annotations_path = value;
     } else if (arg == "--template") {
-      const char* value = next("--template");
-      if (value == nullptr) return false;
       VersionArg* version = last_source("--template");
       if (version == nullptr) return false;
       version->template_path = value;
     } else if (arg == "--dialect") {
-      const char* value = next("--dialect");
-      if (value == nullptr) return false;
       VersionArg* version = last_source("--dialect");
       if (version == nullptr) return false;
       std::optional<ConfigDialect> dialect = ParseConfigDialectName(value);
@@ -578,16 +417,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
       }
       version->dialect = *dialect;
     } else if (arg == "--label") {
-      const char* value = next("--label");
-      if (value == nullptr) return false;
       if (options->versions.empty()) {
         *error = "--label must follow a --target or --source version";
         return false;
       }
       options->versions.back().label = value;
     } else if (arg == "--mode") {
-      const char* value = next("--mode");
-      if (value == nullptr) return false;
       if (std::strcmp(value, "static") == 0) {
         options->mode = CheckMode::kStatic;
       } else if (std::strcmp(value, "dynamic") == 0) {
@@ -597,8 +432,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
         return false;
       }
     } else if (arg == "--threads") {
-      const char* value = next("--threads");
-      if (value == nullptr) return false;
       char* end = nullptr;
       long threads = std::strtol(value, &end, 10);
       if (end == value || *end != '\0' || threads < 0) {
@@ -607,8 +440,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
       }
       options->threads = static_cast<int>(threads);
     } else if (arg == "--format") {
-      const char* value = next("--format");
-      if (value == nullptr) return false;
       if (std::strcmp(value, "text") == 0) {
         options->jsonl = false;
       } else if (std::strcmp(value, "jsonl") == 0) {
@@ -618,16 +449,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
         return false;
       }
     } else if (arg == "--pattern") {
-      const char* value = next("--pattern");
-      if (value == nullptr) return false;
       options->pattern = value;
     } else if (arg == "--include-roots") {
-      const char* value = next("--include-roots");
-      if (value == nullptr) return false;
       options->include_roots.push_back(value);
     } else if (arg == "--store") {
-      const char* value = next("--store");
-      if (value == nullptr) return false;
       options->store_path = value;
     } else if (arg == "--dump-template") {
       options->dump_template = true;
@@ -643,9 +468,60 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
   return true;
 }
 
+// The regular files directly in `dir` whose names match `pattern`, sorted
+// by name so report order (and the JSONL stream) is stable across
+// filesystems; nullopt (and `*error`) when the directory cannot be read.
+// Non-throwing: a file vanishing mid-scan (or turning stat-inaccessible)
+// is an error, not std::terminate.
+std::optional<std::vector<std::string>> ListMatching(const std::string& dir,
+                                                     const std::string& pattern,
+                                                     std::string* error) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  fs::directory_iterator it(dir, ec);
+  for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    std::error_code entry_ec;
+    if (it->is_regular_file(entry_ec) && GlobMatch(pattern, it->path().filename())) {
+      names.push_back(it->path().generic_string());
+    }
+  }
+  if (ec) {
+    *error = "cannot read directory " + dir + ": " + ec.message();
+    return std::nullopt;
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// Reads one file whole; nullopt when it cannot be opened or (`*mid_file`
+// set) fails mid-read.
+std::optional<std::string> ReadWholeFile(const std::string& path, bool* mid_file) {
+  std::ifstream stream(path, std::ios::binary);
+  if (!stream) {
+    return std::nullopt;
+  }
+  std::ostringstream content;
+  content << stream.rdbuf();
+  *mid_file = stream.bad();
+  return *mid_file ? std::nullopt : std::optional<std::string>(content.str());
+}
+
+// A config reachable twice — a directory listed twice, a symlinked
+// sibling of itself, a file repeated on the command line — is checked
+// and counted once: dedup by canonical path, first mention wins (so
+// report order still follows the command line).
+std::vector<std::string> UniqueByCanonicalPath(std::vector<std::string> files) {
+  std::set<std::string> seen;
+  std::erase_if(files, [&](const std::string& file) {
+    std::error_code ec;
+    fs::path canonical = fs::weakly_canonical(file, ec);
+    return !seen.insert(ec ? file : canonical.string()).second;
+  });
+  return files;
+}
+
 // Expands files and directories into the config list. Directory scans are
-// non-recursive, filtered by `pattern`, sorted by name so report order
-// (and the JSONL stream) is stable across filesystems.
+// non-recursive and filtered by --pattern.
 //
 // Containment boundary: a file that cannot be READ (vanished mid-scan,
 // permission denied) becomes a per-config error record in `errors` and
@@ -658,27 +534,15 @@ bool CollectConfigs(const CliOptions& options, std::vector<ConfigInput>* configs
   for (const std::string& path : options.paths) {
     std::error_code ec;
     if (fs::is_directory(path, ec)) {
-      // Non-throwing iteration throughout: a file vanishing mid-scan (or
-      // turning stat-inaccessible) must exit 2, not std::terminate.
-      std::vector<std::string> in_dir;
-      fs::directory_iterator it(path, ec);
-      for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
-        std::error_code entry_ec;
-        if (it->is_regular_file(entry_ec) &&
-            GlobMatch(options.pattern, it->path().filename())) {
-          in_dir.push_back(it->path().string());
-        }
-      }
-      if (ec) {
-        *error = "cannot read directory " + path + ": " + ec.message();
+      std::optional<std::vector<std::string>> in_dir = ListMatching(path, options.pattern, error);
+      if (!in_dir.has_value()) {
         return false;
       }
-      std::sort(in_dir.begin(), in_dir.end());
-      if (in_dir.empty()) {
+      if (in_dir->empty()) {
         *error = "no files matching '" + options.pattern + "' in " + path;
         return false;
       }
-      files.insert(files.end(), in_dir.begin(), in_dir.end());
+      files.insert(files.end(), in_dir->begin(), in_dir->end());
     } else if (fs::is_regular_file(path, ec)) {
       files.push_back(path);
     } else {
@@ -686,35 +550,14 @@ bool CollectConfigs(const CliOptions& options, std::vector<ConfigInput>* configs
       return false;
     }
   }
-  // A config reachable twice — a directory listed twice, a symlinked
-  // sibling of itself, a file repeated on the command line — is checked
-  // and counted once: dedup by canonical path, first mention wins (so
-  // report order still follows the command line).
-  std::set<std::string> seen;
-  std::vector<std::string> unique_files;
-  unique_files.reserve(files.size());
-  for (const std::string& file : files) {
-    std::error_code canon_ec;
-    fs::path canonical = fs::weakly_canonical(file, canon_ec);
-    if (seen.insert(canon_ec ? file : canonical.string()).second) {
-      unique_files.push_back(file);
-    }
-  }
-  files = std::move(unique_files);
-  configs->reserve(files.size());
-  for (const std::string& file : files) {
-    std::ifstream stream(file, std::ios::binary);
-    if (!stream) {
-      errors->push_back(ConfigError{file, "cannot read file"});
+  for (const std::string& file : UniqueByCanonicalPath(std::move(files))) {
+    bool mid_file = false;
+    std::optional<std::string> text = ReadWholeFile(file, &mid_file);
+    if (!text.has_value()) {
+      errors->push_back(ConfigError{file, mid_file ? "read failed mid-file" : "cannot read file"});
       continue;
     }
-    std::ostringstream content;
-    content << stream.rdbuf();
-    if (stream.bad()) {
-      errors->push_back(ConfigError{file, "read failed mid-file"});
-      continue;
-    }
-    configs->push_back(ConfigInput{file, content.str()});
+    configs->push_back(ConfigInput{file, std::move(*text)});
   }
   return true;
 }
@@ -728,36 +571,13 @@ class FileConfigSetSource : public ConfigSetSource {
   explicit FileConfigSetSource(std::string pattern) : pattern_(std::move(pattern)) {}
 
   std::optional<std::string> Load(const std::string& name) override {
-    std::ifstream stream(name, std::ios::binary);
-    if (!stream) {
-      return std::nullopt;
-    }
-    std::ostringstream content;
-    content << stream.rdbuf();
-    if (stream.bad()) {
-      return std::nullopt;
-    }
-    return content.str();
+    bool mid_file = false;
+    return ReadWholeFile(name, &mid_file);
   }
 
   std::optional<std::vector<std::string>> ListDir(const std::string& dir) override {
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec) {
-      return std::nullopt;
-    }
-    std::vector<std::string> names;
-    for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
-      std::error_code entry_ec;
-      if (it->is_regular_file(entry_ec) && GlobMatch(pattern_, it->path().filename())) {
-        names.push_back(it->path().generic_string());
-      }
-    }
-    if (ec) {
-      return std::nullopt;
-    }
-    std::sort(names.begin(), names.end());
-    return names;
+    std::string error;
+    return ListMatching(dir, pattern_, &error);
   }
 
  private:
@@ -765,39 +585,25 @@ class FileConfigSetSource : public ConfigSetSource {
 };
 
 // Expands --include-roots directories into root file paths (every
-// --pattern match directly in each directory, sorted; deduped by
-// canonical path like CollectConfigs). Structural problems — a root dir
-// that is not a directory, zero matches overall — fail the run (exit 2).
+// --pattern match directly in each directory, deduped like
+// CollectConfigs). Structural problems — a root dir that is not a
+// directory, zero matches overall — fail the run (exit 2).
 bool CollectConfigSetRoots(const CliOptions& options, std::vector<std::string>* roots,
                            std::string* error) {
-  std::set<std::string> seen;
+  std::vector<std::string> files;
   for (const std::string& dir : options.include_roots) {
     std::error_code ec;
     if (!fs::is_directory(dir, ec)) {
       *error = "--include-roots: not a directory: " + dir;
       return false;
     }
-    std::vector<std::string> in_dir;
-    fs::directory_iterator it(dir, ec);
-    for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
-      std::error_code entry_ec;
-      if (it->is_regular_file(entry_ec) && GlobMatch(options.pattern, it->path().filename())) {
-        in_dir.push_back(it->path().generic_string());
-      }
-    }
-    if (ec) {
-      *error = "cannot read directory " + dir + ": " + ec.message();
+    std::optional<std::vector<std::string>> in_dir = ListMatching(dir, options.pattern, error);
+    if (!in_dir.has_value()) {
       return false;
     }
-    std::sort(in_dir.begin(), in_dir.end());
-    for (std::string& root : in_dir) {
-      std::error_code canon_ec;
-      fs::path canonical = fs::weakly_canonical(root, canon_ec);
-      if (seen.insert(canon_ec ? root : canonical.string()).second) {
-        roots->push_back(std::move(root));
-      }
-    }
+    files.insert(files.end(), in_dir->begin(), in_dir->end());
   }
+  *roots = UniqueByCanonicalPath(std::move(files));
   if (roots->empty()) {
     *error = "no files matching '" + options.pattern + "' in any --include-roots directory";
     return false;
@@ -808,18 +614,13 @@ bool CollectConfigSetRoots(const CliOptions& options, std::vector<std::string>* 
 // Reads one target-definition file whole. Unlike fleet configs, these are
 // structural inputs: a missing annotations file fails the run (exit 2).
 bool ReadFile(const std::string& path, std::string* out, std::string* error) {
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) {
-    *error = "cannot read " + path;
+  bool mid_file = false;
+  std::optional<std::string> text = ReadWholeFile(path, &mid_file);
+  if (!text.has_value()) {
+    *error = mid_file ? "read failed mid-file: " + path : "cannot read " + path;
     return false;
   }
-  std::ostringstream content;
-  content << stream.rdbuf();
-  if (stream.bad()) {
-    *error = "read failed mid-file: " + path;
-    return false;
-  }
-  *out = content.str();
+  *out = std::move(*text);
   return true;
 }
 
@@ -913,14 +714,20 @@ int Run(int argc, char** argv) {
   }
 
   Session session;
+  JsonlWriter jsonl(options.matrix);
+  TextWriter text;
+  ReportWriter& writer = options.jsonl ? static_cast<ReportWriter&>(jsonl) : text;
+  BatchOptions batch;
+  batch.check.mode = options.mode;
+  batch.num_threads = options.threads;
 
+  Target* target = nullptr;
   if (!options.matrix) {
     const TargetVersion& spec = versions.front();
-    Target* target =
-        !spec.corpus.empty()
-            ? session.LoadTarget(spec.corpus)
-            : session.LoadSource(spec.source, spec.annotations, spec.file_name,
-                                 spec.dialect, spec.sut, spec.template_config);
+    target = !spec.corpus.empty()
+                 ? session.LoadTarget(spec.corpus)
+                 : session.LoadSource(spec.source, spec.annotations, spec.file_name,
+                                      spec.dialect, spec.sut, spec.template_config);
     if (target == nullptr) {
       return Fail("loading target failed:\n" + session.RenderDiagnostics());
     }
@@ -957,70 +764,19 @@ int Run(int argc, char** argv) {
         return Fail("no config set could be resolved (" + std::to_string(sets.size()) +
                     " unresolvable root(s))");
       }
-      BatchOptions batch;
-      batch.check.mode = options.mode;
-      batch.num_threads = options.threads;
       BatchSummary summary = target->CheckResolvedConfigSets(sets, batch, nullptr);
-      JsonlWriter jsonl;
-      TextWriter text;
       for (size_t i = 0; i < summary.reports.size(); ++i) {
-        if (options.jsonl) {
-          jsonl.OnConfigSet(sets[i]);
-          jsonl.OnConfigChecked(i, summary.reports[i]);
-        } else {
-          text.OnConfigSet(sets[i]);
-          text.OnConfigChecked(i, summary.reports[i]);
-        }
+        writer.OnConfigSet(sets[i]);
+        writer.OnConfigChecked(i, summary.reports[i]);
       }
-      if (options.jsonl) {
-        jsonl.OnBatchEnd(summary);
-      } else {
-        text.OnBatchEnd(summary);
-      }
+      writer.OnBatchEnd(summary);
       bool any_error = any_set_error || summary.configs_with_errors != 0;
       return summary.total_violations == 0 && !any_error ? 0 : 1;
     }
-
-    if (options.paths.empty()) {
-      std::cerr << "spexcheck: no config files or directories given\n" << kUsage;
-      return 2;
-    }
-    std::vector<ConfigInput> configs;
-    std::vector<ConfigError> read_errors;
-    if (!CollectConfigs(options, &configs, &read_errors, &error)) {
-      return Fail(error);
-    }
-
-    JsonlWriter jsonl;
-    TextWriter text;
-    for (const ConfigError& record : read_errors) {
-      std::cerr << "spexcheck: " << record.name << ": " << record.message << "\n";
-      if (options.jsonl) {
-        jsonl.OnConfigError(record);
-      } else {
-        text.OnConfigError(record);
-      }
-    }
-    if (configs.empty()) {
-      // Exit 2 is reserved for "nothing was checked at all" — if even one
-      // config made it through, the run reports what it found instead.
-      return Fail("no config could be checked (" + std::to_string(read_errors.size()) +
-                  " unreadable)");
-    }
-
-    BatchOptions batch;
-    batch.check.mode = options.mode;
-    batch.num_threads = options.threads;
-    BatchObserver* writer = options.jsonl ? static_cast<BatchObserver*>(&jsonl) : &text;
-    BatchSummary summary = target->CheckConfigBatch(configs, batch, writer);
-    bool any_error = !read_errors.empty() || summary.configs_with_errors != 0;
-    return summary.total_violations == 0 && !any_error ? 0 : 1;
-  }
-
-  // --matrix: the fleet against every version, columns diffed pairwise.
-  if (options.dump_template) {
+  } else if (options.dump_template) {
     return Fail("--dump-template takes a single version, not --matrix");
   }
+
   if (options.paths.empty()) {
     std::cerr << "spexcheck: no config files or directories given\n" << kUsage;
     return 2;
@@ -1030,28 +786,29 @@ int Run(int argc, char** argv) {
   if (!CollectConfigs(options, &configs, &read_errors, &error)) {
     return Fail(error);
   }
-  MatrixJsonlWriter matrix_jsonl;
-  MatrixTextWriter matrix_text;
   for (const ConfigError& record : read_errors) {
     std::cerr << "spexcheck: " << record.name << ": " << record.message << "\n";
-    if (options.jsonl) {
-      matrix_jsonl.OnConfigError(record);
-    } else {
-      matrix_text.OnConfigError(record);
-    }
+    writer.OnConfigError(record);
   }
   if (configs.empty()) {
+    // Exit 2 is reserved for "nothing was checked at all" — if even one
+    // config made it through, the run reports what it found instead.
     return Fail("no config could be checked (" + std::to_string(read_errors.size()) +
                 " unreadable)");
   }
 
+  if (!options.matrix) {
+    BatchSummary summary = target->CheckConfigBatch(configs, batch, &writer);
+    bool any_error = !read_errors.empty() || summary.configs_with_errors != 0;
+    return summary.total_violations == 0 && !any_error ? 0 : 1;
+  }
+
+  // --matrix: the fleet against every version, columns diffed pairwise.
   MatrixOptions matrix_options;
-  matrix_options.check.mode = options.mode;
-  matrix_options.num_threads = options.threads;
+  matrix_options.check = batch.check;
+  matrix_options.num_threads = batch.num_threads;
   matrix_options.store = store;
-  MatrixObserver* writer =
-      options.jsonl ? static_cast<MatrixObserver*>(&matrix_jsonl) : &matrix_text;
-  MatrixSummary summary = session.CheckMatrix(versions, configs, matrix_options, writer);
+  MatrixSummary summary = session.CheckMatrix(versions, configs, matrix_options, &writer);
   if (summary.versions_checked != summary.versions_requested) {
     return Fail(std::to_string(summary.versions_requested - summary.versions_checked) +
                 " version(s) failed to load");
