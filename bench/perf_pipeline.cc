@@ -211,19 +211,28 @@ const CampaignFixture& SquidCampaignFixture() {
   return *kFixture;
 }
 
-// Arg 0: CampaignOptions::num_threads (0 = hardware concurrency, 1 = serial).
+// Arg 0: RunAll's num_threads (0 = hardware concurrency, 1 = serial).
 // The campaign is constructed per iteration so every RunAll starts cold —
 // the snapshot cache is campaign state now, and this benchmark tracks the
-// cold-start cost; BM_RepeatedCampaign below tracks the warm path.
+// cold-start cost; BM_RepeatedCampaign below tracks the warm path. The
+// replay counters are per cold run and must read the same at every
+// thread count (whole key-sets per worker).
 void BM_CampaignThroughput(benchmark::State& state) {
   const CampaignFixture& fixture = SquidCampaignFixture();
-  CampaignOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
+  static ThreadPool* kPool = new ThreadPool(ThreadPool::ResolveThreadCount(0));
+  const size_t threads = static_cast<size_t>(state.range(0));
+  ThreadPool* pool = threads == 1 ? nullptr : kPool;
+  CampaignCacheStats stats;
   for (auto _ : state) {
     InjectionCampaign campaign(*fixture.analysis.module, fixture.analysis.bundle.sut,
-                               OsSimulator::StandardEnvironment(), options);
-    benchmark::DoNotOptimize(campaign.RunAll(fixture.template_config, fixture.batch));
+                               OsSimulator::StandardEnvironment());
+    benchmark::DoNotOptimize(
+        campaign.RunAll(fixture.template_config, fixture.batch, nullptr, pool, threads));
+    stats = campaign.cache_stats();
   }
+  state.counters["full_replays"] = static_cast<double>(stats.full_replays);
+  state.counters["delta_replays"] = static_cast<double>(stats.delta_replays);
+  state.counters["verifications"] = static_cast<double>(stats.verifications);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(fixture.batch.size()));
 }
@@ -474,7 +483,7 @@ void BM_FleetCheck(benchmark::State& state) {
   BatchOptions options;
   options.check.mode = CheckMode::kDynamic;
   options.num_threads = static_cast<int>(state.range(0));
-  size_t built_before = kTarget->campaign_cache_stats().snapshots_built;
+  const CampaignCacheStats before = kTarget->campaign_cache_stats();
   BatchSummary last;
   for (auto _ : state) {
     last = kTarget->CheckConfigBatch(*kCorpus, options);
@@ -482,7 +491,15 @@ void BM_FleetCheck(benchmark::State& state) {
   }
   CampaignCacheStats stats = kTarget->campaign_cache_stats();
   state.counters["snapshots_built_warm"] =
-      static_cast<double>(stats.snapshots_built - built_before);
+      static_cast<double>(stats.snapshots_built - before.snapshots_built);
+  // Replay counters per batch; equal at every thread count.
+  const double batches = static_cast<double>(state.iterations());
+  state.counters["full_replays"] =
+      static_cast<double>(stats.full_replays - before.full_replays) / batches;
+  state.counters["delta_replays"] =
+      static_cast<double>(stats.delta_replays - before.delta_replays) / batches;
+  state.counters["verifications"] =
+      static_cast<double>(stats.verifications - before.verifications) / batches;
   state.counters["total_suspects"] = static_cast<double>(last.total_suspects);
   state.counters["unique_replays"] = static_cast<double>(last.unique_replays);
   state.counters["dedup_ratio"] = last.DedupRatio();

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI smoke: build Release + ThreadSanitizer configurations and run the test
 # suite under both. The TSan configuration exists specifically to catch
-# data races in the parallel injection campaign (ThreadPool + RunAll) and
-# in the spex::Session embedding contract (concurrent CheckConfig on one
-# shared Session, persistent snapshot cache across repeated campaigns), so
-# it always runs those tests even in quick mode.
+# data races in the one replay scheduler (ThreadPool::ShardRange callers
+# sharing a pool, whole key-sets per worker in RunAll and ReplayExternal)
+# and in the spex::Session embedding contract (concurrent checks, batches
+# and campaigns on one shared Session, persistent snapshot cache across
+# repeated campaigns), so it always runs those tests even in quick mode.
 #
 # Usage:
 #   scripts/smoke.sh          # full: Release ctest + TSan campaign/session tests
@@ -20,7 +21,7 @@ echo "== Release configuration =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
 if [[ "${QUICK}" == "1" ]]; then
-  ctest --test-dir build-release --output-on-failure -R 'inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test'
+  ctest --test-dir build-release --output-on-failure -R 'thread_pool_test|inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test'
 else
   ctest --test-dir build-release --output-on-failure -j "${JOBS}"
 fi
@@ -32,25 +33,30 @@ cmake -B build-tsan -S . \
   -DSPEX_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build build-tsan -j "${JOBS}" --target inject_test interp_test string_pool_test corpus_test session_test dynamic_check_test batch_check_test matrix_check_test cancel_test serve_test serve_concurrency_test verdict_store_test config_set_test parser_robustness_test
+cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test interp_test string_pool_test corpus_test session_test dynamic_check_test batch_check_test matrix_check_test cancel_test serve_test serve_concurrency_test verdict_store_test config_set_test parser_robustness_test
+# Two callers sharing one pool: each ShardRange call waits on its own latch.
+./build-tsan/thread_pool_test
 # The parallel-campaign and snapshot-replay determinism tests are the point
-# of the TSan build: num_threads=4 workers over shared module/SUT state plus
-# the state-gated shared snapshot cache. CorpusShardedTest additionally runs
-# the whole analysis pipeline (synthesize/parse/lower/infer) concurrently.
+# of the TSan build: 4 workers over shared module/SUT state plus the
+# state-gated shared snapshot cache, results and cache counters equal to
+# the serial run's. CorpusShardedTest additionally runs the whole analysis
+# pipeline (synthesize/parse/lower/infer) concurrently.
 ./build-tsan/inject_test --gtest_filter='CampaignParallelTest.*:CampaignTest.*:CampaignSnapshotTest.*'
 ./build-tsan/interp_test
 ./build-tsan/string_pool_test
 ./build-tsan/corpus_test --gtest_filter='CorpusShardedTest.*'
 # Session façade under TSan: threads sharing one Session run CheckConfig
 # concurrently (static *and* dynamic mode — the latter replays through the
-# shared snapshot cache, concurrently with a campaign), parallel campaigns
-# stream through observers, and repeated campaigns exercise the persistent
-# snapshot cache.
+# shared snapshot cache, concurrently with a campaign), a sharded batch and
+# a parallel campaign share the session pool at the same time, parallel
+# campaigns stream through observers, and repeated campaigns exercise the
+# persistent snapshot cache.
 ./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionPoolTest.*:SessionDynamicTest.*'
 ./build-tsan/dynamic_check_test
 # Fleet batch checking: the 4-worker sharded batch (parse/static-check
-# fan-out plus sharded unique-suspect replays through the shared snapshot
-# cache) must be race-free and bit-identical to the serial path.
+# fan-out plus unique-suspect replays, whole key-sets per worker, through
+# the shared snapshot cache) must be race-free and bit-identical to the
+# serial path, cache counters included.
 ./build-tsan/batch_check_test
 # Version-matrix checking: every (version, config) cell must be bit-identical
 # to an independent CheckConfigBatch at both serial and 4-worker column

@@ -1,9 +1,5 @@
 #include "src/api/batch_check.h"
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -114,97 +110,33 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
 
   // --- Phase 3: each unique execution replays exactly once, through the
   // campaign's persistent snapshot cache (and, when a verdict store is
-  // attached, only when the store has never seen the execution).
-  //
-  // With a pool and >1 workers the shards are submitted *without* a
-  // barrier: phase 4 starts finalizing configs as soon as the shards
-  // covering *their* unique executions land, so batch latency is
-  // dominated by the slowest chain of unique replays a config actually
-  // needs, not by the whole batch's slowest shard. The serial path keeps
-  // the single blocking call.
-  std::vector<InjectionResult> unique_results(unique.size());
+  // attached, only when the store has never seen the execution). Sharded
+  // batches replay on the pool through the campaign's scheduler, whole
+  // key-sets per worker. The per-replay deadline applies to each *unique*
+  // execution — a deduplicated replay that times out reports
+  // kDeadlineExceeded to every config that contributed it, exactly as N
+  // independent timed-out checks would.
+  std::vector<InjectionResult> unique_results;
   ReplayStats replay_stats;
-  ReplayLimits limits;
-  limits.cancel = options.check.cancel;
-  limits.per_replay_deadline = options.check.deadline;
-
-  const bool pipelined =
-      dynamic && !unique.empty() && pool != nullptr && requested_workers > 1;
-  size_t shard_count = 0;
-  std::vector<size_t> shard_begin;  // shard j covers [begin[j], begin[j+1]).
-  std::vector<ReplayStats> shard_stats;
-  std::vector<uint8_t> shard_done;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::atomic<size_t> shards_running{0};
-
-  if (dynamic && !unique.empty() && !pipelined) {
-    // The per-replay deadline applies to each *unique* execution — a
-    // deduplicated replay that times out reports kDeadlineExceeded to
-    // every config that contributed it, exactly as N independent
-    // timed-out checks would.
+  if (dynamic && !unique.empty()) {
+    ReplayLimits limits;
+    limits.cancel = options.check.cancel;
+    limits.per_replay_deadline = options.check.deadline;
     unique_results = campaign->ReplayExternal(template_config, unique,
-                                              options.check.use_parse_snapshot, nullptr, 1,
-                                              limits, &replay_stats);
-  } else if (pipelined) {
-    shard_count = std::min(requested_workers, unique.size());
-    shard_begin.resize(shard_count + 1);
-    const size_t base = unique.size() / shard_count;
-    const size_t extra = unique.size() % shard_count;
-    size_t pos = 0;
-    for (size_t j = 0; j < shard_count; ++j) {
-      shard_begin[j] = pos;
-      pos += base + (j < extra ? 1 : 0);
-    }
-    shard_begin[shard_count] = pos;
-    shard_stats.resize(shard_count);
-    shard_done.assign(shard_count, 0);
-    shards_running.store(shard_count, std::memory_order_release);
-    for (size_t j = 0; j < shard_count; ++j) {
-      // Each shard is an independent serial ReplayExternal call — that
-      // entry point is explicitly safe from any number of threads, and
-      // per-slot writes into unique_results are disjoint by construction.
-      pool->Submit([&, j] {
-        std::vector<Misconfiguration> slice(unique.begin() + shard_begin[j],
-                                            unique.begin() + shard_begin[j + 1]);
-        std::vector<InjectionResult> part = campaign->ReplayExternal(
-            template_config, slice, options.check.use_parse_snapshot, nullptr, 1, limits,
-            &shard_stats[j]);
-        std::move(part.begin(), part.end(), unique_results.begin() + shard_begin[j]);
-        {
-          std::lock_guard<std::mutex> lock(done_mutex);
-          shard_done[j] = 1;
-        }
-        shards_running.fetch_sub(1, std::memory_order_acq_rel);
-        done_cv.notify_all();
-      });
-    }
+                                              options.check.use_parse_snapshot, pool,
+                                              requested_workers, limits, &replay_stats);
   }
-  auto shard_of = [&](size_t unique_idx) {
-    return static_cast<size_t>(std::upper_bound(shard_begin.begin(), shard_begin.end(),
-                                                unique_idx) -
-                               shard_begin.begin()) -
-           1;
-  };
 
   // --- Phase 4 (driver thread, batch order): fan each unique verdict out
   // to the configs that contributed it, attach reactions, stream the
   // report. Serial on purpose: observer callbacks are ordered and the
-  // fan-out is copies, not execution. On the pipelined path each config
-  // waits only for the shards holding *its* unique executions.
+  // fan-out is copies, not execution.
   BatchSummary summary;
   summary.configs_checked = count;
   summary.reports.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     PerConfig& slot = state[i];
     if (!slot.suspects.empty()) {
-      if (pipelined) {
-        std::unique_lock<std::mutex> lock(done_mutex);
-        for (size_t unique_idx : slot.unique_index) {
-          const size_t shard = shard_of(unique_idx);
-          done_cv.wait(lock, [&] { return shard_done[shard] != 0; });
-        }
-      }
       std::vector<InjectionResult> results;
       results.reserve(slot.suspects.size());
       size_t timed_out = 0;
@@ -255,31 +187,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
       observer->OnConfigChecked(i, report);
     }
     summary.reports.push_back(std::move(report));
-    if (pipelined && shards_running.load(std::memory_order_acquire) > 0) {
-      // This config's report went out while replays were still running
-      // elsewhere in the batch: finalization genuinely overlapped.
-      ++summary.finalized_overlapped;
-    }
-  }
-  if (pipelined) {
-    // Every unique execution belongs to some config, so all shards are
-    // done by now; the Wait() drains the pool queue so the pool is quiet
-    // before the caller releases its serialization (header contract).
-    {
-      std::unique_lock<std::mutex> lock(done_mutex);
-      done_cv.wait(lock, [&] {
-        return std::all_of(shard_done.begin(), shard_done.end(),
-                           [](uint8_t done) { return done != 0; });
-      });
-    }
-    pool->Wait();
-    for (const ReplayStats& shard : shard_stats) {
-      replay_stats.store_hits += shard.store_hits;
-      replay_stats.store_misses += shard.store_misses;
-      replay_stats.store_appends += shard.store_appends;
-      replay_stats.store_reverified += shard.store_reverified;
-      replay_stats.store_mismatches += shard.store_mismatches;
-    }
   }
   // A unique execution served from the persistent store never replayed:
   // a fully warm re-check reports unique_replays == 0 (and DedupRatio 1.0).

@@ -113,11 +113,8 @@ struct BatchSummary {
   size_t store_hits = 0;
   size_t store_misses = 0;
   size_t store_appends = 0;
-  // Configs whose finalization (verdict fan-out + report streaming)
-  // completed while at least one replay shard was still running — the
-  // observable that proves per-config finalization is pipelined behind
-  // the replays rather than barriered after them. Always 0 on the serial
-  // path (there is nothing to overlap with).
+  // Always 0: reports are finalized after every replay of the batch has
+  // finished. Kept so existing readers of the field keep compiling.
   size_t finalized_overlapped = 0;
   // Fraction of suspect replays saved by dedup + store: 1 - unique/total
   // (0.0 for an empty or static batch). ~0.7 on a fleet where 70% of
@@ -161,9 +158,9 @@ Status ValidateConfigText(std::string_view text, ConfigDialect dialect);
 // The batch engine behind Target::CheckConfigBatch. `campaign` carries
 // the persistent snapshot cache and may be null for static-only batches
 // (it is also ignored when options.check.mode is kStatic); `pool` may be
-// null for serial runs. The caller owns serialization of pool-using
-// batches against other pool clients (spex::Target holds its session's
-// campaign serialization mutex). Every config is checked against
+// null for serial runs. A sharded batch waits only for its own pool tasks,
+// so concurrent batches and campaigns may share one pool. Every config is
+// checked against
 // `constraints` + `template_config` exactly as a dedicated
 // Target::CheckConfig call would check it.
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,

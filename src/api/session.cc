@@ -92,10 +92,9 @@ Target* Session::LoadTarget(const std::string& name) {
 std::vector<CorpusCampaignResult> Session::RunCorpusCampaigns(
     const std::vector<std::string>& target_names, CampaignOptions options,
     size_t num_workers) {
-  // Corpus runs respect the session's resource contract: serialized with
-  // every other campaign, and capped at SessionOptions::campaign_threads
-  // unless the caller asks for a specific worker count.
-  std::lock_guard<std::mutex> lock(campaign_serial_mutex_);
+  // Corpus runs respect the session's resource contract: capped at
+  // SessionOptions::campaign_threads unless the caller asks for a specific
+  // worker count.
   if (num_workers == 0) {
     num_workers = options_.campaign_threads;
   }
@@ -152,7 +151,7 @@ std::string Target::StoreScopeLocked() const {
   // Everything that could change a replay's verdict besides the template
   // (the campaign folds the template in per call) — a change to any of
   // these lands stored verdicts in a fresh scope, so they re-check cold.
-  // Deliberately absent: num_threads, use_parse_snapshot, worker_pool —
+  // Deliberately absent: num_threads and use_parse_snapshot —
   // the bit-identity machinery guarantees verdicts do not depend on them.
   // Sources can be large, so they enter as stable 64-bit digests.
   const TargetBundle& bundle = analysis_.bundle;
@@ -238,16 +237,9 @@ BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
   if (dynamic) {
     campaign = EnsureCampaign();
   }
-  if (options.num_threads != 1) {
-    // Sharded batches Wait() on the shared pool, which drains its whole
-    // queue — take the session-wide campaign serialization lock, exactly
-    // like RunCampaign.
-    std::lock_guard<std::mutex> lock(session_->campaign_serial_mutex_);
-    return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(),
-                         session_->worker_pool(), configs, options, observer);
-  }
-  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(),
-                       nullptr, configs, options, observer);
+  ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
+  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(), pool,
+                       configs, options, observer);
 }
 
 BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
@@ -321,28 +313,23 @@ const std::vector<Misconfiguration>& Target::Misconfigurations() {
 }
 
 CampaignSummary Target::RunCampaign(CampaignOptions options, CampaignObserver* observer) {
-  // Parallel campaigns run on the session's shared pool; everything else
-  // about the campaign (snapshot cache, worker contexts) is per-target
-  // state that persists across calls so later batches reuse the cached
-  // prefixes. Campaigns are serialized session-wide: the shared pool's
-  // Wait() drains its whole queue, so two concurrent campaigns on one
-  // pool would block on each other's tasks anyway.
-  std::lock_guard<std::mutex> session_lock(session_->campaign_serial_mutex_);
-  if (options.num_threads != 1) {
-    options.worker_pool = session_->worker_pool();
-  }
-  InjectionCampaign* campaign = nullptr;
+  // Everything about the campaign (snapshot cache, worker contexts) is
+  // per-target state that persists across calls, so later batches reuse
+  // the cached prefixes; the thread count is an input to each call, not
+  // part of that state. The shared_ptr keeps the campaign alive for this
+  // call even if a concurrent call with other options swaps it out.
+  std::shared_ptr<InjectionCampaign> campaign;
   {
     // campaign_mutex_ is released before RunAll so observer callbacks (and
     // other threads) may call Misconfigurations()/campaign_cache_stats()
-    // mid-campaign without deadlocking; campaign_/misconfigs_ are stable
-    // for the duration because campaign_serial_mutex_ is held.
+    // mid-campaign without deadlocking; misconfigs_ never changes once
+    // generated.
     std::lock_guard<std::mutex> lock(campaign_mutex_);
     MisconfigsLocked();
     if (campaign_ == nullptr || !campaign_options_.SameBehavior(options)) {
       // Swapping options discards the old campaign's snapshot cache; a
-      // dynamic check still replaying on it holds its own shared_ptr, so
-      // the swap is safe (the old campaign dies with the last check).
+      // check or campaign still replaying on it holds its own shared_ptr,
+      // so the swap is safe (the old campaign dies with the last user).
       campaign_ = std::make_shared<InjectionCampaign>(
           *analysis_.module, analysis_.bundle.sut, OsSimulator::StandardEnvironment(),
           options);
@@ -353,9 +340,11 @@ CampaignSummary Target::RunCampaign(CampaignOptions options, CampaignObserver* o
         campaign_->AttachVerdictStore(verdict_store_, StoreScopeLocked());
       }
     }
-    campaign = campaign_.get();
+    campaign = campaign_;
   }
-  return campaign->RunAll(template_config_, misconfigs_, observer);
+  ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
+  size_t num_threads = options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads);
+  return campaign->RunAll(template_config_, misconfigs_, observer, pool, num_threads);
 }
 
 CampaignCacheStats Target::campaign_cache_stats() {

@@ -25,9 +25,9 @@
 // are pure reads, and dynamic checks replay on campaign-owned probe
 // contexts over an internally synchronized snapshot cache. LoadSource()/
 // LoadTarget()/ok()/RenderDiagnostics() are internally synchronized.
-// RunCampaign() is serialized *session-wide* (all campaigns share the
-// session's worker pool, whose Wait() drains the whole queue); concurrent
-// RunCampaign calls are safe but run one at a time.
+// RunCampaign(), sharded batches and corpus runs may also run
+// concurrently: they share the session's worker pool, and each call waits
+// only for its own pool tasks.
 #ifndef SPEX_API_SESSION_H_
 #define SPEX_API_SESSION_H_
 
@@ -98,10 +98,8 @@ class Session {
   // column. Version load failures are contained per column; `observer`
   // streams cells/columns/transitions on the calling thread.
   //
-  // Thread-safety follows CheckConfigBatch: serial columns
-  // (options.num_threads == 1) may run concurrently with anything;
-  // sharded columns serialize session-wide with campaigns and other
-  // sharded batches.
+  // Thread-safety follows CheckConfigBatch: columns at any
+  // options.num_threads may run concurrently with anything.
   MatrixSummary CheckMatrix(std::span<const TargetVersion> versions,
                             std::span<const ConfigInput> configs,
                             const MatrixOptions& options = {},
@@ -110,7 +108,8 @@ class Session {
   // Sharded corpus regeneration through the session's registry and engine
   // options: one analysis + campaign per target name, fanned over
   // `num_workers` (0 = SessionOptions::campaign_threads, whose own 0 means
-  // hardware concurrency). Serialized with the session's other campaigns.
+  // hardware concurrency). Safe concurrently with the session's other
+  // campaigns and checks.
   std::vector<CorpusCampaignResult> RunCorpusCampaigns(
       const std::vector<std::string>& target_names, CampaignOptions options = {},
       size_t num_workers = 0);
@@ -139,8 +138,6 @@ class Session {
   // Guards diags_, targets_ growth and pool creation (mutable: the const
   // diagnostic accessors lock it too).
   mutable std::mutex mutex_;
-  // Serializes RunCampaign across all of this session's targets.
-  std::mutex campaign_serial_mutex_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Target>> targets_;
 };
@@ -204,12 +201,10 @@ class Target {
   // guarantee). `observer` streams one OnConfigChecked per config, on the
   // calling thread, in batch order.
   //
-  // Thread-safety: serial batches (num_threads == 1, the default) follow
-  // the dynamic-CheckConfig contract — any number may run concurrently,
-  // including concurrently with RunCampaign. Sharded batches
-  // (num_threads != 1) run phases on the session worker pool and are
-  // therefore serialized session-wide with campaigns and other sharded
-  // batches, like RunCampaign itself.
+  // Thread-safety: any number of batches may run concurrently, with each
+  // other, with dynamic checks and with RunCampaign. Sharded batches
+  // (num_threads != 1) run on the session worker pool; each waits only
+  // for its own pool tasks.
   BatchSummary CheckConfigBatch(std::span<const ConfigInput> configs,
                                 const BatchOptions& options = {},
                                 BatchObserver* observer = nullptr);
@@ -248,10 +243,11 @@ class Target {
 
   // SPEX-INJ through the façade: generates misconfigurations from the
   // inferred constraints (once, cached) and runs the campaign. The
-  // campaign object persists across calls with the same options, so
-  // repeated campaigns reuse prefix snapshots instead of rebuilding them;
-  // `observer` streams per-run results. Serialized session-wide (campaigns
-  // share the session's worker pool).
+  // campaign object persists across calls whose options differ at most in
+  // num_threads, so repeated campaigns reuse prefix snapshots instead of
+  // rebuilding them; `observer` streams per-run results. Parallel
+  // campaigns (num_threads != 1) run on the session's worker pool; any
+  // number of calls may run concurrently.
   CampaignSummary RunCampaign(CampaignOptions options = {},
                               CampaignObserver* observer = nullptr);
 

@@ -30,7 +30,13 @@ CampaignSummary RunCampaign(const TargetAnalysis& analysis, CampaignOptions opti
                              OsSimulator::StandardEnvironment(), options);
   ConfigFile template_config =
       ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
-  return campaign.RunAll(template_config, configs);
+  const size_t workers =
+      ThreadPool::ResolveThreadCount(options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads));
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) {
+    pool = std::make_unique<ThreadPool>(workers);
+  }
+  return campaign.RunAll(template_config, configs, nullptr, pool.get(), workers);
 }
 
 std::vector<CorpusCampaignResult> RunCorpusCampaigns(
@@ -56,23 +62,15 @@ std::vector<CorpusCampaignResult> RunCorpusCampaigns(
     }
   };
 
-  if (worker_count <= 1) {
-    for (size_t i = 0; i < target_names.size(); ++i) {
-      run_target(i);
-    }
-    return results;
-  }
+  // One shard per worker, each draining a shared cursor: target costs
+  // differ by an order of magnitude, so contiguous shards would idle.
   std::atomic<size_t> next_index{0};
   ThreadPool pool(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    pool.Submit([&] {
-      for (size_t i = next_index.fetch_add(1); i < results.size();
-           i = next_index.fetch_add(1)) {
-        run_target(i);
-      }
-    });
-  }
-  pool.Wait();
+  pool.ShardRange(worker_count, worker_count, [&](size_t, size_t) {
+    for (size_t i = next_index.fetch_add(1); i < results.size(); i = next_index.fetch_add(1)) {
+      run_target(i);
+    }
+  });
   return results;
 }
 

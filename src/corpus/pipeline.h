@@ -44,7 +44,8 @@ TargetAnalysis AnalyzeTarget(const TargetSpec& spec, const ApiRegistry& apis,
                              DiagnosticEngine* diags, SpexOptions engine_options = {});
 
 // Generate misconfigurations from the inferred constraints and run the full
-// injection campaign against the target.
+// injection campaign against the target; options.num_threads != 1 runs it
+// on a pool owned by the call.
 CampaignSummary RunCampaign(const TargetAnalysis& analysis, CampaignOptions options = {});
 
 // One sharded corpus run: analysis + campaign summary for a target, plus

@@ -12,9 +12,9 @@ namespace spex {
 
 bool CampaignOptions::SameBehavior(const CampaignOptions& other) const {
   return stop_at_first_failure == other.stop_at_first_failure &&
-         sort_tests_by_cost == other.sort_tests_by_cost && num_threads == other.num_threads &&
+         sort_tests_by_cost == other.sort_tests_by_cost &&
          use_parse_snapshot == other.use_parse_snapshot &&
-         worker_pool == other.worker_pool && interp.max_steps == other.interp.max_steps &&
+         interp.max_steps == other.interp.max_steps &&
          interp.max_call_depth == other.interp.max_call_depth;
 }
 
@@ -88,6 +88,15 @@ std::vector<std::string> DeltaKeys(const Misconfiguration& config) {
     }
   }
   return delta_keys;
+}
+
+std::vector<std::string> KeysetIds(const std::vector<Misconfiguration>& configs) {
+  std::vector<std::string> keysets;
+  keysets.reserve(configs.size());
+  for (const Misconfiguration& config : configs) {
+    keysets.push_back(KeysetId(DeltaKeys(config)));
+  }
+  return keysets;
 }
 
 // Result for a replay that never ran (or was abandoned) because the
@@ -314,7 +323,7 @@ InjectionResult InjectionCampaign::RunOne(const ConfigFile& template_config,
   Interpreter interp(module_, &os, options_.interp);
   // Single-shot: a prefix snapshot would cost exactly what it saves, so
   // RunOne always takes the ground-truth full-replay path.
-  return RunOneWith(interp, os, nullptr, template_config, config);
+  return RunOneWith(interp, os, nullptr, template_config, config, 0);
 }
 
 CampaignCacheStats InjectionCampaign::cache_stats() const {
@@ -452,7 +461,7 @@ std::optional<InjectionResult> InjectionCampaign::TryDeltaReplay(
     Interpreter& interp, OsSimulator& os, const std::string& keyset,
     const ConfigFile& template_config, const ConfigFile& applied,
     const Misconfiguration& config, const std::vector<std::string>& delta_keys,
-    const CancelToken* cancel) const {
+    uint64_t batch, const CancelToken* cancel) const {
   SnapshotEntry* entry = nullptr;
   bool builder = false;
   {
@@ -602,7 +611,6 @@ std::optional<InjectionResult> InjectionCampaign::TryDeltaReplay(
     return result;
   }
 
-  const uint64_t batch = batch_id_.load(std::memory_order_relaxed);
   if (state == SnapshotEntry::kReady ||
       entry->verified_batch.load(std::memory_order_acquire) != batch) {
     // First use of this key-set in this batch: additionally prove the
@@ -641,6 +649,7 @@ InjectionResult InjectionCampaign::RunOneWith(Interpreter& interp, OsSimulator& 
                                               const std::string* keyset,
                                               const ConfigFile& template_config,
                                               const Misconfiguration& config,
+                                              uint64_t batch,
                                               const CancelToken* cancel) const {
   ConfigFile applied = template_config;
   applied.Set(config.param, config.value);
@@ -650,7 +659,7 @@ InjectionResult InjectionCampaign::RunOneWith(Interpreter& interp, OsSimulator& 
 
   if (keyset != nullptr && options_.use_parse_snapshot) {
     auto replayed = TryDeltaReplay(interp, os, *keyset, template_config, applied, config,
-                                   DeltaKeys(config), cancel);
+                                   DeltaKeys(config), batch, cancel);
     if (replayed.has_value()) {
       return *std::move(replayed);
     }
@@ -659,20 +668,20 @@ InjectionResult InjectionCampaign::RunOneWith(Interpreter& interp, OsSimulator& 
 }
 
 InjectionCampaign::ProbeLease::ProbeLease(InjectionCampaign* campaign) : campaign_(campaign) {
-  std::lock_guard<std::mutex> lock(campaign_->probe_mutex_);
-  if (campaign_->free_probes_.empty()) {
-    campaign_->probe_contexts_.push_back(std::make_unique<WorkerContext>(
+  std::lock_guard<std::mutex> lock(campaign_->lease_mutex_);
+  if (campaign_->lease_free_list_.empty()) {
+    campaign_->lease_storage_.push_back(std::make_unique<WorkerContext>(
         campaign_->module_, campaign_->os_template_, campaign_->options_.interp));
-    context_ = campaign_->probe_contexts_.back().get();
+    context_ = campaign_->lease_storage_.back().get();
   } else {
-    context_ = campaign_->free_probes_.back();
-    campaign_->free_probes_.pop_back();
+    context_ = campaign_->lease_free_list_.back();
+    campaign_->lease_free_list_.pop_back();
   }
 }
 
 InjectionCampaign::ProbeLease::~ProbeLease() {
-  std::lock_guard<std::mutex> lock(campaign_->probe_mutex_);
-  campaign_->free_probes_.push_back(context_);
+  std::lock_guard<std::mutex> lock(campaign_->lease_mutex_);
+  campaign_->lease_free_list_.push_back(context_);
 }
 
 InjectionResult ReattributeResult(const InjectionResult& base, const Misconfiguration& client) {
@@ -717,6 +726,65 @@ std::shared_ptr<VerdictStore> InjectionCampaign::verdict_store() const {
   return store_;
 }
 
+bool InjectionCampaign::CacheServes(const ConfigFile& template_config) {
+  // Recomputed per call on purpose: a cheaper pointer-identity fast path
+  // would silently validate a *different* template whose stack slot reused
+  // a previous one's address, and the serialization is not measurable next
+  // to even a warm check's replay (BM_DynamicCheckWarm is unchanged with or
+  // without it). The cache is never cleared — another call may be
+  // mid-replay on an entry — so a foreign template simply runs ground truth.
+  std::string fingerprint = template_config.Serialize();
+  std::lock_guard<std::mutex> lock(cache_.mutex);
+  if (!cache_.template_fingerprint.has_value()) {
+    cache_.template_fingerprint = std::move(fingerprint);
+    return true;
+  }
+  return *cache_.template_fingerprint == fingerprint;
+}
+
+void InjectionCampaign::Replay(const std::vector<std::string>& keysets, ThreadPool* pool,
+                               size_t num_threads,
+                               const std::function<void(WorkerContext&, size_t)>& run) {
+  if (keysets.empty()) {
+    return;
+  }
+  size_t workers = 1;
+  if (pool != nullptr) {
+    workers = num_threads == 0 ? pool->size() : num_threads;
+  }
+  if (workers <= 1) {
+    ProbeLease lease(this);
+    for (size_t i = 0; i < keysets.size(); ++i) {
+      run(lease.context(), i);
+    }
+    return;
+  }
+  // Key-sets share nothing in the cache, so handing each one whole to a
+  // single worker makes every run see the entry state it would see
+  // serially: no worker finds a snapshot still building, and no key-set is
+  // verified twice because two workers reached it at once.
+  std::vector<std::vector<size_t>> groups;
+  std::unordered_map<std::string_view, size_t> group_of;
+  group_of.reserve(keysets.size());
+  for (size_t i = 0; i < keysets.size(); ++i) {
+    auto [it, inserted] = group_of.emplace(keysets[i], groups.size());
+    if (inserted) {
+      groups.emplace_back();
+    }
+    groups[it->second].push_back(i);
+  }
+  workers = std::min(workers, groups.size());
+  std::atomic<size_t> next_group{0};
+  pool->ShardRange(workers, workers, [&](size_t, size_t) {
+    ProbeLease lease(this);
+    for (size_t g = next_group.fetch_add(1); g < groups.size(); g = next_group.fetch_add(1)) {
+      for (size_t i : groups[g]) {
+        run(lease.context(), i);
+      }
+    }
+  });
+}
+
 std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
     const ConfigFile& template_config, const std::vector<Misconfiguration>& configs,
     bool use_parse_snapshot, ThreadPool* pool, size_t num_threads,
@@ -724,33 +792,17 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   // A user-config check is worth the snapshot path even for a key-set seen
   // once: the campaign persists, so the entry pays for itself on the next
   // check of the same keys (an embedded checker sees the same handful of
-  // misconfigured settings over and over). Unlike RunAll's RefreshCacheFor,
-  // a probe never *clears* the cache — another probe may be mid-replay
-  // holding a cache entry — it only adopts the fingerprint when the cache
-  // is untouched, and falls back to ground truth on a mismatch.
-  // The fingerprint is recomputed per call on purpose: a cheaper
-  // pointer-identity fast path would silently validate a *different*
-  // template whose stack slot reused a previous one's address, and the
-  // serialization is not measurable next to even a warm check's replay
-  // (BM_DynamicCheckWarm is unchanged with or without it).
-  bool snapshot_ok = false;
-  if (use_parse_snapshot && options_.use_parse_snapshot) {
-    std::string fingerprint = template_config.Serialize();
-    std::lock_guard<std::mutex> lock(cache_.mutex);
-    if (cache_.template_fingerprint.empty() && cache_.entries.empty()) {
-      cache_.template_fingerprint = std::move(fingerprint);
-      snapshot_ok = true;
-    } else {
-      snapshot_ok = cache_.template_fingerprint == fingerprint;
-    }
-  }
+  // misconfigured settings over and over).
+  const bool snapshot_ok =
+      use_parse_snapshot && options_.use_parse_snapshot && CacheServes(template_config);
+  const uint64_t batch = batch_id_.load(std::memory_order_relaxed);
 
   // Snapshot the attached store (the pair may be swapped concurrently).
   // The scope fingerprint folds the template serialization into the
   // caller-provided scope, so a template edit lands in a fresh, empty
   // scope — cached verdicts can never outlive the template they were
   // observed against. ResolveScope is per-call on purpose, mirroring the
-  // snapshot-cache fingerprint recomputation above.
+  // snapshot-cache fingerprint recomputation in CacheServes.
   std::shared_ptr<VerdictStore> store;
   uint64_t scope_id = 0;
   {
@@ -760,9 +812,9 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
       scope_id = store->ResolveScope(store_scope_ + '\0' + template_config.Serialize());
     }
   }
-  // Per-config store bookkeeping, written by shard workers at distinct
-  // indices and read by the driver after the ShardRange barrier — the same
-  // pre-sized-slot discipline as `results`.
+  // Per-config store bookkeeping, written by workers at distinct indices
+  // and read by the driver after Replay returns — the same pre-sized-slot
+  // discipline as `results`.
   std::vector<std::string> keys;
   std::vector<uint8_t> consulted;  // 1 = we looked this config up.
   std::vector<uint8_t> served;     // 1 = result came straight from the store.
@@ -776,67 +828,50 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
     cached.resize(configs.size());
   }
 
+  const std::vector<std::string> keysets = KeysetIds(configs);
   std::vector<InjectionResult> results(configs.size());
-  auto replay_range = [&](size_t begin, size_t end) {
-    // One probe context per shard: leases are what make concurrent
-    // replays (and concurrent ReplayExternal callers) safe.
-    ProbeLease probe(this);
-    for (size_t i = begin; i < end; ++i) {
-      if (limits.cancel != nullptr && limits.cancel->ShouldCancel()) {
-        // Request-wide token fired: everything not yet replayed in this
-        // shard is skipped, cheaply and uniformly — the shard boundary is
-        // the coarse cancellation point, the interpreter poll the fine one.
-        results[i] = SkippedResult(configs[i], *limits.cancel);
-        continue;
-      }
-      if (store != nullptr) {
-        keys[i] = SuspectExecutionKey(configs[i]);
-        consulted[i] = 1;
-        StoredVerdict record;
-        bool due = false;
-        if (store->Lookup(scope_id, keys[i], &record, &due) &&
-            UsableStoredVerdict(record)) {
-          if (!due) {
-            results[i] = ResultFromStored(record, configs[i]);
-            served[i] = 1;
-            continue;
-          }
-          // Sampled re-verification: replay live below, compare after.
-          reverify[i] = 1;
-          cached[i] = std::move(record);
-        }
-      }
-      const std::string keyset = KeysetId(DeltaKeys(configs[i]));
-      if (!limits.active()) {
-        results[i] = RunOneWith(probe.context().interp, probe.context().os,
-                                snapshot_ok ? &keyset : nullptr, template_config, configs[i]);
-        continue;
-      }
-      // Child token per replay: the per-replay deadline restarts for each
-      // config (one pathological replay burns its own budget, not its
-      // shard-mates'), while a fired parent still cancels everything.
-      CancelToken per_replay(limits.cancel);
-      if (limits.per_replay_deadline.count() > 0) {
-        per_replay.ArmDeadlineAfter(limits.per_replay_deadline);
-      }
-      results[i] = RunOneWith(probe.context().interp, probe.context().os,
-                              snapshot_ok ? &keyset : nullptr, template_config, configs[i],
-                              &per_replay);
+  Replay(keysets, pool, num_threads, [&](WorkerContext& context, size_t i) {
+    if (limits.cancel != nullptr && limits.cancel->ShouldCancel()) {
+      // Request-wide token fired: everything not yet replayed is skipped,
+      // cheaply and uniformly — the check before each replay is the coarse
+      // cancellation point, the interpreter poll the fine one.
+      results[i] = SkippedResult(configs[i], *limits.cancel);
+      return;
     }
-  };
-  size_t workers = num_threads == 0 && pool != nullptr ? pool->size()
-                                                       : ThreadPool::ResolveThreadCount(num_threads);
-  if (pool == nullptr) {
-    replay_range(0, configs.size());
-  } else {
-    // Contiguous shards into pre-sized slots: result order (and every
-    // verdict, by the hazard-check/verification machinery) is identical to
-    // the serial path. ShardRange Wait()s on the pool's whole queue — the
-    // caller serializes pool sharing, per the header contract.
-    pool->ShardRange(configs.size(), workers, replay_range);
-  }
+    if (store != nullptr) {
+      keys[i] = SuspectExecutionKey(configs[i]);
+      consulted[i] = 1;
+      StoredVerdict record;
+      bool due = false;
+      if (store->Lookup(scope_id, keys[i], &record, &due) && UsableStoredVerdict(record)) {
+        if (!due) {
+          results[i] = ResultFromStored(record, configs[i]);
+          served[i] = 1;
+          return;
+        }
+        // Sampled re-verification: replay live below, compare after.
+        reverify[i] = 1;
+        cached[i] = std::move(record);
+      }
+    }
+    const std::string* keyset = snapshot_ok ? &keysets[i] : nullptr;
+    if (!limits.active()) {
+      results[i] = RunOneWith(context.interp, context.os, keyset, template_config, configs[i],
+                              batch);
+      return;
+    }
+    // Child token per replay: the per-replay deadline restarts for each
+    // config (one pathological replay burns its own budget, not its
+    // neighbours'), while a fired parent still cancels everything.
+    CancelToken per_replay(limits.cancel);
+    if (limits.per_replay_deadline.count() > 0) {
+      per_replay.ArmDeadlineAfter(limits.per_replay_deadline);
+    }
+    results[i] = RunOneWith(context.interp, context.os, keyset, template_config, configs[i],
+                            batch, &per_replay);
+  });
 
-  // Driver-side store epilogue (after the barrier): account hits, settle
+  // Driver-side store epilogue (after Replay): account hits, settle
   // re-verifications, and persist fresh verdicts in one batched append.
   // kDeadlineExceeded results — timeouts and cancel-skips alike — are
   // never stored: they say the checker ran out of time, not what the
@@ -878,111 +913,45 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   return results;
 }
 
-size_t InjectionCampaign::EnsureContexts(size_t count) {
-  while (contexts_.size() < count) {
-    contexts_.push_back(std::make_unique<WorkerContext>(module_, os_template_, options_.interp));
-  }
-  return count;
-}
-
-void InjectionCampaign::RefreshCacheFor(const ConfigFile& template_config) {
-  std::string fingerprint = template_config.Serialize();
-  std::lock_guard<std::mutex> lock(cache_.mutex);
-  if (cache_.template_fingerprint != fingerprint) {
-    cache_.entries.clear();
-    cache_.template_fingerprint = std::move(fingerprint);
-  }
-}
-
 CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
                                           const std::vector<Misconfiguration>& configs,
-                                          CampaignObserver* observer) {
-  CampaignSummary summary;
-  batch_id_.fetch_add(1, std::memory_order_relaxed);
-  size_t worker_count =
-      ThreadPool::ResolveThreadCount(options_.num_threads < 0
-                                         ? 1
-                                         : static_cast<size_t>(options_.num_threads));
-  worker_count = std::min(worker_count, configs.size());
+                                          CampaignObserver* observer, ThreadPool* pool,
+                                          size_t num_threads) {
+  const uint64_t batch = batch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::vector<std::string> keysets = KeysetIds(configs);
 
   // Per-batch key-set plan. Building a snapshot costs about one full
   // replay, so a key-set is worth the snapshot path only when this batch
   // revisits it — or when an earlier batch already paid for the entry.
-  std::vector<std::string> config_keysets;
-  std::vector<const std::string*> keyset_for_config(configs.size(), nullptr);
-  if (options_.use_parse_snapshot) {
-    RefreshCacheFor(template_config);
-    config_keysets.reserve(configs.size());
-    std::unordered_map<std::string, size_t> keyset_counts;
+  std::vector<uint8_t> planned(configs.size(), 0);
+  if (options_.use_parse_snapshot && CacheServes(template_config)) {
+    std::unordered_map<std::string_view, size_t> keyset_counts;
     keyset_counts.reserve(configs.size());
-    for (const Misconfiguration& config : configs) {
-      config_keysets.push_back(KeysetId(DeltaKeys(config)));
-      ++keyset_counts[config_keysets.back()];
+    for (const std::string& keyset : keysets) {
+      ++keyset_counts[keyset];
     }
     std::lock_guard<std::mutex> lock(cache_.mutex);
     for (size_t i = 0; i < configs.size(); ++i) {
-      if (keyset_counts[config_keysets[i]] >= 2 ||
-          cache_.entries.count(config_keysets[i]) != 0) {
-        keyset_for_config[i] = &config_keysets[i];
-      }
+      planned[i] = keyset_counts[keysets[i]] >= 2 || cache_.entries.count(keysets[i]) != 0;
     }
   }
 
   if (observer != nullptr) {
     observer->OnCampaignBegin(configs.size());
   }
+  CampaignSummary summary;
+  summary.results.resize(configs.size());
   std::mutex observer_mutex;
-  auto notify = [&](size_t index, const InjectionResult& result) {
+  Replay(keysets, pool, num_threads, [&](WorkerContext& context, size_t i) {
+    summary.results[i] = RunOneWith(context.interp, context.os,
+                                    planned[i] != 0 ? &keysets[i] : nullptr, template_config,
+                                    configs[i], batch);
     if (observer != nullptr) {
-      // Serialized: observers see one completed run at a time, in
-      // completion order (== batch order on the serial path).
+      // Serialized: observers see one completed run at a time.
       std::lock_guard<std::mutex> lock(observer_mutex);
-      observer->OnRunComplete(index, result);
+      observer->OnRunComplete(i, summary.results[i]);
     }
-  };
-
-  if (worker_count <= 1) {
-    // Serial path; reuses the campaign's first worker context across
-    // batches, so snapshots it built earlier stay valid and warm.
-    EnsureContexts(configs.empty() ? 0 : 1);
-    summary.results.reserve(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-      WorkerContext& context = *contexts_[0];
-      summary.results.push_back(RunOneWith(context.interp, context.os, keyset_for_config[i],
-                                           template_config, configs[i]));
-      notify(i, summary.results.back());
-    }
-  } else {
-    // Fan out over pre-sized slots: worker i writes results[index] for the
-    // indexes it claims, so result order — and therefore every summary
-    // statistic — is identical to the serial run. The module, SUT spec and
-    // OS template are shared immutably; each worker owns its interpreter
-    // and simulator copy. Contexts are campaign members and outlive the
-    // batch: snapshots published by one worker hold pointers into that
-    // worker's interpreter pool, which later batches may still read.
-    summary.results.resize(configs.size());
-    std::atomic<size_t> next_index{0};
-    EnsureContexts(worker_count);
-    ThreadPool* pool = options_.worker_pool;
-    if (pool == nullptr) {
-      if (owned_pool_ == nullptr || owned_pool_->size() < worker_count) {
-        owned_pool_ = std::make_unique<ThreadPool>(worker_count);
-      }
-      pool = owned_pool_.get();
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      pool->Submit([&, w] {
-        WorkerContext& context = *contexts_[w];
-        for (size_t i = next_index.fetch_add(1); i < configs.size();
-             i = next_index.fetch_add(1)) {
-          summary.results[i] = RunOneWith(context.interp, context.os, keyset_for_config[i],
-                                          template_config, configs[i]);
-          notify(i, summary.results[i]);
-        }
-      });
-    }
-    pool->Wait();
-  }
+  });
 
   for (const InjectionResult& result : summary.results) {
     summary.total_tests_run += result.tests_run;

@@ -20,28 +20,36 @@
 // therefore bit-identical to full replay for every thread count.
 //
 // The snapshot cache and the worker execution contexts are *campaign*
-// state, not per-RunAll state: a driver that calls RunAll repeatedly over
+// state, not per-call state: a driver that calls RunAll repeatedly over
 // the same template (ablation benches, a server embedding spex::Session)
 // pays the key-set snapshot builds once and every later batch starts from
 // the cached prefixes. Lifetime story: each snapshot holds pointers into
 // the interned-string pool of the worker context that built it, so the
 // contexts live as long as the campaign itself (they are only destroyed
-// with the cache that points into them). The cache is invalidated when a
-// RunAll sees a different template than the one the cache was built from.
+// with the cache that points into them). The cache serves one template:
+// the first template a campaign replays is the one it keeps, and a call
+// with any other template runs ground truth for that call without
+// touching the cache.
+//
+// RunAll and ReplayExternal share one scheduler (Replay): the batch is
+// grouped by delta key-set, and each worker leases one context and takes
+// whole key-sets off a shared cursor. A key-set's snapshot build,
+// first-use verification and delta runs therefore happen on one worker in
+// batch order, exactly as they would serially, so every result *and*
+// (for a call that has the campaign to itself) every CampaignCacheStats
+// counter is identical at every worker count.
 // Cross-batch safety matches within-batch safety: the per-run hazard check
 // runs on every delta replay, and the first delta replay of a key-set in
-// each batch is re-verified against a ground-truth full replay, so results
-// stay bit-identical to the legacy path for every thread count. RunAll is
-// not reentrant — one campaign serves one RunAll driver thread at a time —
-// but ReplayExternal (the dynamic ConfigChecker's entry point) is: any
-// number of threads may replay user-config deltas through the same cache
-// concurrently, each on its own campaign-owned probe context.
+// each RunAll batch is re-verified against a ground-truth full replay.
+// Both entry points may be called from any number of threads
+// concurrently, each call on its own leased contexts.
 #ifndef SPEX_INJECT_CAMPAIGN_H_
 #define SPEX_INJECT_CAMPAIGN_H_
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -142,33 +150,30 @@ struct CampaignSummary {
 struct CampaignOptions {
   bool stop_at_first_failure = true;
   bool sort_tests_by_cost = true;
-  // Workers for RunAll: 1 = legacy serial path, 0 = hardware concurrency.
-  // Results are written into pre-sized slots, so ordering, categories and
-  // totals are identical for every thread count.
+  // Workers for Target::RunCampaign and the free RunCampaign: 1 = serial,
+  // 0 = the pool's width (hardware concurrency without a pool). The
+  // campaign itself takes its worker count per call (RunAll's
+  // `num_threads`); results and cache counters are identical for every
+  // count.
   int num_threads = 1;
   // Replay each misconfiguration from a post-parse snapshot of the shared
   // template prefix instead of re-parsing the whole template per run.
   // Verified per delta key-set against full replay; disable to force the
   // ground-truth path everywhere.
   bool use_parse_snapshot = true;
-  // Externally owned worker pool (borrowed, may outnumber num_threads;
-  // spex::Session shares one pool across its targets). When null, the
-  // campaign lazily creates and owns its own pool. Campaigns sharing a
-  // pool must not run RunAll concurrently — Wait() joins the whole queue.
-  ThreadPool* worker_pool = nullptr;
   InterpOptions interp;
 
-  // True when `other` can reuse a campaign constructed with *this (all
-  // behavior-affecting knobs equal).
+  // True when `other` can reuse a campaign constructed with *this: every
+  // knob the campaign reads is equal. num_threads is not one of them.
   bool SameBehavior(const CampaignOptions& other) const;
 };
 
 // Streaming per-run callbacks for RunAll — the embeddable-API complement
 // to the batch CampaignSummary (progress bars, live dashboards, early log
-// shipping). Callbacks are serialized by the campaign (never concurrent),
-// but with multiple workers they arrive in completion order, not batch
-// order; `index` is the misconfiguration's position in the batch, which is
-// also its slot in the final summary.
+// shipping). Callbacks are serialized by the campaign (never concurrent).
+// A serial RunAll reports in batch order; with multiple workers they
+// arrive in completion order. `index` is the misconfiguration's position
+// in the batch, which is also its slot in the final summary.
 class CampaignObserver {
  public:
   virtual ~CampaignObserver() = default;
@@ -232,17 +237,22 @@ class InjectionCampaign {
                     CampaignOptions options = {});
 
   // Sanity check: the unmodified template must start and pass all tests.
-  // Driver-thread only (shares no state with in-flight replays).
+  // Thread-safe: runs on its own interpreter, sharing no replay state.
   bool BaselinePasses(const ConfigFile& template_config);
 
   // Single-shot ground-truth run (never snapshots: a prefix snapshot would
-  // cost exactly what it saves). Driver-thread only, like RunAll.
+  // cost exactly what it saves). Thread-safe; uses no campaign context.
   InjectionResult RunOne(const ConfigFile& template_config, const Misconfiguration& config);
   // Runs the whole batch. `observer`, when given, receives one serialized
-  // OnRunComplete per misconfiguration as it finishes (completion order).
+  // OnRunComplete per misconfiguration as it finishes. With `pool` and
+  // `num_threads > 1` (0 = pool size) the batch runs on the pool, whole
+  // key-sets per worker; results land in pre-sized slots, so the summary
+  // and (absent concurrent calls on this campaign) the cache_stats()
+  // increments are identical to the serial run's.
   CampaignSummary RunAll(const ConfigFile& template_config,
                          const std::vector<Misconfiguration>& configs,
-                         CampaignObserver* observer = nullptr);
+                         CampaignObserver* observer = nullptr, ThreadPool* pool = nullptr,
+                         size_t num_threads = 1);
 
   // Replays externally supplied misconfigurations — the suspect settings of
   // a *user's* config, not generator output — through the campaign's
@@ -255,24 +265,18 @@ class InjectionCampaign {
   // `use_parse_snapshot = false` forces ground truth for every run (the
   // verification path the dynamic-mode tests diff against).
   //
-  // Thread-safety: unlike RunAll, ReplayExternal may be called from any
-  // number of threads concurrently (each call runs on a campaign-owned
-  // probe context; the snapshot cache is internally synchronized), and
-  // concurrently with one RunAll — provided every concurrent driver uses
-  // the same template. A template change clears the cache and must be
-  // externally quiesced (spex::Target guarantees this: its template is
-  // fixed at load time).
+  // Thread-safety: any number of threads may call ReplayExternal (and
+  // RunAll) concurrently; each call leases its own contexts and the
+  // snapshot cache is internally synchronized.
   //
-  // With `pool` and `num_threads > 1` (0 = pool size), the batch is
-  // sharded over the pool — one probe context per shard, results written
-  // into pre-sized slots, so ordering and verdicts are bit-identical to
-  // the serial path at every worker count. The call Wait()s on the pool,
-  // which drains the *whole* queue: callers sharing a pool across clients
-  // (spex::Session) must serialize pool-using batches externally, exactly
-  // as they do for RunAll.
+  // With `pool` and `num_threads > 1` (0 = pool size), the batch runs on
+  // the pool through the same scheduler as RunAll — whole key-sets per
+  // worker, results in pre-sized slots — so ordering, verdicts and cache
+  // counters are identical to the serial path at every worker count. The
+  // call waits only for its own shards, so callers may share one pool.
   //
   // `limits` (see ReplayLimits) bounds each replay: the token is checked
-  // before every replay in a shard and polled inside the interpreter, so a
+  // before every replay and polled inside the interpreter, so a
   // fired request token converts the remaining slots to kDeadlineExceeded
   // results within one poll interval. `limits.cancel` must outlive the
   // call; cancellation may race the call from any thread.
@@ -346,12 +350,12 @@ class InjectionCampaign {
   };
   // Campaign-lifetime snapshot cache (snapshots hold pointers into the
   // builder worker's string pool; the worker contexts are campaign members
-  // too, so the pointers stay valid for the cache's whole life). Cleared
-  // when RunAll sees a template different from the cached one.
+  // too, so the pointers stay valid for the cache's whole life). Never
+  // cleared: it serves the first template it adopted (CacheServes).
   struct SnapshotCache {
     std::mutex mutex;
     std::unordered_map<std::string, std::unique_ptr<SnapshotEntry>> entries;
-    std::string template_fingerprint;  // Serialized template the entries were built from.
+    std::optional<std::string> template_fingerprint;  // Serialized adopted template.
   };
   // One worker's private execution state; persists across batches so the
   // interpreter pool backing published snapshots stays alive and later
@@ -367,15 +371,16 @@ class InjectionCampaign {
   // Resets `interp` / `os` to the template state, runs one misconfiguration
   // and classifies the reaction. `keyset` is the precomputed key-set id of
   // `config` (null = always full replay; RunAll only passes it for key-sets
-  // worth snapshotting). `cancel` (null = unlimited) is polled by the
-  // interpreter while *this run's* phases execute — never during prefix
-  // snapshot builds, which are template-only work shared across requests
-  // and already bounded by max_steps. Thread-safe: only touches the
-  // interpreter and simulator owned by the calling worker, plus the
+  // worth snapshotting). `batch` is the calling batch's id for the
+  // once-per-batch re-verification. `cancel` (null = unlimited) is polled
+  // by the interpreter while *this run's* phases execute — never during
+  // prefix snapshot builds, which are template-only work shared across
+  // requests and already bounded by max_steps. Thread-safe: only touches
+  // the interpreter and simulator owned by the calling worker, plus the
   // state-gated shared snapshot cache.
   InjectionResult RunOneWith(Interpreter& interp, OsSimulator& os,
                              const std::string* keyset, const ConfigFile& template_config,
-                             const Misconfiguration& config,
+                             const Misconfiguration& config, uint64_t batch,
                              const CancelToken* cancel = nullptr) const;
   // Ground-truth path: fresh template state, parse everything in file order.
   InjectionResult FullReplay(Interpreter& interp, OsSimulator& os, const ConfigFile& applied,
@@ -389,6 +394,7 @@ class InjectionCampaign {
                                                 const ConfigFile& applied,
                                                 const Misconfiguration& config,
                                                 const std::vector<std::string>& delta_keys,
+                                                uint64_t batch,
                                                 const CancelToken* cancel) const;
 
   // Phase 1 over `config`'s settings; with `only_delta_keys`, parses just
@@ -407,18 +413,11 @@ class InjectionCampaign {
   bool LogsPinpoint(const std::vector<std::string>& logs, const Misconfiguration& config,
                     const ConfigFile& applied) const;
 
-  // Grows contexts_ to `count` workers; returns the resolved worker count.
-  // RunAll-driver-thread only (not synchronized against itself).
-  size_t EnsureContexts(size_t count);
-  // Clears cache entries when `template_config` differs from the cached
-  // fingerprint, and stamps the new fingerprint.
-  void RefreshCacheFor(const ConfigFile& template_config);
-
-  // Checked-out probe context for one ReplayExternal call; returns itself
-  // to the campaign's free list on destruction. Probe contexts are campaign
-  // members (like the RunAll worker contexts) because a probe that builds a
-  // snapshot publishes pointers into its own string pool — the context must
-  // outlive the cache entry, i.e. live as long as the campaign.
+  // Checked-out worker context for one Replay worker; returns itself to
+  // the campaign's free list on destruction. Contexts are campaign members
+  // because a worker that builds a snapshot publishes pointers into its own
+  // string pool — the context must outlive the cache entry, i.e. live as
+  // long as the campaign.
   class ProbeLease {
    public:
     explicit ProbeLease(InjectionCampaign* campaign);
@@ -432,6 +431,21 @@ class InjectionCampaign {
     WorkerContext* context_;
   };
 
+  // The one scheduler behind RunAll and ReplayExternal: calls
+  // run(context, i) once per index of `keysets` (configs[i]'s key-set id).
+  // Serially, in batch order on one leased context. With `pool` and more
+  // than one worker (0 = pool size), the batch is grouped by key-set in
+  // first-appearance order and each worker leases one context and takes
+  // whole groups off a shared cursor, running each group in batch order —
+  // so a key-set's build, verification and delta runs see exactly the
+  // cache states they would see serially.
+  void Replay(const std::vector<std::string>& keysets, ThreadPool* pool, size_t num_threads,
+              const std::function<void(WorkerContext&, size_t)>& run);
+
+  // True when the snapshot cache may serve `template_config`: the first
+  // template asked about is adopted, any other gets ground truth.
+  bool CacheServes(const ConfigFile& template_config);
+
   const Module& module_;
   SutSpec sut_;
   OsSimulator os_template_;
@@ -439,20 +453,17 @@ class InjectionCampaign {
 
   // Campaign-lifetime execution state. Declaration order matters for
   // destruction: cache_ (pointers into context pools) is declared after
-  // contexts_ and the probe contexts so it is destroyed first.
-  std::vector<std::unique_ptr<WorkerContext>> contexts_;
-  // Contexts serving concurrent ReplayExternal calls; probe_mutex_ guards
-  // both vectors (owned storage + free list). Never shrinks: a returned
-  // probe is reused by the next check, so repeated dynamic checks skip
-  // interpreter construction just like repeated RunAll batches do.
-  std::mutex probe_mutex_;
-  std::vector<std::unique_ptr<WorkerContext>> probe_contexts_;
-  std::vector<WorkerContext*> free_probes_;
+  // the contexts so it is destroyed first. lease_mutex_ guards both
+  // vectors (owned storage + free list). Never shrinks: a returned context
+  // is reused by the next call, so repeated campaigns and checks skip
+  // interpreter construction.
+  std::mutex lease_mutex_;
+  std::vector<std::unique_ptr<WorkerContext>> lease_storage_;
+  std::vector<WorkerContext*> lease_free_list_;
   mutable SnapshotCache cache_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // Used when options_.worker_pool is null.
-  // Incremented per RunAll; batch 0 is RunOne/Baseline/ReplayExternal-only
-  // territory. Atomic because external replays read it (for the once-per-
-  // batch re-verification bookkeeping) concurrently with RunAll bumping it.
+  // Incremented per RunAll, which passes its own id down to every run so
+  // concurrent RunAll calls each re-verify their own first uses.
+  // ReplayExternal runs under the latest id (0 before any RunAll).
   std::atomic<uint64_t> batch_id_{0};
 
   // Persistent verdict store (optional; store_mutex_ guards the pair —

@@ -2,7 +2,7 @@
 // primitive behind spexcheckd.
 //
 // The existing ThreadPool is a fan-out/join device: unbounded queue,
-// Wait() drains everything. A service needs the opposite shape: producers
+// each ShardRange call waits for all of its shards. A service needs the opposite shape: producers
 // (the accept loop) must *fail fast* when consumers (request workers) fall
 // behind, because the alternative is an unbounded backlog of sockets whose
 // clients gave up long ago. TryPush is therefore non-blocking — a full

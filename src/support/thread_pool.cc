@@ -1,6 +1,7 @@
 #include "src/support/thread_pool.h"
 
 #include <algorithm>
+#include <latch>
 
 namespace spex {
 
@@ -23,20 +24,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -50,12 +37,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
   }
 }
 
@@ -69,13 +50,22 @@ void ThreadPool::ShardRange(size_t count, size_t workers,
     fn(0, count);
     return;
   }
-  size_t chunk = (count + workers - 1) / workers;
-  for (size_t begin = 0; begin < count; begin += chunk) {
-    size_t end = std::min(begin + chunk, count);
-    // By reference: Wait() below keeps fn alive past every shard.
-    Submit([&fn, begin, end] { fn(begin, end); });
+  const size_t chunk = (count + workers - 1) / workers;
+  std::latch done(static_cast<std::ptrdiff_t>((count + chunk - 1) / chunk));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t begin = 0; begin < count; begin += chunk) {
+      size_t end = std::min(begin + chunk, count);
+      // By reference: done.wait() below keeps fn and the latch alive past
+      // every shard of this call.
+      tasks_.push([&fn, &done, begin, end] {
+        fn(begin, end);
+        done.count_down();
+      });
+    }
   }
-  Wait();
+  task_ready_.notify_all();
+  done.wait();
 }
 
 size_t ThreadPool::ResolveThreadCount(size_t requested) {

@@ -1,10 +1,12 @@
 // Fixed-size worker pool for fan-out/join parallelism.
 //
-// SPEX's parallel workloads (injection campaigns, future sharded corpus
+// SPEX's parallel workloads (injection campaigns, sharded batches, corpus
 // runs) are embarrassingly parallel over pre-sized result slots, so this is
 // deliberately a plain shared-queue pool: no work stealing, no futures.
-// Submit closures, then Wait() for the queue to drain. Determinism is the
-// caller's job — write results into per-task slots, never append.
+// ShardRange is the only entry point: it queues one task per shard and
+// waits on a latch local to the call, so any number of callers may share
+// one pool and each waits only for its own shards. Determinism is the
+// caller's job — write results into per-shard slots, never append.
 #ifndef SPEX_SUPPORT_THREAD_POOL_H_
 #define SPEX_SUPPORT_THREAD_POOL_H_
 
@@ -29,17 +31,12 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  // Enqueues a task. Tasks must not throw.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far has finished.
-  void Wait();
-
-  // Fans [0, count) over at most `workers` contiguous shards — one
-  // Submit per shard, then Wait() — calling fn(begin, end) per shard.
-  // Runs fn(0, count) inline when a single shard suffices. Note Wait()
-  // drains the pool's *whole* queue: callers sharing a pool serialize
-  // ShardRange against other clients, exactly as they do for Wait().
+  // Fans [0, count) over at most `workers` contiguous shards, calling
+  // fn(begin, end) once per shard on the pool, and returns when every
+  // shard of *this call* has finished. Runs fn(0, count) inline when a
+  // single shard suffices. `fn` must not throw, and must not call
+  // ShardRange on the same pool (a worker waiting on its own pool can
+  // deadlock it).
   void ShardRange(size_t count, size_t workers,
                   const std::function<void(size_t, size_t)>& fn);
 
@@ -54,8 +51,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;  // Queued + currently running tasks.
   bool shutting_down_ = false;
 };
 

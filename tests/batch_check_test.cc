@@ -137,6 +137,12 @@ void ExpectSameViolations(const std::vector<Violation>& expected,
 
 TEST(BatchCheckTest, BatchVerdictsMatchIndependentChecksAtEveryThreadCount) {
   std::vector<ConfigInput> corpus = FleetCorpus();
+  // Nine more distinct worker_threads executions: one key-set that
+  // contiguous shards of the unique replays would spread over every worker.
+  for (int value : {2, 3, 5, 6, 7, 8, 9, 10, 12}) {
+    corpus.push_back({"threads-" + std::to_string(value) + ".conf",
+                      "worker_threads = " + std::to_string(value) + "\n"});
+  }
 
   // Ground truth: one dedicated dynamic CheckConfig per config, on its own
   // session so no batch state can leak into the reference verdicts.
@@ -152,6 +158,9 @@ TEST(BatchCheckTest, BatchVerdictsMatchIndependentChecksAtEveryThreadCount) {
     }
   }
 
+  // Cold serial batch's cache counters: a cold sharded batch must match
+  // them field for field (whole key-sets per worker).
+  CampaignCacheStats serial_stats;
   for (int threads : {1, 4}) {
     Session session(SessionOptions{.campaign_threads = 4});
     Target* target = LoadFleetServer(session);
@@ -160,6 +169,19 @@ TEST(BatchCheckTest, BatchVerdictsMatchIndependentChecksAtEveryThreadCount) {
     options.check.mode = CheckMode::kDynamic;
     options.num_threads = threads;
     BatchSummary summary = target->CheckConfigBatch(corpus, options);
+    const CampaignCacheStats stats = target->campaign_cache_stats();
+    if (threads == 1) {
+      serial_stats = stats;
+      EXPECT_GT(stats.snapshots_built, 0u);
+    } else {
+      EXPECT_EQ(stats.snapshots_built, serial_stats.snapshots_built);
+      EXPECT_EQ(stats.delta_replays, serial_stats.delta_replays);
+      EXPECT_EQ(stats.full_replays, serial_stats.full_replays);
+      EXPECT_EQ(stats.verifications, serial_stats.verifications);
+      EXPECT_EQ(stats.store_hits, serial_stats.store_hits);
+      EXPECT_EQ(stats.store_misses, serial_stats.store_misses);
+      EXPECT_EQ(stats.store_appends, serial_stats.store_appends);
+    }
     ASSERT_EQ(summary.reports.size(), corpus.size());
     for (size_t i = 0; i < corpus.size(); ++i) {
       EXPECT_EQ(summary.reports[i].name, corpus[i].name);
@@ -356,6 +378,9 @@ TEST(BatchCheckTest, PoisonedParseFailureIsContainedToItsOwnReport) {
   corpus.insert(corpus.begin() + 3,
                 ConfigInput{"poisoned.conf", "worker_threads = 4\nthis line has no equals\n"});
 
+  // Cold serial batch's cache counters: a cold sharded batch must match
+  // them field for field (whole key-sets per worker).
+  CampaignCacheStats serial_stats;
   for (int threads : {1, 4}) {
     Session session(SessionOptions{.campaign_threads = 4});
     Target* target = LoadFleetServer(session);
@@ -364,6 +389,19 @@ TEST(BatchCheckTest, PoisonedParseFailureIsContainedToItsOwnReport) {
     options.check.mode = CheckMode::kDynamic;
     options.num_threads = threads;
     BatchSummary summary = target->CheckConfigBatch(corpus, options);
+    const CampaignCacheStats stats = target->campaign_cache_stats();
+    if (threads == 1) {
+      serial_stats = stats;
+      EXPECT_GT(stats.snapshots_built, 0u);
+    } else {
+      EXPECT_EQ(stats.snapshots_built, serial_stats.snapshots_built);
+      EXPECT_EQ(stats.delta_replays, serial_stats.delta_replays);
+      EXPECT_EQ(stats.full_replays, serial_stats.full_replays);
+      EXPECT_EQ(stats.verifications, serial_stats.verifications);
+      EXPECT_EQ(stats.store_hits, serial_stats.store_hits);
+      EXPECT_EQ(stats.store_misses, serial_stats.store_misses);
+      EXPECT_EQ(stats.store_appends, serial_stats.store_appends);
+    }
     ASSERT_EQ(summary.reports.size(), corpus.size());
     EXPECT_EQ(summary.configs_with_errors, 1u);
 

@@ -306,50 +306,57 @@ void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary&
   EXPECT_EQ(actual.total_tests_run, expected.total_tests_run) << label;
 }
 
-TEST(CampaignParallelTest, ParallelRunAllMatchesSerialOnSquid) {
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
-  ASSERT_FALSE(diags.HasErrors()) << diags.Render();
-
-  MisconfigGenerator generator;
-  std::vector<Misconfiguration> configs = generator.Generate(analysis.constraints);
-  ASSERT_GT(configs.size(), 10u);
-  ConfigFile template_config =
-      ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
-
-  CampaignOptions serial_options;
-  serial_options.num_threads = 1;
-  InjectionCampaign serial(*analysis.module, analysis.bundle.sut,
-                           OsSimulator::StandardEnvironment(), serial_options);
-  CampaignSummary serial_summary = serial.RunAll(template_config, configs);
-
-  CampaignOptions parallel_options;
-  parallel_options.num_threads = 4;
-  InjectionCampaign parallel(*analysis.module, analysis.bundle.sut,
-                             OsSimulator::StandardEnvironment(), parallel_options);
-  CampaignSummary parallel_summary = parallel.RunAll(template_config, configs);
-
-  ASSERT_EQ(parallel_summary.results.size(), serial_summary.results.size());
-  for (size_t i = 0; i < serial_summary.results.size(); ++i) {
-    const InjectionResult& a = serial_summary.results[i];
-    const InjectionResult& b = parallel_summary.results[i];
-    ASSERT_EQ(a.config.param, b.config.param) << "result order diverged at " << i;
-    ASSERT_EQ(a.config.value, b.config.value) << "result order diverged at " << i;
-    EXPECT_EQ(a.category, b.category) << a.config.Describe();
-    EXPECT_EQ(a.detail, b.detail) << a.config.Describe();
-    EXPECT_EQ(a.logs, b.logs) << a.config.Describe();
-    EXPECT_EQ(a.pinpointed, b.pinpointed) << a.config.Describe();
-    EXPECT_EQ(a.tests_run, b.tests_run) << a.config.Describe();
+CampaignSummary Summarize(std::vector<InjectionResult> results) {
+  CampaignSummary summary;
+  summary.results = std::move(results);
+  for (const InjectionResult& result : summary.results) {
+    summary.total_tests_run += result.tests_run;
   }
-  EXPECT_EQ(parallel_summary.total_tests_run, serial_summary.total_tests_run);
-  for (ReactionCategory category :
-       {ReactionCategory::kCrashHang, ReactionCategory::kEarlyTermination,
-        ReactionCategory::kFunctionalFailure, ReactionCategory::kSilentViolation,
-        ReactionCategory::kSilentIgnorance, ReactionCategory::kGoodReaction,
-        ReactionCategory::kNoIssue}) {
-    EXPECT_EQ(parallel_summary.CountCategory(category), serial_summary.CountCategory(category))
-        << ReactionCategoryName(category);
+  return summary;
+}
+
+void ExpectSameCacheStats(const CampaignCacheStats& expected, const CampaignCacheStats& actual,
+                          const char* label) {
+  EXPECT_EQ(actual.snapshots_built, expected.snapshots_built) << label;
+  EXPECT_EQ(actual.delta_replays, expected.delta_replays) << label;
+  EXPECT_EQ(actual.full_replays, expected.full_replays) << label;
+  EXPECT_EQ(actual.verifications, expected.verifications) << label;
+  EXPECT_EQ(actual.store_hits, expected.store_hits) << label;
+  EXPECT_EQ(actual.store_misses, expected.store_misses) << label;
+  EXPECT_EQ(actual.store_appends, expected.store_appends) << label;
+}
+
+// Whole key-sets per worker: a 4-worker RunAll must reproduce the serial
+// run result for result *and* counter for counter — no worker may find a
+// snapshot still building or verify a key-set another worker is verifying.
+TEST(CampaignParallelTest, ParallelRunAllMatchesSerialOnEveryCorpusTarget) {
+  ApiRegistry apis = ApiRegistry::BuiltinC();
+  ThreadPool pool(4);
+  for (const char* name :
+       {"storage_a", "apache", "mysql", "postgresql", "openldap", "vsftpd", "squid"}) {
+    SCOPED_TRACE(name);
+    DiagnosticEngine diags;
+    TargetAnalysis analysis = AnalyzeTarget(FindTarget(name), apis, &diags);
+    ASSERT_FALSE(diags.HasErrors()) << diags.Render();
+
+    MisconfigGenerator generator;
+    std::vector<Misconfiguration> configs = generator.Generate(analysis.constraints);
+    ASSERT_GT(configs.size(), 10u);
+    ConfigFile template_config =
+        ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
+
+    InjectionCampaign serial(*analysis.module, analysis.bundle.sut,
+                             OsSimulator::StandardEnvironment());
+    CampaignSummary serial_summary = serial.RunAll(template_config, configs);
+
+    InjectionCampaign parallel(*analysis.module, analysis.bundle.sut,
+                               OsSimulator::StandardEnvironment());
+    CampaignSummary parallel_summary =
+        parallel.RunAll(template_config, configs, nullptr, &pool, 4);
+
+    ExpectSameSummaries(serial_summary, parallel_summary, name);
+    EXPECT_GT(serial.cache_stats().delta_replays, 0u);
+    ExpectSameCacheStats(serial.cache_stats(), parallel.cache_stats(), name);
   }
 }
 
@@ -367,13 +374,13 @@ TEST(CampaignSnapshotTest, SnapshotReplayBitIdenticalToFullReplaySquid) {
   ConfigFile template_config =
       ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
 
-  auto run = [&](int threads, bool snapshot) {
+  ThreadPool pool(4);
+  auto run = [&](size_t threads, bool snapshot) {
     CampaignOptions options;
-    options.num_threads = threads;
     options.use_parse_snapshot = snapshot;
     InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
                                OsSimulator::StandardEnvironment(), options);
-    return campaign.RunAll(template_config, configs);
+    return campaign.RunAll(template_config, configs, nullptr, &pool, threads);
   };
 
   // Ground truth: serial, full replay for every run.
@@ -381,6 +388,55 @@ TEST(CampaignSnapshotTest, SnapshotReplayBitIdenticalToFullReplaySquid) {
   ExpectSameSummaries(full, run(1, true), "serial snapshot");
   ExpectSameSummaries(full, run(4, false), "4-worker full");
   ExpectSameSummaries(full, run(4, true), "4-worker snapshot");
+}
+
+// One template policy for both entry points: the campaign keeps the first
+// template's snapshots, a call with another template runs ground truth
+// without touching the cache, and the first template stays warm.
+TEST(CampaignSnapshotTest, ForeignTemplateRunsGroundTruthAndKeepsTheCache) {
+  DiagnosticEngine diags;
+  ApiRegistry apis = ApiRegistry::BuiltinC();
+  TargetAnalysis analysis = AnalyzeTarget(FindTarget("vsftpd"), apis, &diags);
+  ASSERT_FALSE(diags.HasErrors()) << diags.Render();
+  std::vector<Misconfiguration> configs = MisconfigGenerator().Generate(analysis.constraints);
+  ASSERT_GT(configs.size(), 10u);
+  ConfigFile template_a =
+      ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
+  ConfigFile template_b = template_a;
+  for (const ConfigEntry& entry : template_a.entries()) {
+    if (entry.kind == ConfigEntry::Kind::kSetting) {
+      template_b.Set(entry.key, entry.value + "0");
+      break;
+    }
+  }
+  ASSERT_NE(template_a.Serialize(), template_b.Serialize());
+
+  CampaignOptions ground_truth;
+  ground_truth.use_parse_snapshot = false;
+  InjectionCampaign truth(*analysis.module, analysis.bundle.sut,
+                          OsSimulator::StandardEnvironment(), ground_truth);
+  CampaignSummary truth_b = truth.RunAll(template_b, configs);
+
+  InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
+                             OsSimulator::StandardEnvironment());
+  CampaignSummary first_a = campaign.RunAll(template_a, configs);
+  std::vector<InjectionResult> first_external = campaign.ReplayExternal(template_a, configs);
+  const CampaignCacheStats warm = campaign.cache_stats();
+  ASSERT_GT(warm.snapshots_built, 0u);
+
+  ExpectSameSummaries(truth_b, campaign.RunAll(template_b, configs), "template B RunAll");
+  ExpectSameSummaries(truth_b, Summarize(campaign.ReplayExternal(template_b, configs)),
+                      "template B ReplayExternal");
+  EXPECT_EQ(campaign.cache_stats().snapshots_built, warm.snapshots_built);
+  EXPECT_EQ(campaign.cache_stats().delta_replays, warm.delta_replays);
+
+  ExpectSameSummaries(first_a, campaign.RunAll(template_a, configs), "template A again");
+  ExpectSameSummaries(Summarize(first_external),
+                      Summarize(campaign.ReplayExternal(template_a, configs)),
+                      "template A ReplayExternal again");
+  const CampaignCacheStats after = campaign.cache_stats();
+  EXPECT_EQ(after.snapshots_built, warm.snapshots_built) << "template A's snapshots were lost";
+  EXPECT_GT(after.delta_replays, warm.delta_replays);
 }
 
 TEST(CampaignSnapshotTest, RejectedDeltaParseFallsBackToFullReplay) {

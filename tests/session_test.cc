@@ -304,6 +304,31 @@ TEST(SessionCampaignTest, RepeatedCampaignReusesSnapshots) {
   ExpectSameSummaries(first, second, "repeated campaign");
 }
 
+// The thread count is an input to each call, not campaign state: changing
+// it must keep the target's warm campaign and its counters.
+TEST(SessionCampaignTest, ThreadCountChangeKeepsWarmCampaign) {
+  Session session(SessionOptions{.campaign_threads = 4});
+  Target* target = session.LoadTarget("squid");
+  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+
+  CampaignOptions parallel;
+  parallel.num_threads = 4;
+  CampaignSummary first = target->RunCampaign(parallel);
+  CampaignCacheStats after_first = target->campaign_cache_stats();
+  EXPECT_GT(after_first.snapshots_built, 0u);
+
+  CampaignSummary second = target->RunCampaign();
+  CampaignCacheStats after_second = target->campaign_cache_stats();
+  EXPECT_EQ(after_second.snapshots_built, after_first.snapshots_built);
+  EXPECT_GT(after_second.delta_replays, after_first.delta_replays);
+  EXPECT_GE(after_second.full_replays, after_first.full_replays);
+  EXPECT_GE(after_second.verifications, after_first.verifications);
+  EXPECT_GE(after_second.store_hits, after_first.store_hits);
+  EXPECT_GE(after_second.store_misses, after_first.store_misses);
+  EXPECT_GE(after_second.store_appends, after_first.store_appends);
+  ExpectSameSummaries(first, second, "4 workers then serial");
+}
+
 TEST(SessionCampaignTest, ObserverStreamsEveryRun) {
   Session session;
   Target* target = session.LoadTarget("openldap");
@@ -892,6 +917,60 @@ TEST(SessionThreadedTest, ConcurrentDynamicChecksOnSharedSession) {
   c.join();
   campaign.join();
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// 24 squid configs, each with one of 12 distinct mutations: enough
+// duplication to dedup and enough key-sets to shard.
+std::vector<ConfigInput> SquidFleet(const Target& target) {
+  ConfigFile base =
+      ConfigFile::Parse(target.analysis().bundle.template_config, target.dialect());
+  const char* params[] = {"client_lifetime_0", "connect_timeout_0", "request_buffer_len_0"};
+  const char* values[] = {"9000000000", "500ms", "1", "maybe"};
+  std::vector<ConfigInput> fleet;
+  for (int i = 0; i < 24; ++i) {
+    ConfigFile mutated = base;
+    mutated.Set(params[i % 3], values[(i / 3) % 4]);
+    fleet.push_back(ConfigInput{"user" + std::to_string(i) + ".conf", mutated.Serialize()});
+  }
+  return fleet;
+}
+
+// A sharded batch and a parallel campaign on one Session share its worker
+// pool and the target's campaign at the same time; each call waits only
+// for its own pool tasks, and both stay bit-identical to serial runs.
+TEST(SessionThreadedTest, ShardedBatchAndParallelCampaignRunConcurrently) {
+  Session reference_session;
+  Target* reference = reference_session.LoadTarget("squid");
+  ASSERT_NE(reference, nullptr) << reference_session.RenderDiagnostics();
+  const std::vector<ConfigInput> fleet = SquidFleet(*reference);
+  BatchOptions serial_batch;
+  serial_batch.check.mode = CheckMode::kDynamic;
+  BatchSummary expected_batch = reference->CheckConfigBatch(fleet, serial_batch);
+  CampaignSummary expected_campaign = reference->RunCampaign();
+  ASSERT_GT(expected_batch.total_suspects, 0u);
+
+  Session session(SessionOptions{.campaign_threads = 4});
+  Target* target = session.LoadTarget("squid");
+  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+  BatchOptions sharded_batch = serial_batch;
+  sharded_batch.num_threads = 4;
+  CampaignOptions parallel;
+  parallel.num_threads = 4;
+  BatchSummary batch;
+  CampaignSummary campaign;
+  std::thread checker([&] { batch = target->CheckConfigBatch(fleet, sharded_batch); });
+  std::thread injector([&] { campaign = target->RunCampaign(parallel); });
+  checker.join();
+  injector.join();
+
+  ExpectSameSummaries(expected_campaign, campaign, "concurrent campaign");
+  ASSERT_EQ(batch.reports.size(), expected_batch.reports.size());
+  for (size_t i = 0; i < batch.reports.size(); ++i) {
+    ExpectSameViolations(expected_batch.reports[i].violations, batch.reports[i].violations,
+                         fleet[i].name.c_str());
+  }
+  EXPECT_EQ(batch.total_suspects, expected_batch.total_suspects);
+  EXPECT_EQ(batch.unique_replays, expected_batch.unique_replays);
 }
 
 }  // namespace
