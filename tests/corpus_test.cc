@@ -1,11 +1,19 @@
 // Corpus end-to-end tests: every synthesized target parses, lowers,
 // analyzes, and passes its baseline; synthesis is deterministic; accuracy
-// and vulnerability shapes hold (TEST_P across all seven targets).
+// and vulnerability shapes hold (TEST_P across all seven targets); and
+// every campaign run of the corpus matches tests/golden/corpus_campaign.txt.
 #include "src/corpus/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
+#include "src/api/session.h"
 #include "src/corpus/truth.h"
+#include "src/support/hashing.h"
 
 namespace spex {
 namespace {
@@ -95,47 +103,120 @@ INSTANTIATE_TEST_SUITE_P(AllTargets, CorpusTargetTest,
                                            "openldap", "vsftpd", "squid"),
                          [](const auto& info) { return info.param; });
 
-TEST(CorpusShardedTest, ShardedCampaignsMatchSerialRuns) {
-  // RunCorpusCampaigns fans one target per worker; every per-target summary
-  // must be identical to a serial AnalyzeTarget + RunCampaign.
-  const std::vector<std::string> names = {"vsftpd", "openldap", "squid"};
-  static ApiRegistry apis = ApiRegistry::BuiltinC();
-  std::vector<CorpusCampaignResult> sharded =
-      RunCorpusCampaigns(names, apis, CampaignOptions{}, /*num_workers=*/3);
-  ASSERT_EQ(sharded.size(), names.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(sharded[i].target, names[i]);
-    EXPECT_TRUE(sharded[i].diagnostics.empty()) << sharded[i].diagnostics;
-    DiagnosticEngine diags;
-    TargetAnalysis serial_analysis = AnalyzeTarget(FindTarget(names[i]), apis, &diags);
-    CampaignSummary serial = RunCampaign(serial_analysis);
-    const CampaignSummary& parallel = sharded[i].summary;
-    ASSERT_EQ(parallel.results.size(), serial.results.size()) << names[i];
-    for (size_t j = 0; j < serial.results.size(); ++j) {
-      EXPECT_EQ(parallel.results[j].category, serial.results[j].category)
-          << names[i] << " result " << j;
-      EXPECT_EQ(parallel.results[j].detail, serial.results[j].detail)
-          << names[i] << " result " << j;
+// --- Campaign golden: every one of the corpus's injection runs, pinned
+// across commits. The golden is generated from one serial
+// Target::RunCampaign() per target; the test reads the sharded corpus run,
+// so it also pins "sharded == serial". When an intended change alters a
+// verdict, regenerate it and review the diff:
+//   SPEX_REGENERATE_GOLDEN=1 ./corpus_test --gtest_filter='CorpusGoldenTest.*'
+
+const char* kCampaignGoldenPath = SPEX_SOURCE_DIR "/tests/golden/corpus_campaign.txt";
+
+const std::vector<std::string>& CorpusNames() {
+  static const std::vector<std::string>* kNames = [] {
+    auto* names = new std::vector<std::string>();
+    for (const TargetSpec& spec : EvaluatedTargets()) {
+      names->push_back(spec.name);
     }
-    EXPECT_EQ(parallel.total_tests_run, serial.total_tests_run) << names[i];
-    EXPECT_EQ(parallel.CategoryCounts(), serial.CategoryCounts()) << names[i];
+    return names;
+  }();
+  return *kNames;
+}
+
+struct CorpusRun {
+  std::string name;
+  CampaignSummary summary;
+};
+
+// One sharded corpus run shared by the golden and shape tests.
+const std::vector<CorpusRun>& CorpusRuns() {
+  static const std::vector<CorpusRun>* kRuns = [] {
+    Session session;
+    auto* runs = new std::vector<CorpusRun>();
+    for (CorpusCampaignResult& result : session.RunCorpusCampaigns(CorpusNames())) {
+      EXPECT_TRUE(result.diagnostics.empty()) << result.target << ":\n" << result.diagnostics;
+      runs->push_back({result.target, std::move(result.summary)});
+    }
+    return runs;
+  }();
+  return *kRuns;
+}
+
+// Tabs, newlines and non-printable bytes escaped, so every run is one line.
+std::string Escape(std::string_view text) {
+  std::string out;
+  for (unsigned char c : text) {
+    if (c == '\\' || c == '"') {
+      out += '\\';
+      out += static_cast<char>(c);
+    } else if (c < 0x20 || c >= 0x7f) {
+      char buffer[8];
+      std::snprintf(buffer, sizeof(buffer), "\\x%02x", c);
+      out += buffer;
+    } else {
+      out += static_cast<char>(c);
+    }
   }
+  return out;
+}
+
+// One line per run: target, applied settings, category, detail,
+// pinpointed, tests run, vulnerability location and an FNV hash of the
+// logs (length-prefixed, so a moved boundary changes the hash).
+void DumpCampaign(const std::string& target, const CampaignSummary& summary, std::ostream& out) {
+  for (const InjectionResult& result : summary.results) {
+    out << target << "\t\"" << Escape(result.config.param) << "\"=\""
+        << Escape(result.config.value) << '"';
+    for (const auto& [key, value] : result.config.extra_settings) {
+      out << " \"" << Escape(key) << "\"=\"" << Escape(value) << '"';
+    }
+    std::string logs;
+    for (const std::string& log : result.logs) {
+      logs += std::to_string(log.size()) + ":" + log;
+    }
+    out << '\t' << ReactionCategoryName(result.category) << "\t\"" << Escape(result.detail)
+        << "\"\tpinpointed=" << result.pinpointed << "\ttests_run=" << result.tests_run
+        << "\tloc=" << result.vulnerability_loc.ToString() << "\tlogs=" << std::hex
+        << Fnv1a64(logs) << std::dec << "\n";
+  }
+}
+
+TEST(CorpusGoldenTest, CampaignRunsMatchGolden) {
+  std::ostringstream actual;
+  if (std::getenv("SPEX_REGENERATE_GOLDEN") != nullptr) {
+    for (const std::string& name : CorpusNames()) {
+      Session session;
+      Target* target = session.LoadTarget(name);
+      ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+      DumpCampaign(name, target->RunCampaign(), actual);
+    }
+    std::ofstream(kCampaignGoldenPath, std::ios::binary) << actual.str();
+    GTEST_SKIP() << "regenerated " << kCampaignGoldenPath;
+  }
+  for (const CorpusRun& run : CorpusRuns()) {
+    DumpCampaign(run.name, run.summary, actual);
+  }
+  std::ifstream in(kCampaignGoldenPath, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << kCampaignGoldenPath;
+  std::stringstream expected;
+  expected << in.rdbuf();
+  // Line-by-line first so a mismatch names the first differing run.
+  std::istringstream want(expected.str());
+  std::istringstream got(actual.str());
+  std::string want_line;
+  std::string got_line;
+  for (int line = 1; std::getline(want, want_line); ++line) {
+    ASSERT_TRUE(std::getline(got, got_line)) << "output ends before golden line " << line;
+    ASSERT_EQ(got_line, want_line) << "first difference at golden line " << line;
+  }
+  EXPECT_EQ(actual.str(), expected.str());
 }
 
 TEST(CorpusShapeTest, PaperHeadlineShapesHold) {
   // Cross-target properties the paper's evaluation leans on.
   std::map<std::string, CampaignSummary> summaries;
-  std::map<std::string, const TargetAnalysis*> analyses;
-  for (const char* name :
-       {"storage_a", "apache", "mysql", "postgresql", "openldap", "vsftpd", "squid"}) {
-    DiagnosticEngine diags;
-    static ApiRegistry apis = ApiRegistry::BuiltinC();
-    static std::vector<std::unique_ptr<TargetAnalysis>>* keep =
-        new std::vector<std::unique_ptr<TargetAnalysis>>();
-    keep->push_back(
-        std::make_unique<TargetAnalysis>(AnalyzeTarget(FindTarget(name), apis, &diags)));
-    analyses[name] = keep->back().get();
-    summaries[name] = RunCampaign(*keep->back());
+  for (const CorpusRun& run : CorpusRuns()) {
+    summaries[run.name] = run.summary;
   }
   // 1. Storage-A (commercial, hardened) exposes no crashes or hangs.
   EXPECT_EQ(summaries["storage_a"].CountCategory(ReactionCategory::kCrashHang), 0u);
