@@ -1,9 +1,9 @@
 // Figure 5: misconfiguration generation + the exposed bad reactions, one
 // demonstration per constraint kind, run live through SPEX-INJ.
-#include "src/corpus/pipeline.h"
-
 #include <iostream>
+#include <map>
 
+#include "bench/bench_util.h"
 #include "src/support/strings.h"
 
 using namespace spex;
@@ -11,15 +11,17 @@ using namespace spex;
 namespace {
 
 const TargetAnalysis& Analysis(const char* name) {
-  static std::map<std::string, TargetAnalysis>* kCache =
-      new std::map<std::string, TargetAnalysis>();
+  static std::map<std::string, Target*>* kCache = new std::map<std::string, Target*>();
   auto it = kCache->find(name);
   if (it == kCache->end()) {
-    DiagnosticEngine diags;
-    ApiRegistry apis = ApiRegistry::BuiltinC();
-    it = kCache->emplace(name, AnalyzeTarget(FindTarget(name), apis, &diags)).first;
+    Target* target = BenchSession().LoadTarget(name);
+    if (target == nullptr) {
+      std::cerr << BenchSession().RenderDiagnostics();
+      std::abort();
+    }
+    it = kCache->emplace(name, target).first;
   }
-  return it->second;
+  return it->second->analysis();
 }
 
 void Demo(const char* label, const char* target, const char* param, const char* value,

@@ -21,7 +21,6 @@
 #include <unistd.h>
 
 #include "src/api/session.h"
-#include "src/corpus/pipeline.h"
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
 #include "src/serve/server.h"
@@ -42,6 +41,20 @@ void BM_Synthesize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Synthesize);
+
+// Squid loaded once through a process-wide session, for the replay benches.
+const TargetAnalysis& SquidAnalysis() {
+  static const TargetAnalysis* kAnalysis = [] {
+    Session* session = new Session();
+    Target* target = session->LoadTarget("squid");
+    if (target == nullptr) {
+      std::cerr << "perf_pipeline: loading squid failed\n" << session->RenderDiagnostics();
+      std::abort();
+    }
+    return &target->analysis();
+  }();
+  return *kAnalysis;
+}
 
 void BM_ParseAndLower(benchmark::State& state) {
   const TargetBundle& bundle = SquidBundle();
@@ -103,9 +116,7 @@ void BM_LoadTarget(benchmark::State& state) {
 BENCHMARK(BM_LoadTarget)->Unit(benchmark::kMillisecond);
 
 void BM_SingleInjection(benchmark::State& state) {
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
+  const TargetAnalysis& analysis = SquidAnalysis();
   InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
                              OsSimulator::StandardEnvironment());
   ConfigFile template_config =
@@ -123,9 +134,7 @@ void BM_SingleInjection(benchmark::State& state) {
 BENCHMARK(BM_SingleInjection);
 
 void BM_InterpreterStartup(benchmark::State& state) {
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
+  const TargetAnalysis& analysis = SquidAnalysis();
   OsSimulator os = OsSimulator::StandardEnvironment();
   for (auto _ : state) {
     Interpreter interp(*analysis.module, &os);
@@ -135,9 +144,7 @@ void BM_InterpreterStartup(benchmark::State& state) {
 BENCHMARK(BM_InterpreterStartup);
 
 void BM_InterpreterReset(benchmark::State& state) {
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
+  const TargetAnalysis& analysis = SquidAnalysis();
   OsSimulator os = OsSimulator::StandardEnvironment();
   Interpreter interp(*analysis.module, &os);
   interp.Call("server_init", {});
@@ -155,9 +162,7 @@ BENCHMARK(BM_InterpreterReset);
 // campaign's delta-replay path (everything else a run pays is the delta
 // parse + init + tests).
 void BM_SnapshotRestore(benchmark::State& state) {
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
+  const TargetAnalysis& analysis = SquidAnalysis();
   ConfigFile template_config =
       ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
   OsSimulator os = OsSimulator::StandardEnvironment();
@@ -182,7 +187,7 @@ BENCHMARK(BM_SnapshotRestore);
 // Full-campaign fixture: squid constraints, generated misconfigurations
 // tiled to a >= 200-entry batch so thread scaling has enough work.
 struct CampaignFixture {
-  TargetAnalysis analysis;
+  const TargetAnalysis* analysis = nullptr;
   ConfigFile template_config;
   std::vector<Misconfiguration> batch;
 };
@@ -190,17 +195,14 @@ struct CampaignFixture {
 const CampaignFixture& SquidCampaignFixture() {
   static const CampaignFixture* kFixture = [] {
     auto* fixture = new CampaignFixture;
-    DiagnosticEngine diags;
-    ApiRegistry apis = ApiRegistry::BuiltinC();
-    fixture->analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
-    fixture->template_config = ConfigFile::Parse(fixture->analysis.bundle.template_config,
-                                                 fixture->analysis.bundle.dialect);
+    fixture->analysis = &SquidAnalysis();
+    fixture->template_config = ConfigFile::Parse(fixture->analysis->bundle.template_config,
+                                                 fixture->analysis->bundle.dialect);
     MisconfigGenerator generator;
-    std::vector<Misconfiguration> generated = generator.Generate(fixture->analysis.constraints);
+    std::vector<Misconfiguration> generated = generator.Generate(fixture->analysis->constraints);
     if (generated.empty()) {
       std::cerr << "perf_pipeline: no misconfigurations generated for squid; "
-                << "cannot build campaign batch\n"
-                << diags.Render();
+                << "cannot build campaign batch\n";
       std::abort();
     }
     while (fixture->batch.size() < 200) {
@@ -224,7 +226,7 @@ void BM_CampaignThroughput(benchmark::State& state) {
   ThreadPool* pool = threads == 1 ? nullptr : kPool;
   CampaignCacheStats stats;
   for (auto _ : state) {
-    InjectionCampaign campaign(*fixture.analysis.module, fixture.analysis.bundle.sut,
+    InjectionCampaign campaign(*fixture.analysis->module, fixture.analysis->bundle.sut,
                                OsSimulator::StandardEnvironment());
     benchmark::DoNotOptimize(
         campaign.RunAll(fixture.template_config, fixture.batch, nullptr, pool, threads));

@@ -1,9 +1,9 @@
 // Table 5: misconfiguration vulnerabilities exposed by SPEX-INJ, by reaction
 // category (a), and the unique source-code locations behind them (b).
 //
-// Regeneration is sharded: RunCorpusCampaigns fans one analysis + campaign
-// per target over the worker pool, so the whole table rebuilds in roughly
-// the time of its slowest target.
+// Regeneration is sharded: Session::RunCorpusCampaigns loads each target
+// and runs its campaign as one task on the session's worker pool, so the
+// whole table rebuilds in roughly the time of its slowest target.
 #include "bench/bench_util.h"
 
 using namespace spex;
@@ -32,15 +32,15 @@ int main() {
   for (const TargetSpec& spec : EvaluatedTargets()) {
     names.push_back(spec.name);
   }
-  std::vector<CorpusCampaignResult> corpus =
-      BenchSession().RunCorpusCampaigns(names, CampaignOptions{}, /*num_workers=*/0);
+  std::vector<CorpusCampaignResult> corpus = BenchSession().RunCorpusCampaigns(names);
 
   size_t crash = 0, early = 0, func = 0, sviol = 0, sign = 0, total = 0, all_locs = 0;
   size_t i = 0;
   for (const CorpusCampaignResult& run : corpus) {
-    if (!run.diagnostics.empty()) {
-      std::cerr << "corpus analysis diagnostics for " << run.target << ":\n"
-                << run.diagnostics;
+    if (run.target == nullptr) {
+      // A clean corpus never produces diagnostics; this is a bug.
+      std::cerr << "corpus analysis diagnostics:\n" << BenchSession().RenderDiagnostics();
+      std::abort();
     }
     const CampaignSummary& summary = run.summary;
     auto counts = summary.CategoryCounts();
@@ -61,10 +61,10 @@ int main() {
     sign += g;
     total += t;
     all_locs += l;
-    table.AddRow({run.analysis.bundle.display_name, std::to_string(c), std::to_string(e),
+    table.AddRow({run.target->analysis().bundle.display_name, std::to_string(c), std::to_string(e),
                   std::to_string(f), std::to_string(v), std::to_string(g), std::to_string(t),
                   std::to_string(kPaper[i].total)});
-    locs.AddRow({run.analysis.bundle.display_name, std::to_string(l),
+    locs.AddRow({run.target->analysis().bundle.display_name, std::to_string(l),
                  std::to_string(kPaper[i].locs)});
     ++i;
   }

@@ -39,18 +39,21 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # The parallel-campaign and snapshot-replay determinism tests are the point
 # of the TSan build: 4 workers over shared module/SUT state plus the
 # state-gated shared snapshot cache, results and cache counters equal to
-# the serial run's. CorpusShardedTest additionally runs the whole analysis
-# pipeline (synthesize/parse/lower/infer) concurrently.
+# the serial run's.
 ./build-tsan/inject_test --gtest_filter='CampaignParallelTest.*:CampaignTest.*:CampaignSnapshotTest.*'
 ./build-tsan/interp_test
 ./build-tsan/string_pool_test
-./build-tsan/corpus_test --gtest_filter='CorpusShardedTest.*'
-# Session façade under TSan: threads sharing one Session run CheckConfig
-# concurrently (static *and* dynamic mode — the latter replays through the
-# shared snapshot cache, concurrently with a campaign), a sharded batch and
-# a parallel campaign share the session pool at the same time, parallel
-# campaigns stream through observers, and repeated campaigns exercise the
-# persistent snapshot cache.
+# The golden corpus run: Session::RunCorpusCampaigns loads all 7 targets
+# concurrently (synthesize/parse/lower/infer outside the session lock) and
+# runs their campaigns on the session pool; every run must match the golden.
+./build-tsan/corpus_test --gtest_filter='CorpusGoldenTest.*'
+# Session façade under TSan: four threads load targets on one Session
+# (ConcurrentLoadsMatchSerialLoads), threads sharing one Session run
+# CheckConfig concurrently (static *and* dynamic mode — the latter replays
+# through the shared snapshot cache, concurrently with a campaign), a
+# sharded batch and a parallel campaign share the session pool at the
+# same time, parallel campaigns stream through observers, and repeated
+# campaigns exercise the persistent snapshot cache.
 ./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionPoolTest.*:SessionDynamicTest.*'
 ./build-tsan/dynamic_check_test
 # Fleet batch checking: the 4-worker sharded batch (parse/static-check

@@ -117,7 +117,7 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   // kDeadlineExceeded to every config that contributed it, exactly as N
   // independent timed-out checks would.
   std::vector<InjectionResult> unique_results;
-  ReplayStats replay_stats;
+  CampaignCacheStats replay_stats;
   if (dynamic && !unique.empty()) {
     ReplayLimits limits;
     limits.cancel = options.check.cancel;

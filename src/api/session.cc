@@ -1,5 +1,7 @@
 #include "src/api/session.h"
 
+#include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "src/api/dynamic_check.h"
@@ -40,66 +42,91 @@ std::string Session::RenderDiagnostics() const {
   return diags_.Render();
 }
 
+Target* Session::Load(TargetBundle bundle, const std::string& file_name) {
+  DiagnosticEngine diags;
+  auto analyze = [&]() -> std::unique_ptr<Target> {
+    TargetAnalysis analysis;
+    analysis.bundle = std::move(bundle);
+    auto unit = ParseSource(analysis.bundle.source, file_name, &diags);
+    if (diags.HasErrors()) {
+      return nullptr;
+    }
+    analysis.module = LowerToIr(*unit, &diags);
+    if (diags.HasErrors()) {
+      return nullptr;
+    }
+    AnnotationFile annotations = ParseAnnotations(analysis.bundle.annotations, &diags);
+    if (diags.HasErrors()) {
+      return nullptr;
+    }
+    analysis.lines_of_annotation = annotations.lines_of_annotation;
+    analysis.constraints =
+        SpexEngine(*analysis.module, apis_, options_.engine).Run(annotations, &diags);
+    if (diags.HasErrors()) {
+      return nullptr;
+    }
+    analysis.manual = ManualModel::Parse(analysis.bundle.manual_text, &diags);
+    if (diags.HasErrors()) {
+      return nullptr;
+    }
+    return std::unique_ptr<Target>(new Target(this, std::move(analysis)));
+  };
+  std::unique_ptr<Target> target = analyze();
+
+  // Failure is per load: diagnostics accumulate for reporting, but a bad
+  // load must not poison later loads of valid sources.
+  std::lock_guard<std::mutex> lock(mutex_);
+  diags_.Append(diags);
+  if (target == nullptr) {
+    return nullptr;
+  }
+  targets_.push_back(std::move(target));
+  return targets_.back().get();
+}
+
 Target* Session::LoadSource(std::string_view source, std::string_view annotations,
                             std::string_view name, ConfigDialect dialect, SutSpec sut,
                             std::string_view template_config) {
-  TargetAnalysis analysis;
-  analysis.bundle.name = std::string(name);
-  analysis.bundle.display_name = std::string(name);
-  analysis.bundle.dialect = dialect;
-  analysis.bundle.source = std::string(source);
-  analysis.bundle.annotations = std::string(annotations);
-  analysis.bundle.sut = std::move(sut);
-  analysis.bundle.template_config = std::string(template_config);
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Failure is per load: diagnostics accumulate for reporting, but a bad
-  // load must not poison later loads of valid sources.
-  size_t errors_before = diags_.error_count();
-  auto failed = [&] { return diags_.error_count() > errors_before; };
-  auto unit = ParseSource(analysis.bundle.source, analysis.bundle.name, &diags_);
-  if (failed()) {
-    return nullptr;
-  }
-  analysis.module = LowerToIr(*unit, &diags_);
-  if (failed()) {
-    return nullptr;
-  }
-  analysis.engine = std::make_unique<SpexEngine>(*analysis.module, apis_, options_.engine);
-  AnnotationFile annotation_file = ParseAnnotations(analysis.bundle.annotations, &diags_);
-  analysis.lines_of_annotation = annotation_file.lines_of_annotation;
-  analysis.constraints = analysis.engine->Run(annotation_file, &diags_);
-  if (failed()) {
-    return nullptr;
-  }
-  targets_.push_back(
-      std::unique_ptr<Target>(new Target(this, std::move(analysis))));
-  return targets_.back().get();
+  TargetBundle bundle;
+  bundle.name = std::string(name);
+  bundle.display_name = bundle.name;
+  bundle.dialect = dialect;
+  bundle.source = std::string(source);
+  bundle.annotations = std::string(annotations);
+  bundle.sut = std::move(sut);
+  bundle.template_config = std::string(template_config);
+  return Load(std::move(bundle), std::string(name));
 }
 
 Target* Session::LoadTarget(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t errors_before = diags_.error_count();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget(name), apis_, &diags_, options_.engine);
-  if (diags_.error_count() > errors_before) {
+  const TargetSpec* spec = LookupTarget(name);
+  if (spec == nullptr) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    diags_.Error(SourceLoc{}, "unknown corpus target '" + name + "'");
     return nullptr;
   }
-  targets_.push_back(
-      std::unique_ptr<Target>(new Target(this, std::move(analysis))));
-  return targets_.back().get();
+  return Load(SynthesizeTarget(*spec), name + ".c");
 }
 
 std::vector<CorpusCampaignResult> Session::RunCorpusCampaigns(
-    const std::vector<std::string>& target_names, CampaignOptions options,
-    size_t num_workers) {
-  // Corpus runs respect the session's resource contract: capped at
-  // SessionOptions::campaign_threads unless the caller asks for a specific
-  // worker count.
-  if (num_workers == 0) {
-    num_workers = options_.campaign_threads;
-  }
-  return spex::RunCorpusCampaigns(target_names, apis_, options, num_workers,
-                                  options_.engine);
+    const std::vector<std::string>& target_names) {
+  std::vector<CorpusCampaignResult> results(target_names.size());
+  // One shard per worker, each draining a shared cursor: target costs
+  // differ by an order of magnitude, so contiguous shards would idle. The
+  // inner campaigns stay serial — a pool worker must never ShardRange on
+  // its own pool.
+  ThreadPool* pool = worker_pool();
+  const size_t workers = std::min(pool->size(), target_names.size());
+  std::atomic<size_t> next_index{0};
+  pool->ShardRange(workers, workers, [&](size_t, size_t) {
+    for (size_t i = next_index.fetch_add(1); i < results.size(); i = next_index.fetch_add(1)) {
+      results[i].target = LoadTarget(target_names[i]);
+      if (results[i].target != nullptr) {
+        results[i].summary = results[i].target->RunCampaign();
+      }
+    }
+  });
+  return results;
 }
 
 Target::Target(Session* session, TargetAnalysis analysis)

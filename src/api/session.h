@@ -2,12 +2,12 @@
 //
 // The paper's tool is meant to live *inside* a vendor's process: infer
 // constraints once, then check every user config (and re-run injection
-// campaigns) for as long as the service is up. Every consumer used to
-// hand-wire parse -> lower -> annotate -> SpexEngine::Run -> RunCampaign;
-// Session owns that wiring plus the long-lived resources none of the
-// one-shot entry points could: the ApiRegistry, the DiagnosticEngine, the
-// shared campaign worker pool, and a boundary string-pool epoch so interned
-// boundary strings are reclaimed when the session ends.
+// campaigns) for as long as the service is up. Session is the one way to
+// load and run a target: it owns the parse -> lower -> annotate -> infer
+// wiring (one load path for corpus targets and caller sources alike) plus
+// the long-lived resources: the ApiRegistry, the accumulated diagnostics,
+// the one campaign worker pool, and a boundary string-pool epoch so
+// interned boundary strings are reclaimed when the session ends.
 //
 //   spex::Session session;
 //   spex::Target* target = session.LoadTarget("squid");          // or LoadSource(...)
@@ -24,10 +24,11 @@
 // different Targets) concurrently — in *either* check mode: static checks
 // are pure reads, and dynamic checks replay on campaign-owned probe
 // contexts over an internally synchronized snapshot cache. LoadSource()/
-// LoadTarget()/ok()/RenderDiagnostics() are internally synchronized.
-// RunCampaign(), sharded batches and corpus runs may also run
-// concurrently: they share the session's worker pool, and each call waits
-// only for its own pool tasks.
+// LoadTarget()/ok()/RenderDiagnostics() are internally synchronized, and
+// loads run their analysis outside the session lock, so concurrent loads
+// overlap and never block ok() or worker_pool(). RunCampaign(), sharded
+// batches and corpus runs may also run concurrently: they share the
+// session's worker pool, and each call waits only for its own pool tasks.
 #ifndef SPEX_API_SESSION_H_
 #define SPEX_API_SESSION_H_
 
@@ -40,7 +41,9 @@
 #include "src/api/batch_check.h"
 #include "src/api/config_checker.h"
 #include "src/api/config_set.h"
-#include "src/corpus/pipeline.h"
+#include "src/core/engine.h"
+#include "src/corpus/synthesizer.h"
+#include "src/design/manual_model.h"
 #include "src/matrix/matrix_check.h"
 #include "src/support/string_pool.h"
 #include "src/support/thread_pool.h"
@@ -49,11 +52,29 @@ namespace spex {
 
 class Target;
 
+// Everything one load produced: the target's inputs, its IR and the
+// inferred constraints. Immutable once loaded (Target::analysis()).
+struct TargetAnalysis {
+  TargetBundle bundle;
+  std::unique_ptr<Module> module;
+  ModuleConstraints constraints;
+  ManualModel manual;
+  size_t lines_of_annotation = 0;
+};
+
+// One target of a corpus run (Session::RunCorpusCampaigns). `target` is
+// null when its load failed; the error is in the session's diagnostics.
+struct CorpusCampaignResult {
+  Target* target = nullptr;
+  CampaignSummary summary;
+};
+
 struct SessionOptions {
   // Constraint-inference knobs (confidence threshold etc.).
   SpexOptions engine;
-  // Worker pool shared by every campaign this session runs: 0 = hardware
-  // concurrency. The pool is created lazily on the first parallel campaign.
+  // Worker pool shared by every parallel campaign, sharded batch and
+  // corpus run of this session: 0 = hardware concurrency. The pool is
+  // created lazily on first use.
   size_t campaign_threads = 0;
   // Extra ApiRegistry declarations (the Storage-A mechanism), parsed on
   // top of the built-in C surface at construction.
@@ -82,6 +103,7 @@ class Session {
                      std::string_view template_config = {});
 
   // Loads one of the synthesized corpus targets ("mysql", "squid", ...).
+  // An unknown name returns null and records a diagnostic naming it.
   Target* LoadTarget(const std::string& name);
 
   // Version-matrix checking: every config in `configs` checked against
@@ -105,14 +127,14 @@ class Session {
                             const MatrixOptions& options = {},
                             MatrixObserver* observer = nullptr);
 
-  // Sharded corpus regeneration through the session's registry and engine
-  // options: one analysis + campaign per target name, fanned over
-  // `num_workers` (0 = SessionOptions::campaign_threads, whose own 0 means
-  // hardware concurrency). Safe concurrently with the session's other
-  // campaigns and checks.
+  // Sharded corpus regeneration: each target name is loaded into this
+  // session (LoadTarget) and runs one serial default campaign
+  // (Target::RunCampaign()), one target per task on the session's worker
+  // pool. Results follow `target_names`' order and every summary equals a
+  // serial campaign of a fresh load. Safe concurrently with the session's
+  // other campaigns and checks.
   std::vector<CorpusCampaignResult> RunCorpusCampaigns(
-      const std::vector<std::string>& target_names, CampaignOptions options = {},
-      size_t num_workers = 0);
+      const std::vector<std::string>& target_names);
 
   const ApiRegistry& apis() const { return apis_; }
   const SessionOptions& options() const { return options_; }
@@ -129,6 +151,11 @@ class Session {
  private:
   friend class Target;
 
+  // The one load path: parse -> lower -> annotate -> infer -> manual on a
+  // local DiagnosticEngine, stopping at the first step that reports an
+  // error. Only publishing the diagnostics and the Target takes mutex_.
+  Target* Load(TargetBundle bundle, const std::string& file_name);
+
   SessionOptions options_;
   ApiRegistry apis_;
   DiagnosticEngine diags_;
@@ -136,7 +163,7 @@ class Session {
   // on behalf of this session is reclaimed when the last session closes.
   StringPoolEpoch boundary_epoch_;
   // Guards diags_, targets_ growth and pool creation (mutable: the const
-  // diagnostic accessors lock it too).
+  // diagnostic accessors lock it too). Never held during an analysis.
   mutable std::mutex mutex_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Target>> targets_;
@@ -149,7 +176,7 @@ class Target {
  public:
   const std::string& name() const { return analysis_.bundle.name; }
   ConfigDialect dialect() const { return analysis_.bundle.dialect; }
-  // Full analysis access for table/bench consumers (bundle, engine, manual).
+  // Full analysis access for table/bench consumers (bundle, module, manual).
   const TargetAnalysis& analysis() const { return analysis_; }
 
   // The inferred constraint set (computed at load; immutable afterwards).
@@ -267,8 +294,8 @@ class Target {
   void AttachVerdictStore(std::shared_ptr<VerdictStore> store);
   std::shared_ptr<VerdictStore> verdict_store();
 
-  // The generated misconfiguration batch (same order as the legacy
-  // MisconfigGenerator path, so façade campaigns are bit-identical).
+  // The generated misconfiguration batch (MisconfigGenerator order, so
+  // façade campaigns are bit-identical to a hand-driven RunAll).
   const std::vector<Misconfiguration>& Misconfigurations();
 
  private:

@@ -13,8 +13,8 @@
 //   ModuleConstraints constraints = engine.Run(annotations, &diags);
 //
 // The engine owns the analysis context and the per-parameter data-flow
-// results; downstream consumers (SPEX-INJ, the design detectors, the
-// static and dynamic ConfigChecker behind Target::CheckConfig) query both.
+// results, which tests and custom drivers may query after Run. Session
+// keeps only Run's ModuleConstraints: the engine is a local of each load.
 #ifndef SPEX_CORE_ENGINE_H_
 #define SPEX_CORE_ENGINE_H_
 

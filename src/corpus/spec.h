@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/confgen/config_file.h"
@@ -115,6 +116,8 @@ struct TargetSpec {
 
 // The seven evaluated systems (paper Table 4), quarter scale.
 std::vector<TargetSpec> EvaluatedTargets();
+// Look up one target by name; null if unknown.
+const TargetSpec* LookupTarget(std::string_view name);
 // Look up one target by name; aborts if unknown.
 const TargetSpec& FindTarget(const std::string& name);
 

@@ -496,16 +496,24 @@ std::vector<TargetSpec> EvaluatedTargets() {
   return {StorageA(), Apache(), MySql(), PostgreSql(), OpenLdap(), Vsftp(), Squid()};
 }
 
-const TargetSpec& FindTarget(const std::string& name) {
+const TargetSpec* LookupTarget(std::string_view name) {
   static const std::vector<TargetSpec>* kTargets =
       new std::vector<TargetSpec>(EvaluatedTargets());
   for (const TargetSpec& target : *kTargets) {
     if (target.name == name) {
-      return target;
+      return &target;
     }
   }
-  std::cerr << "unknown corpus target: " << name << "\n";
-  std::abort();
+  return nullptr;
+}
+
+const TargetSpec& FindTarget(const std::string& name) {
+  const TargetSpec* target = LookupTarget(name);
+  if (target == nullptr) {
+    std::cerr << "unknown corpus target: " << name << "\n";
+    std::abort();
+  }
+  return *target;
 }
 
 }  // namespace spex

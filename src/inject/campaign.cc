@@ -335,6 +335,8 @@ CampaignCacheStats InjectionCampaign::cache_stats() const {
   stats.store_hits = stat_store_hits_.load(std::memory_order_relaxed);
   stats.store_misses = stat_store_misses_.load(std::memory_order_relaxed);
   stats.store_appends = stat_store_appends_.load(std::memory_order_relaxed);
+  stats.store_reverified = stat_store_reverified_.load(std::memory_order_relaxed);
+  stats.store_mismatches = stat_store_mismatches_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -788,7 +790,7 @@ void InjectionCampaign::Replay(const std::vector<std::string>& keysets, ThreadPo
 std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
     const ConfigFile& template_config, const std::vector<Misconfiguration>& configs,
     bool use_parse_snapshot, ThreadPool* pool, size_t num_threads,
-    const ReplayLimits& limits, ReplayStats* stats) {
+    const ReplayLimits& limits, CampaignCacheStats* stats) {
   // A user-config check is worth the snapshot path even for a key-set seen
   // once: the campaign persists, so the entry pays for itself on the next
   // check of the same keys (an embedded checker sees the same handful of
@@ -877,7 +879,7 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   // never stored: they say the checker ran out of time, not what the
   // target does, and caching one would freeze a transient budget miss
   // into a permanent wrong answer.
-  ReplayStats call_stats;
+  CampaignCacheStats call_stats;
   if (store != nullptr) {
     std::vector<VerdictAppend> pending;
     for (size_t i = 0; i < configs.size(); ++i) {
@@ -906,6 +908,8 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
     stat_store_hits_.fetch_add(call_stats.store_hits, std::memory_order_relaxed);
     stat_store_misses_.fetch_add(call_stats.store_misses, std::memory_order_relaxed);
     stat_store_appends_.fetch_add(call_stats.store_appends, std::memory_order_relaxed);
+    stat_store_reverified_.fetch_add(call_stats.store_reverified, std::memory_order_relaxed);
+    stat_store_mismatches_.fetch_add(call_stats.store_mismatches, std::memory_order_relaxed);
   }
   if (stats != nullptr) {
     *stats = call_stats;

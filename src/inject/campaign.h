@@ -150,9 +150,8 @@ struct CampaignSummary {
 struct CampaignOptions {
   bool stop_at_first_failure = true;
   bool sort_tests_by_cost = true;
-  // Workers for Target::RunCampaign and the free RunCampaign: 1 = serial,
-  // 0 = the pool's width (hardware concurrency without a pool). The
-  // campaign itself takes its worker count per call (RunAll's
+  // Workers for Target::RunCampaign: 1 = serial, 0 = the session pool's
+  // width. The campaign itself takes its worker count per call (RunAll's
   // `num_threads`); results and cache counters are identical for every
   // count.
   int num_threads = 1;
@@ -197,15 +196,7 @@ struct CampaignCacheStats {
   size_t store_hits = 0;        // Replays served from the persistent store.
   size_t store_misses = 0;      // Store consulted, no record: replayed live.
   size_t store_appends = 0;     // Fresh verdicts persisted to the store.
-};
-
-// Per-call accounting for one ReplayExternal against the attached
-// VerdictStore (zeros when no store is attached).
-struct ReplayStats {
-  size_t store_hits = 0;        // Served straight from the store, no replay.
-  size_t store_misses = 0;      // Looked up, absent: replayed + appended.
-  size_t store_appends = 0;     // Records durably appended this call.
-  size_t store_reverified = 0;  // Sampled hits replayed anyway and compared.
+  size_t store_reverified = 0;  // Sampled store hits replayed anyway and compared.
   size_t store_mismatches = 0;  // Re-verifications that contradicted the store.
 };
 
@@ -287,14 +278,15 @@ class InjectionCampaign {
   // ReattributeResult copies); a miss replays live and the fresh verdict
   // is appended afterwards (kDeadlineExceeded verdicts are never stored:
   // they describe the checker's budget, not the target). `stats`, when
-  // non-null, receives this call's store accounting.
+  // non-null, receives this call's increments of the store_* counters
+  // (its replay-path counters stay 0: read cache_stats() for those).
   std::vector<InjectionResult> ReplayExternal(const ConfigFile& template_config,
                                               const std::vector<Misconfiguration>& configs,
                                               bool use_parse_snapshot = true,
                                               ThreadPool* pool = nullptr,
                                               size_t num_threads = 1,
                                               const ReplayLimits& limits = {},
-                                              ReplayStats* stats = nullptr);
+                                              CampaignCacheStats* stats = nullptr);
 
   // Attaches (or replaces: pass nullptr to detach) the persistent verdict
   // store consulted by ReplayExternal. `scope` must fold in every input
@@ -480,6 +472,8 @@ class InjectionCampaign {
   mutable std::atomic<size_t> stat_store_hits_{0};
   mutable std::atomic<size_t> stat_store_misses_{0};
   mutable std::atomic<size_t> stat_store_appends_{0};
+  mutable std::atomic<size_t> stat_store_reverified_{0};
+  mutable std::atomic<size_t> stat_store_mismatches_{0};
 };
 
 }  // namespace spex

@@ -1,7 +1,5 @@
 #include "src/matrix/version_set.h"
 
-#include <algorithm>
-
 #include "src/api/session.h"
 #include "src/corpus/spec.h"
 
@@ -17,16 +15,8 @@ Status ValidateVersion(const TargetVersion& version) {
                    : "version '" + version.label +
                          "' names neither a corpus target nor a source");
   }
-  if (has_corpus) {
-    // FindTarget aborts on unknown names — the same serving-boundary
-    // rationale as TargetPool::Acquire: validate against the spec table
-    // first so an unknown version is a Status, not a process exit.
-    std::vector<TargetSpec> known = EvaluatedTargets();
-    if (std::none_of(known.begin(), known.end(), [&](const TargetSpec& spec) {
-          return spec.name == version.corpus;
-        })) {
-      return Status::NotFound("unknown corpus target '" + version.corpus + "'");
-    }
+  if (has_corpus && LookupTarget(version.corpus) == nullptr) {
+    return Status::NotFound("unknown corpus target '" + version.corpus + "'");
   }
   return Status::Ok();
 }

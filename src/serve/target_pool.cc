@@ -30,17 +30,9 @@ std::shared_ptr<TargetPool::Entry> TargetPool::Acquire(const std::string& name,
     return it->second.entry;
   }
 
-  // Validate the name before FindTarget — the corpus lookup aborts on
-  // unknown names, and turning untrusted input into an abort is the one
-  // thing a serving boundary must never do.
-  bool known = false;
-  for (const TargetSpec& spec : EvaluatedTargets()) {
-    if (spec.name == name) {
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
+  // An unknown name is the caller's mistake (kNotFound), not a failed
+  // load, and costs no Session.
+  if (LookupTarget(name) == nullptr) {
     *status = Status::NotFound("unknown target '" + name + "'");
     return nullptr;
   }

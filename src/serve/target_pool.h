@@ -89,12 +89,11 @@ class TargetPool {
   TargetPool(const TargetPool&) = delete;
   TargetPool& operator=(const TargetPool&) = delete;
 
-  // Find-or-load. Unknown corpus names return kNotFound (checked against
-  // EvaluatedTargets() up front — corpus FindTarget aborts on unknown
-  // names, and an abort is exactly what a serving boundary exists to
-  // prevent); a load whose analysis fails returns kInternal with the
-  // diagnostics. On success the entry is pinned by the returned
-  // shared_ptr for as long as the caller holds it.
+  // Find-or-load. Unknown corpus names return kNotFound (checked with
+  // LookupTarget before any Session is built); a load whose analysis
+  // fails returns kInternal with the diagnostics. On success the entry
+  // is pinned by the returned shared_ptr for as long as the caller holds
+  // it.
   std::shared_ptr<Entry> Acquire(const std::string& name, Status* status);
 
   // Consumes one replay token from `entry`'s bucket. True = the dynamic

@@ -46,6 +46,12 @@ std::string DiagnosticEngine::Render() const {
   return out.str();
 }
 
+void DiagnosticEngine::Append(const DiagnosticEngine& other) {
+  diagnostics_.insert(diagnostics_.end(), other.diagnostics_.begin(), other.diagnostics_.end());
+  error_count_ += other.error_count_;
+  warning_count_ += other.warning_count_;
+}
+
 void DiagnosticEngine::Clear() {
   diagnostics_.clear();
   error_count_ = 0;

@@ -40,6 +40,9 @@ class DiagnosticEngine {
   // for surfacing parse failures in tools.
   std::string Render() const;
 
+  // Appends every diagnostic `other` recorded, counts included.
+  void Append(const DiagnosticEngine& other);
+
   void Clear();
 
  private:

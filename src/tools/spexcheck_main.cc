@@ -629,15 +629,11 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
 // missing file is a clean exit 2 before any analysis runs.
 bool BuildVersions(const CliOptions& options, std::vector<TargetVersion>* versions,
                    std::string* error) {
-  // Validate corpus names up front (FindTarget aborts on unknown names).
-  std::vector<TargetSpec> known = EvaluatedTargets();
   for (const VersionArg& arg : options.versions) {
     TargetVersion version;
     version.label = arg.label;
     if (!arg.corpus.empty()) {
-      if (std::none_of(known.begin(), known.end(), [&](const TargetSpec& spec) {
-            return spec.name == arg.corpus;
-          })) {
+      if (LookupTarget(arg.corpus) == nullptr) {
         *error = "unknown target '" + arg.corpus + "' (try --list-targets)";
         return false;
       }

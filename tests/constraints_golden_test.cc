@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/corpus/pipeline.h"
+#include "src/api/session.h"
 
 namespace spex {
 namespace {
@@ -98,12 +98,15 @@ void DumpParam(const ParamConstraints& p, std::ostream& out) {
 }
 
 std::string DumpCorpus() {
-  static ApiRegistry apis = ApiRegistry::BuiltinC();
+  Session session;
   std::ostringstream out;
   for (const TargetSpec& spec : EvaluatedTargets()) {
-    DiagnosticEngine diags;
-    TargetAnalysis analysis = AnalyzeTarget(spec, apis, &diags);
-    const ModuleConstraints& c = analysis.constraints;
+    Target* target = session.LoadTarget(spec.name);
+    EXPECT_NE(target, nullptr) << session.RenderDiagnostics();
+    if (target == nullptr) {
+      continue;
+    }
+    const ModuleConstraints& c = target->InferConstraints();
     out << "target " << spec.name << " params=" << c.params.size()
         << " control_deps=" << c.control_deps.size() << " value_rels=" << c.value_rels.size()
         << "\n";

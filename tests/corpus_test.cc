@@ -2,13 +2,20 @@
 // analyzes, and passes its baseline; synthesis is deterministic; accuracy
 // and vulnerability shapes hold (TEST_P across all seven targets); and
 // every campaign run of the corpus matches tests/golden/corpus_campaign.txt.
-#include "src/corpus/pipeline.h"
-
+//
+// All of them read one shared sharded corpus run
+// (Session::RunCorpusCampaigns): its loaded targets and its summaries.
+// The campaign golden is generated from one serial Target::RunCampaign()
+// per target, so the test also pins "sharded == serial". When an intended
+// change alters a verdict, regenerate it and review the diff:
+//   SPEX_REGENERATE_GOLDEN=1 ./corpus_test --gtest_filter='CorpusGoldenTest.*'
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
+#include <map>
 #include <sstream>
 
 #include "src/api/session.h"
@@ -18,19 +25,47 @@
 namespace spex {
 namespace {
 
+const char* kCampaignGoldenPath = SPEX_SOURCE_DIR "/tests/golden/corpus_campaign.txt";
+
+const std::vector<std::string>& CorpusNames() {
+  static const std::vector<std::string>* kNames = [] {
+    auto* names = new std::vector<std::string>();
+    for (const TargetSpec& spec : EvaluatedTargets()) {
+      names->push_back(spec.name);
+    }
+    return names;
+  }();
+  return *kNames;
+}
+
+// The shared corpus run, in EvaluatedTargets() order (leaked with its
+// session: the targets must outlive every test).
+const std::vector<CorpusCampaignResult>& CorpusRuns() {
+  static Session* kSession = new Session();
+  static const std::vector<CorpusCampaignResult>* kRuns = [] {
+    auto* runs =
+        new std::vector<CorpusCampaignResult>(kSession->RunCorpusCampaigns(CorpusNames()));
+    EXPECT_TRUE(kSession->ok()) << kSession->RenderDiagnostics();
+    return runs;
+  }();
+  return *kRuns;
+}
+
+const CorpusCampaignResult& CorpusRun(const std::string& name) {
+  for (const CorpusCampaignResult& run : CorpusRuns()) {
+    if (run.target != nullptr && run.target->name() == name) {
+      return run;
+    }
+  }
+  // Every test of the target needs its load; a failed load is fatal.
+  std::cerr << "corpus run failed to load " << name << "\n";
+  std::abort();
+}
+
 class CorpusTargetTest : public ::testing::TestWithParam<std::string> {
  protected:
   static const TargetAnalysis& Analysis(const std::string& name) {
-    static std::map<std::string, TargetAnalysis>* kCache =
-        new std::map<std::string, TargetAnalysis>();
-    auto it = kCache->find(name);
-    if (it == kCache->end()) {
-      DiagnosticEngine diags;
-      static ApiRegistry apis = ApiRegistry::BuiltinC();
-      it = kCache->emplace(name, AnalyzeTarget(FindTarget(name), apis, &diags)).first;
-      EXPECT_FALSE(diags.HasErrors()) << name << ":\n" << diags.Render();
-    }
-    return it->second;
+    return CorpusRun(name).target->analysis();
   }
 };
 
@@ -80,13 +115,13 @@ TEST_P(CorpusTargetTest, MappedParamCountMatchesSpec) {
 }
 
 TEST_P(CorpusTargetTest, CampaignFindsVulnerabilitiesDeterministically) {
-  const TargetAnalysis& analysis = Analysis(GetParam());
   // The default snapshot-replay path must be indistinguishable from the
   // ground-truth full replay on every corpus target.
-  CampaignSummary first = RunCampaign(analysis);
+  const CorpusCampaignResult& run = CorpusRun(GetParam());
+  const CampaignSummary& first = run.summary;
   CampaignOptions full_replay;
   full_replay.use_parse_snapshot = false;
-  CampaignSummary second = RunCampaign(analysis, full_replay);
+  CampaignSummary second = run.target->RunCampaign(full_replay);
   EXPECT_EQ(first.TotalVulnerabilities(), second.TotalVulnerabilities());
   EXPECT_GT(first.TotalVulnerabilities(), 0u) << "every system has some vulnerability";
   ASSERT_EQ(first.results.size(), second.results.size());
@@ -104,43 +139,7 @@ INSTANTIATE_TEST_SUITE_P(AllTargets, CorpusTargetTest,
                          [](const auto& info) { return info.param; });
 
 // --- Campaign golden: every one of the corpus's injection runs, pinned
-// across commits. The golden is generated from one serial
-// Target::RunCampaign() per target; the test reads the sharded corpus run,
-// so it also pins "sharded == serial". When an intended change alters a
-// verdict, regenerate it and review the diff:
-//   SPEX_REGENERATE_GOLDEN=1 ./corpus_test --gtest_filter='CorpusGoldenTest.*'
-
-const char* kCampaignGoldenPath = SPEX_SOURCE_DIR "/tests/golden/corpus_campaign.txt";
-
-const std::vector<std::string>& CorpusNames() {
-  static const std::vector<std::string>* kNames = [] {
-    auto* names = new std::vector<std::string>();
-    for (const TargetSpec& spec : EvaluatedTargets()) {
-      names->push_back(spec.name);
-    }
-    return names;
-  }();
-  return *kNames;
-}
-
-struct CorpusRun {
-  std::string name;
-  CampaignSummary summary;
-};
-
-// One sharded corpus run shared by the golden and shape tests.
-const std::vector<CorpusRun>& CorpusRuns() {
-  static const std::vector<CorpusRun>* kRuns = [] {
-    Session session;
-    auto* runs = new std::vector<CorpusRun>();
-    for (CorpusCampaignResult& result : session.RunCorpusCampaigns(CorpusNames())) {
-      EXPECT_TRUE(result.diagnostics.empty()) << result.target << ":\n" << result.diagnostics;
-      runs->push_back({result.target, std::move(result.summary)});
-    }
-    return runs;
-  }();
-  return *kRuns;
-}
+// across commits.
 
 // Tabs, newlines and non-printable bytes escaped, so every run is one line.
 std::string Escape(std::string_view text) {
@@ -193,8 +192,9 @@ TEST(CorpusGoldenTest, CampaignRunsMatchGolden) {
     std::ofstream(kCampaignGoldenPath, std::ios::binary) << actual.str();
     GTEST_SKIP() << "regenerated " << kCampaignGoldenPath;
   }
-  for (const CorpusRun& run : CorpusRuns()) {
-    DumpCampaign(run.name, run.summary, actual);
+  for (const CorpusCampaignResult& run : CorpusRuns()) {
+    ASSERT_NE(run.target, nullptr);
+    DumpCampaign(run.target->name(), run.summary, actual);
   }
   std::ifstream in(kCampaignGoldenPath, std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing golden file " << kCampaignGoldenPath;
@@ -215,8 +215,8 @@ TEST(CorpusGoldenTest, CampaignRunsMatchGolden) {
 TEST(CorpusShapeTest, PaperHeadlineShapesHold) {
   // Cross-target properties the paper's evaluation leans on.
   std::map<std::string, CampaignSummary> summaries;
-  for (const CorpusRun& run : CorpusRuns()) {
-    summaries[run.name] = run.summary;
+  for (const std::string& name : CorpusNames()) {
+    summaries[name] = CorpusRun(name).summary;
   }
   // 1. Storage-A (commercial, hardened) exposes no crashes or hangs.
   EXPECT_EQ(summaries["storage_a"].CountCategory(ReactionCategory::kCrashHang), 0u);

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
-#include "src/corpus/pipeline.h"
+#include "src/api/session.h"
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
 #include "src/support/strings.h"
@@ -330,14 +330,14 @@ void ExpectSameCacheStats(const CampaignCacheStats& expected, const CampaignCach
 // run result for result *and* counter for counter — no worker may find a
 // snapshot still building or verify a key-set another worker is verifying.
 TEST(CampaignParallelTest, ParallelRunAllMatchesSerialOnEveryCorpusTarget) {
-  ApiRegistry apis = ApiRegistry::BuiltinC();
+  Session session;
   ThreadPool pool(4);
   for (const char* name :
        {"storage_a", "apache", "mysql", "postgresql", "openldap", "vsftpd", "squid"}) {
     SCOPED_TRACE(name);
-    DiagnosticEngine diags;
-    TargetAnalysis analysis = AnalyzeTarget(FindTarget(name), apis, &diags);
-    ASSERT_FALSE(diags.HasErrors()) << diags.Render();
+    Target* target = session.LoadTarget(name);
+    ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+    const TargetAnalysis& analysis = target->analysis();
 
     MisconfigGenerator generator;
     std::vector<Misconfiguration> configs = generator.Generate(analysis.constraints);
@@ -363,10 +363,10 @@ TEST(CampaignParallelTest, ParallelRunAllMatchesSerialOnEveryCorpusTarget) {
 // --- Snapshot-replay determinism and fallbacks.
 
 TEST(CampaignSnapshotTest, SnapshotReplayBitIdenticalToFullReplaySquid) {
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
-  ASSERT_FALSE(diags.HasErrors()) << diags.Render();
+  Session session;
+  Target* target = session.LoadTarget("squid");
+  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+  const TargetAnalysis& analysis = target->analysis();
 
   MisconfigGenerator generator;
   std::vector<Misconfiguration> configs = generator.Generate(analysis.constraints);
@@ -394,10 +394,10 @@ TEST(CampaignSnapshotTest, SnapshotReplayBitIdenticalToFullReplaySquid) {
 // template's snapshots, a call with another template runs ground truth
 // without touching the cache, and the first template stays warm.
 TEST(CampaignSnapshotTest, ForeignTemplateRunsGroundTruthAndKeepsTheCache) {
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("vsftpd"), apis, &diags);
-  ASSERT_FALSE(diags.HasErrors()) << diags.Render();
+  Session session;
+  Target* target = session.LoadTarget("vsftpd");
+  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+  const TargetAnalysis& analysis = target->analysis();
   std::vector<Misconfiguration> configs = MisconfigGenerator().Generate(analysis.constraints);
   ASSERT_GT(configs.size(), 10u);
   ConfigFile template_a =

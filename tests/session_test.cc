@@ -1,7 +1,8 @@
 // spex::Session façade tests: the user-facing ConfigChecker (one seeded
-// violation per constraint category), clean-config behaviour, campaign
-// bit-identity through the façade vs. the legacy free-function path,
-// snapshot-cache reuse across repeated campaigns, streaming observers,
+// violation per constraint category), clean-config behaviour, loads
+// (unknown corpus names, concurrent loads on one session), campaign
+// bit-identity across thread counts, snapshot-cache reuse across
+// repeated campaigns, streaming observers,
 // boundary string-pool flatness over a session's lifetime, and the dynamic
 // check mode (observed Table-3 reactions per seeded category, bit-identity
 // against ground-truth full replay, warm-cache reuse, concurrency).
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "src/inject/generator.h"
@@ -243,7 +245,17 @@ TEST(SessionCheckTest, EngineOptionsApplyToLoadTarget) {
   EXPECT_FALSE(default_target->InferConstraints().control_deps.empty());
 }
 
-// --- Façade campaigns vs. the legacy free-function path.
+TEST(SessionCheckTest, UnknownCorpusTargetReturnsNullWithDiagnostic) {
+  Session session;
+  EXPECT_EQ(session.LoadTarget("no_such_target"), nullptr);
+  EXPECT_FALSE(session.ok());
+  EXPECT_NE(session.RenderDiagnostics().find("no_such_target"), std::string::npos)
+      << session.RenderDiagnostics();
+  // The failed lookup does not poison later loads.
+  EXPECT_NE(session.LoadTarget("vsftpd"), nullptr) << session.RenderDiagnostics();
+}
+
+// --- Façade campaigns.
 
 void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary& actual,
                          const char* label) {
@@ -262,27 +274,16 @@ void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary&
   EXPECT_EQ(actual.total_tests_run, expected.total_tests_run) << label;
 }
 
-TEST(SessionCampaignTest, FacadeCampaignBitIdenticalToLegacyPath) {
-  // Legacy hand-wired path.
-  DiagnosticEngine diags;
-  ApiRegistry apis = ApiRegistry::BuiltinC();
-  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
-  ASSERT_FALSE(diags.HasErrors()) << diags.Render();
-  CampaignOptions serial;
-  serial.num_threads = 1;
-  CampaignSummary legacy_serial = RunCampaign(analysis, serial);
-  CampaignOptions parallel;
-  parallel.num_threads = 4;
-  CampaignSummary legacy_parallel = RunCampaign(analysis, parallel);
-
-  // Façade path.
+TEST(SessionCampaignTest, FacadeCampaignBitIdenticalAcrossThreadCounts) {
   Session session;
   Target* target = session.LoadTarget("squid");
   ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
-  ExpectSameSummaries(legacy_serial, target->RunCampaign(serial), "facade serial");
-  ExpectSameSummaries(legacy_parallel, target->RunCampaign(parallel), "facade 4 workers");
-  // And the other direction: serial == parallel through the façade.
-  ExpectSameSummaries(legacy_serial, legacy_parallel, "legacy serial vs parallel");
+  CampaignOptions serial;
+  serial.num_threads = 1;
+  CampaignOptions parallel;
+  parallel.num_threads = 4;
+  ExpectSameSummaries(target->RunCampaign(serial), target->RunCampaign(parallel),
+                      "serial vs 4 workers");
 }
 
 TEST(SessionCampaignTest, RepeatedCampaignReusesSnapshots) {
@@ -868,6 +869,84 @@ TEST(SessionThreadedTest, ConcurrentCheckConfigOnSharedSession) {
   a.join();
   b.join();
   EXPECT_EQ(total_violations.load(), 200u);
+}
+
+// Every inferred constraint with its location, one per line, so two loads
+// compare as strings.
+std::string DescribeConstraints(const ModuleConstraints& constraints) {
+  std::ostringstream out;
+  for (const ParamConstraints& p : constraints.params) {
+    out << p.param << " style=" << static_cast<int>(p.style) << " " << p.loc.ToString()
+        << " case=" << static_cast<int>(p.case_sensitivity)
+        << " time=" << static_cast<int>(p.time_unit) << " size=" << static_cast<int>(p.size_unit)
+        << " usage=" << p.has_usage << "\n";
+    if (p.basic_type.has_value()) {
+      out << "  basic " << p.basic_type->ToString() << " " << p.basic_type->loc.ToString() << "\n";
+    }
+    for (const SemanticTypeConstraint& s : p.semantic_types) {
+      out << "  semantic " << s.ToString() << " " << s.loc.ToString() << "\n";
+    }
+    if (p.range.has_value()) {
+      out << "  range " << p.range->ToString() << " " << p.range->loc.ToString() << "\n";
+    }
+    if (p.permission.has_value()) {
+      out << "  permission " << p.permission->ToString() << "\n";
+    }
+    for (const UnsafeApiUse& use : p.unsafe_uses) {
+      out << "  unsafe " << use.api << " " << use.loc.ToString() << "\n";
+    }
+  }
+  for (const ControlDepConstraint& d : constraints.control_deps) {
+    out << d.ToString() << " " << d.loc.ToString() << "\n";
+  }
+  for (const ValueRelConstraint& v : constraints.value_rels) {
+    out << v.ToString() << " " << v.loc.ToString() << "\n";
+  }
+  return out.str();
+}
+
+// Loads run their analysis outside the session lock: four threads loading
+// on one Session (three corpus targets and a source with a syntax error)
+// get exactly the constraints of serial loads, and the bad load's error is
+// recorded once. TSan-run by scripts/smoke.sh.
+TEST(SessionThreadedTest, ConcurrentLoadsMatchSerialLoads) {
+  const std::vector<std::string> names = {"squid", "mysql", "vsftpd"};
+  std::vector<std::string> expected;
+  for (const std::string& name : names) {
+    Session serial;
+    Target* target = serial.LoadTarget(name);
+    ASSERT_NE(target, nullptr) << serial.RenderDiagnostics();
+    expected.push_back(DescribeConstraints(target->InferConstraints()));
+  }
+
+  Session session;
+  std::vector<Target*> loaded(names.size(), nullptr);
+  Target* broken = nullptr;
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < names.size(); ++i) {
+    threads.emplace_back([&, i] { loaded[i] = session.LoadTarget(names[i]); });
+  }
+  threads.emplace_back([&] { broken = session.LoadSource("int broken = ;", "", "broken.c"); });
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_EQ(broken, nullptr);
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_NE(loaded[i], nullptr) << names[i] << ":\n" << session.RenderDiagnostics();
+    EXPECT_EQ(loaded[i]->name(), names[i]);
+    EXPECT_EQ(DescribeConstraints(loaded[i]->InferConstraints()), expected[i]) << names[i];
+  }
+  // The bad load's diagnostics appear once, as one contiguous block.
+  Session serial_broken;
+  EXPECT_EQ(serial_broken.LoadSource("int broken = ;", "", "broken.c"), nullptr);
+  const std::string want = serial_broken.RenderDiagnostics();
+  ASSERT_FALSE(want.empty());
+  EXPECT_FALSE(session.ok());
+  const std::string diagnostics = session.RenderDiagnostics();
+  const size_t first = diagnostics.find(want);
+  ASSERT_NE(first, std::string::npos) << diagnostics;
+  EXPECT_EQ(diagnostics.find(want, first + 1), std::string::npos) << diagnostics;
 }
 
 // Any number of concurrent *dynamic* checks on one shared Session — the

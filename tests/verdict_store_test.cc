@@ -517,6 +517,9 @@ TEST(VerdictStoreBatchTest, SampledReverificationConfirmsWithoutRewrites) {
   BatchSummary checked = target->CheckConfigBatch(corpus, options);
   EXPECT_EQ(checked.unique_replays, 7u) << "re-verified hits replay live";
   EXPECT_EQ(checked.store_appends, 0u) << "confirmations rewrite nothing";
+  CampaignCacheStats stats = target->campaign_cache_stats();
+  EXPECT_EQ(stats.store_reverified, 7u);
+  EXPECT_EQ(stats.store_mismatches, 0u);
   ASSERT_EQ(checked.reports.size(), cold.reports.size());
   for (size_t i = 0; i < cold.reports.size(); ++i) {
     ExpectSameViolations(cold.reports[i].violations, checked.reports[i].violations,
