@@ -323,5 +323,148 @@ TEST(InterpTest, ResetRestoresCachedGlobalsImage) {
   EXPECT_EQ(mutated.interp->ReadGlobal("stored")->AsInt(), 77);
 }
 
+// --- Memory model. These pin the cell semantics every replay relies on:
+// escaped &locals, pointer arithmetic on element addresses, deep paths,
+// type-derived defaults and the out-of-bounds trap text.
+
+TEST(InterpMemoryTest, LocalAddressStoredToGlobalOutlivesItsFrame) {
+  Sut sut(R"(
+    int *g;
+    int leak() { int x = 41; g = &x; return 0; }
+    int peek() { return *g; }
+  )");
+  ASSERT_TRUE(sut.Call("leak").ok());
+  EXPECT_EQ(sut.interp->stale_cell_ops(), 0);
+  CallOutcome outcome = sut.Call("peek");
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome.return_value.AsInt(), 41);
+  EXPECT_EQ(sut.interp->stale_cell_ops(), 1);
+}
+
+TEST(InterpMemoryTest, LocalAddressReturnedFromItsOwnFrame) {
+  Sut sut(R"(
+    int *make(int v) { int x = v; return &x; }
+    int use() { return *make(6) + 1; }
+  )");
+  CallOutcome outcome = sut.Call("use");
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome.return_value.AsInt(), 7);
+  EXPECT_EQ(sut.interp->stale_cell_ops(), 1);
+}
+
+TEST(InterpMemoryTest, EscapedLocalSurvivesExitUnwinding) {
+  Sut sut(R"(
+    int *g;
+    int leak_then_exit() { int x = 41; g = &x; exit(2); return 0; }
+    int peek() { return *g; }
+  )");
+  CallOutcome died = sut.Call("leak_then_exit");
+  ASSERT_EQ(died.status, CallOutcome::Status::kExit);
+  CallOutcome outcome = sut.Call("peek");
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome.return_value.AsInt(), 41);
+  EXPECT_EQ(sut.interp->stale_cell_ops(), 1);
+}
+
+TEST(InterpMemoryTest, SnapshotWithEscapedCellRestoresIntoAnotherInterpreter) {
+  Sut sut(R"(
+    int *g;
+    int leak(int v) { int x = v; g = &x; return 0; }
+    int peek() { return *g; }
+  )");
+  ASSERT_TRUE(sut.Call("leak", {RtValue::Int(41)}).ok());
+  Interpreter::Snapshot snapshot = sut.interp->TakeSnapshot();
+  // The taking interpreter moves on; the snapshot must not follow it.
+  ASSERT_TRUE(sut.Call("leak", {RtValue::Int(99)}).ok());
+  EXPECT_EQ(sut.Call("peek").return_value.AsInt(), 99);
+
+  OsSimulator os = OsSimulator::StandardEnvironment();
+  Interpreter other(*sut.module, &os);
+  other.RestoreSnapshot(snapshot);
+  CallOutcome outcome = other.Call("peek", {});
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome.return_value.AsInt(), 41);
+  EXPECT_EQ(other.stale_cell_ops(), 1);
+
+  sut.interp->RestoreSnapshot(snapshot);
+  EXPECT_EQ(sut.Call("peek").return_value.AsInt(), 41);
+}
+
+TEST(InterpMemoryTest, IndexingAnElementAddressExtendsThePath) {
+  // p = &buf[1]; p[2] names the cell [1, 2], not buf[3] (no flattening).
+  Sut sut(R"(
+    int buf[8];
+    int poke() { int *p = &buf[1]; p[2] = 5; return buf[3]; }
+    int peek() { int *p = &buf[1]; return p[2]; }
+    int local_poke() { int b[4]; int *p = &b[1]; p[2] = 5; return b[3] * 10 + p[2]; }
+  )");
+  CallOutcome poked = sut.Call("poke");
+  ASSERT_TRUE(poked.ok());
+  EXPECT_EQ(poked.return_value.AsInt(), 0);
+  EXPECT_EQ(sut.Call("peek").return_value.AsInt(), 5);
+  EXPECT_EQ(sut.Call("local_poke").return_value.AsInt(), 5);
+}
+
+TEST(InterpMemoryTest, DepthThreePathsAreDistinctCells) {
+  Sut sut(R"(
+    struct inner { int a; int b; };
+    struct outer { int tag; struct inner in; };
+    struct outer rows[2];
+    int set(int v) { rows[1].in.a = v; rows[1].in.b = v + 1; rows[0].in.a = v + 2; return 0; }
+    int get() { return rows[1].in.a * 10000 + rows[1].in.b * 100 + rows[0].in.a; }
+    int far() { return rows[5].in.a; }
+  )");
+  ASSERT_TRUE(sut.Call("set", {RtValue::Int(3)}).ok());
+  EXPECT_EQ(sut.Call("get").return_value.AsInt(), 3 * 10000 + 4 * 100 + 5);
+  // Bounds are checked on the first path step only.
+  CallOutcome far = sut.Call("far");
+  EXPECT_EQ(far.status, CallOutcome::Status::kTrap);
+  EXPECT_NE(far.trap_reason.find("array index 5 out of bounds 0..1"), std::string::npos)
+      << far.trap_reason;
+}
+
+TEST(InterpMemoryTest, UntouchedCellsDefaultByLeafType) {
+  Sut sut(R"(
+    struct rec { int n; double ratio; char *name; int *ptr; };
+    struct rec r;
+    double ratios[4];
+    int global_name() { log_info("name=%s ptr=%s n=%d", r.name, r.ptr, r.n); return 0; }
+    int global_ptr_is_null() { if (r.ptr == NULL) { return 1; } return 0; }
+    double global_ratio() { return r.ratio / r.ratio; }
+    double element_ratio() { return ratios[2] / ratios[2]; }
+    int local_name() {
+      struct rec l;
+      log_info("name=%s ptr=%s n=%d", l.name, l.ptr, l.n);
+      return 0;
+    }
+    double local_ratio() { struct rec l; return l.ratio / l.ratio; }
+  )");
+  ASSERT_TRUE(sut.Call("global_name").ok());
+  ASSERT_TRUE(sut.Call("local_name").ok());
+  ASSERT_EQ(sut.interp->logs().size(), 2u);
+  EXPECT_EQ(sut.interp->logs()[0], "INFO: name=(null) ptr=(null) n=0");
+  EXPECT_EQ(sut.interp->logs()[1], "INFO: name=(null) ptr=(null) n=0");
+  EXPECT_EQ(sut.Call("global_ptr_is_null").return_value.AsInt(), 1);
+  // A float cell divides on the float path, whose trap text differs from
+  // the integer path's: the untouched cell is a 0.0, not an integer 0.
+  for (const char* fn : {"global_ratio", "element_ratio", "local_ratio"}) {
+    CallOutcome outcome = sut.Call(fn);
+    EXPECT_EQ(outcome.status, CallOutcome::Status::kTrap) << fn;
+    EXPECT_EQ(outcome.trap_reason, "Floating point exception (division by zero)") << fn;
+  }
+}
+
+TEST(InterpMemoryTest, OutOfBoundsTrapTextIsExact) {
+  Sut sut("int slots[4];\nint poke(int i) { slots[i] = 1; return 0; }\n"
+          "int local(int i) { int b[3]; return b[i]; }\n");
+  EXPECT_TRUE(sut.Call("poke", {RtValue::Int(3)}).ok());
+  CallOutcome high = sut.Call("poke", {RtValue::Int(4)});
+  EXPECT_EQ(high.status, CallOutcome::Status::kTrap);
+  EXPECT_EQ(high.trap_reason, "Segmentation fault (array index 4 out of bounds 0..3 at sut.c:2:28)");
+  CallOutcome low = sut.Call("local", {RtValue::Int(-1)});
+  EXPECT_EQ(low.status, CallOutcome::Status::kTrap);
+  EXPECT_EQ(low.trap_reason, "Segmentation fault (array index -1 out of bounds 0..2 at sut.c:3:38)");
+}
+
 }  // namespace
 }  // namespace spex
