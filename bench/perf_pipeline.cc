@@ -184,6 +184,74 @@ void BM_SnapshotRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRestore);
 
+// One storage_a replay at the interpreter layer — the unit of work of
+// every campaign run, fleet replay and served check (storage_a is the
+// costliest corpus target per run). /full replays the template from a
+// fresh Reset(): parse every setting, init, tests. /delta restores a
+// snapshot taken after every setting but the last, then parses the last
+// one, inits and tests — the campaign's delta-replay path. Counters:
+// `steps` per replay (IR instructions, so it must not move when only the
+// interpreter's speed changes) and `ns_per_step`.
+void BM_ReplayStorageA(benchmark::State& state, bool delta) {
+  static const TargetAnalysis* kAnalysis = [] {
+    Session* session = new Session();
+    Target* target = session->LoadTarget("storage_a");
+    if (target == nullptr) {
+      std::cerr << "perf_pipeline: loading storage_a failed\n" << session->RenderDiagnostics();
+      std::abort();
+    }
+    return &target->analysis();
+  }();
+  const SutSpec& sut = kAnalysis->bundle.sut;
+  ConfigFile template_config =
+      ConfigFile::Parse(kAnalysis->bundle.template_config, kAnalysis->bundle.dialect);
+  std::vector<const ConfigEntry*> settings;
+  for (const ConfigEntry& entry : template_config.entries()) {
+    if (entry.kind == ConfigEntry::Kind::kSetting) {
+      settings.push_back(&entry);
+    }
+  }
+  OsSimulator os = OsSimulator::StandardEnvironment();
+  Interpreter interp(*kAnalysis->module, &os);
+  auto parse = [&](const ConfigEntry& entry) {
+    interp.Call(sut.parse_function,
+                {interp.InternedString(entry.key), interp.InternedString(entry.value)});
+  };
+  const size_t prefix = delta ? settings.size() - 1 : 0;
+  for (size_t i = 0; i < prefix; ++i) {
+    parse(*settings[i]);
+  }
+  Interpreter::Snapshot snapshot = interp.TakeSnapshot();
+  const int64_t snapshot_steps = interp.steps_used();
+  const OsSimulator os_template = os;
+  int64_t steps = 0;
+  double elapsed_ns = 0;
+  for (auto _ : state) {
+    auto start = std::chrono::steady_clock::now();
+    os = os_template;
+    if (delta) {
+      interp.RestoreSnapshot(snapshot);
+    } else {
+      interp.Reset();
+    }
+    for (size_t i = prefix; i < settings.size(); ++i) {
+      parse(*settings[i]);
+    }
+    benchmark::DoNotOptimize(interp.Call(sut.init_function, {}));
+    for (const TestCase& test : sut.tests) {
+      benchmark::DoNotOptimize(interp.Call(test.function, {}));
+    }
+    elapsed_ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+                      .count();
+    steps += interp.steps_used() - (delta ? snapshot_steps : 0);
+  }
+  state.counters["steps"] =
+      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kAvgIterations);
+  state.counters["ns_per_step"] = steps > 0 ? elapsed_ns / static_cast<double>(steps) : 0;
+}
+BENCHMARK_CAPTURE(BM_ReplayStorageA, full, false)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ReplayStorageA, delta, true)->Unit(benchmark::kMicrosecond);
+
 // Full-campaign fixture: squid constraints, generated misconfigurations
 // tiled to a >= 200-entry batch so thread scaling has enough work.
 struct CampaignFixture {

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# CI smoke: build Release + ThreadSanitizer configurations and run the test
-# suite under both. The TSan configuration exists specifically to catch
+# CI smoke: build Release, ASan+UBSan and ThreadSanitizer configurations and
+# run the test suite under them. The ASan+UBSan configuration runs the whole
+# ctest suite (paper goldens included): the checker must have no host-level
+# undefined behaviour, whatever the config values it replays. The TSan
+# configuration exists specifically to catch
 # data races in the one replay scheduler (ThreadPool::ShardRange callers
 # sharing a pool, whole key-sets per worker in RunAll and ReplayExternal)
 # and in the spex::Session embedding contract (concurrent checks, batches
@@ -8,8 +11,9 @@
 # repeated campaigns), so it always runs those tests even in quick mode.
 #
 # Usage:
-#   scripts/smoke.sh          # full: Release ctest + TSan campaign/session tests
-#   scripts/smoke.sh --quick  # Release build + campaign/interp/session tests only
+#   scripts/smoke.sh          # full: Release ctest + ASan/UBSan ctest + TSan tests
+#   scripts/smoke.sh --quick  # Release campaign/interp/session tests, ASan/UBSan
+#                             # interp/inject tests, TSan tests
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,6 +28,18 @@ if [[ "${QUICK}" == "1" ]]; then
   ctest --test-dir build-release --output-on-failure -R 'thread_pool_test|inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test'
 else
   ctest --test-dir build-release --output-on-failure -j "${JOBS}"
+fi
+
+echo "== AddressSanitizer + UndefinedBehaviorSanitizer configuration =="
+cmake -B build-asan -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build build-asan -j "${JOBS}"
+if [[ "${QUICK}" == "1" ]]; then
+  ctest --test-dir build-asan --output-on-failure -R 'interp_test|inject_test'
+else
+  ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 fi
 
 echo "== ThreadSanitizer configuration =="

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "src/support/hashing.h"
 #include "src/support/strings.h"
 
 namespace spex {
@@ -15,6 +17,10 @@ namespace {
 const std::string& EmptyString() {
   static const std::string* kEmpty = new std::string();
   return *kEmpty;
+}
+
+bool HasStringPayload(RtValue::Kind kind) {
+  return kind == RtValue::Kind::kString || kind == RtValue::Kind::kFnRef;
 }
 
 }  // namespace
@@ -71,7 +77,13 @@ RtValue RtValue::PooledFnRef(const std::string* sp, Symbol sym) {
   return value;
 }
 
-const std::string& RtValue::str() const { return sp != nullptr ? *sp : EmptyString(); }
+const std::string& RtValue::str() const {
+  return HasStringPayload(kind) && sp != nullptr ? *sp : EmptyString();
+}
+
+bool RtValue::SamePayload(const RtValue& other) const {
+  return HasStringPayload(kind) && HasStringPayload(other.kind) && sp == other.sp;
+}
 
 bool RtValue::IsTruthy() const {
   switch (kind) {
@@ -95,7 +107,11 @@ int64_t RtValue::AsInt() const {
     case Kind::kInt:
       return i;
     case Kind::kFloat:
-      return static_cast<int64_t>(f);
+      // [-2^63, 2^63) converts exactly; NaN fails both comparisons.
+      if (f >= -9223372036854775808.0 && f < 9223372036854775808.0) {
+        return static_cast<int64_t>(f);
+      }
+      return std::numeric_limits<int64_t>::min();
     default:
       return 0;
   }
@@ -131,6 +147,158 @@ std::string RtValue::ToDebugString() const {
 }
 
 // ---------------------------------------------------------------------------
+// Compiled functions.
+
+namespace {
+
+// Offsets with this bit set name an interned overflow path, not a cell.
+constexpr uint32_t kOverflowBit = 1u << 31;
+// Layout::Step's answer for a path the layout cannot index.
+constexpr uint32_t kNoCell = std::numeric_limits<uint32_t>::max();
+// A root whose flat layout would exceed this many cells keeps only its root
+// cell flat; its elements go to the sparse overflow map, so a huge array
+// costs nothing until touched.
+constexpr int64_t kMaxFlatCells = 1024;
+
+uint64_t OverflowKey(uint32_t storage, uint32_t offset) {
+  return static_cast<uint64_t>(storage) << 32 | offset;
+}
+
+RtValue Address(uint32_t storage, uint32_t offset) {
+  RtValue value;
+  value.kind = RtValue::Kind::kAddr;
+  value.addr = {storage, offset};
+  return value;
+}
+
+// MiniC integer arithmetic wraps in two's complement.
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
+int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) - static_cast<uint64_t>(b));
+}
+int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) * static_cast<uint64_t>(b));
+}
+
+enum class OpKind : uint8_t {
+  kAlloca,
+  kLoad,
+  kStore,
+  kBinOp,
+  kCmp,
+  kCast,
+  kCallFunction,
+  kCallIntrinsic,
+  kFieldAddr,
+  kIndexAddr,
+  kBr,
+  kCondBr,
+  kSwitch,
+  kRet,
+  kUnreachable,
+  kFallOff,  // End of a block without a terminator: return the default.
+};
+
+// Target class of a cast, decided once from the IR type.
+enum class CastTo : uint8_t { kFloat, kBool, kInt8, kInt16, kInt32, kInt64, kSame };
+
+}  // namespace
+
+// One IR instruction with its operands resolved. Operand refs index the
+// frame's registers when >= 0 and the plan's constants (~ref) otherwise.
+struct Interpreter::Op {
+  OpKind kind = OpKind::kUnreachable;
+  uint8_t code = 0;  // IrBinOp, IrCmpPred, IntrinsicId or CastTo.
+  uint32_t dst = 0;  // Result register (the instruction's Value::id()).
+  int32_t a = 0;
+  int32_t b = 0;
+  // Alloca: cell offset. FieldAddr: field index. Br/CondBr: target op.
+  // Call: first entry in call_args. Switch: first entry in switch_targets.
+  uint32_t x = 0;
+  // CondBr: false target op. Call: argument count. Switch: case count.
+  // Ret: 1 when it returns a value.
+  uint32_t y = 0;
+  uint32_t callee = 0;  // kCallFunction: function index.
+  const Instruction* instr = nullptr;
+};
+
+struct Interpreter::FunctionPlan {
+  uint32_t function = 0;
+  uint32_t regs = 0;
+  std::vector<Op> ops;
+  std::vector<int32_t> call_args;
+  std::vector<uint32_t> switch_targets;  // Per switch: default, then cases.
+  std::vector<RtValue> consts;
+  std::vector<uint32_t> arg_regs;
+  std::vector<RtValue> arg_defaults;
+  RtValue result_default;
+  // Alloca layouts in instruction order; their cells tile the frame.
+  std::vector<Layout> allocas;
+  std::vector<uint32_t> cell_owner;  // Frame cell -> alloca index.
+  std::vector<RtValue> cell_init;    // Untouched frame cells, by leaf type.
+};
+
+Interpreter::Layout Interpreter::Layout::For(const Value* root, const IrType* type,
+                                             int64_t bound, uint32_t base) {
+  Layout layout;
+  layout.root = root;
+  layout.bound = bound;
+  layout.base = base;
+  uint32_t fields =
+      type != nullptr && type->IsStruct() ? static_cast<uint32_t>(type->field_types().size()) : 0;
+  if (bound <= 0) {
+    layout.fields = fields;
+    layout.size = 1 + fields;
+  } else if (bound <= (kMaxFlatCells - 1) / (1 + fields)) {
+    layout.elems = static_cast<uint32_t>(bound);
+    layout.fields = fields;
+    layout.size = 1 + layout.elems * (1 + fields);
+  }
+  return layout;
+}
+
+uint32_t Interpreter::Layout::Step(uint32_t local, int64_t step) const {
+  if (local == 0) {
+    if (elems > 0) {
+      return step >= 0 && step < elems ? 1 + static_cast<uint32_t>(step) * (1 + fields) : kNoCell;
+    }
+    return step >= 0 && step < fields ? 1 + static_cast<uint32_t>(step) : kNoCell;
+  }
+  // Only an element cell of an array of structs has further in-layout steps.
+  if (elems > 0 && fields > 0 && (local - 1) % (1 + fields) == 0 && step >= 0 && step < fields) {
+    return local + 1 + static_cast<uint32_t>(step);
+  }
+  return kNoCell;
+}
+
+size_t Interpreter::Layout::PathOf(uint32_t local, int64_t (&steps)[2]) const {
+  if (local == 0) {
+    return 0;
+  }
+  if (elems == 0) {
+    steps[0] = local - 1;
+    return 1;
+  }
+  steps[0] = (local - 1) / (1 + fields);
+  uint32_t within = (local - 1) % (1 + fields);
+  if (within == 0) {
+    return 1;
+  }
+  steps[1] = within - 1;
+  return 2;
+}
+
+size_t Interpreter::OverflowPathHash::operator()(const OverflowPath& path) const {
+  size_t h = std::hash<uint32_t>()(path.root);
+  for (int64_t step : path.steps) {
+    h = HashCombine(h, std::hash<int64_t>()(step));
+  }
+  return h;
+}
+
+// ---------------------------------------------------------------------------
 // Construction and global initialization.
 
 Interpreter::Interpreter(const Module& module, OsSimulator* os, InterpOptions options)
@@ -140,50 +308,16 @@ Interpreter::Interpreter(const Module& module, OsSimulator* os, InterpOptions op
   Reset();
 }
 
+Interpreter::~Interpreter() = default;
+
 RtValue Interpreter::InternedString(std::string_view text) {
   Symbol sym = pool_.Intern(text);
   return RtValue::PooledStr(pool_.StablePtr(sym), sym);
 }
 
-namespace {
-
-// Name -> intrinsic id; built once, consulted by ResolveCallSite the first
-// time each call instruction executes.
-using IntrinsicTable = std::unordered_map<std::string_view, uint8_t>;
-
-}  // namespace
-
-void Interpreter::BuildModuleIndex() {
-  functions_by_name_.reserve(module_.functions().size());
-  for (const auto& fn : module_.functions()) {
-    // Like Module::FindFunction, a definition wins over a declaration of
-    // the same name. (Among multiple declarations the first wins here, the
-    // last there — unobservable, since callers only check IsDeclaration().)
-    auto [it, inserted] = functions_by_name_.emplace(fn->name(), fn.get());
-    if (!inserted && it->second->IsDeclaration() && !fn->IsDeclaration()) {
-      it->second = fn.get();
-    }
-  }
-  const auto& globals = module_.globals();
-  globals_by_name_.reserve(globals.size());
-  global_slot_.reserve(globals.size());
-  global_bounds_.reserve(globals.size());
-  for (size_t i = 0; i < globals.size(); ++i) {
-    const GlobalVariable* global = globals[i].get();
-    globals_by_name_.emplace(global->name(), global);
-    global_slot_.emplace(global, static_cast<int32_t>(i));
-    global_bounds_.push_back(global->is_array() ? global->array_size() : 0);
-  }
-  global_read_stamps_.assign(globals.size(), 0);
-  global_write_stamps_.assign(globals.size(), 0);
-}
-
-// Lazily resolves one call instruction to a defined function or an
-// intrinsic id. Resolution is cached per instruction in call_sites_, so the
-// name hash and the (one-time) table lookup are paid once per call site,
-// not once per executed call — and never for code that does not run, which
-// keeps interpreter startup free of a whole-module walk.
-Interpreter::CallSite Interpreter::ResolveCallSite(const Instruction* instr) {
+Interpreter::IntrinsicId Interpreter::IntrinsicNamed(std::string_view name) {
+  // Name -> intrinsic id; built once, consulted when a function is compiled.
+  using IntrinsicTable = std::unordered_map<std::string_view, uint8_t>;
   static const IntrinsicTable* kIntrinsics = [] {
     auto* table = new IntrinsicTable{
         {"strcmp", uint8_t(IntrinsicId::kStrcmp)},
@@ -261,21 +395,49 @@ Interpreter::CallSite Interpreter::ResolveCallSite(const Instruction* instr) {
     };
     return table;
   }();
-
-  CallSite site;
-  const Function* callee = LookupFunction(instr->callee());
-  if (callee != nullptr && !callee->IsDeclaration()) {
-    site.function = callee;
-  } else {
-    auto it = kIntrinsics->find(instr->callee());
-    site.intrinsic = it != kIntrinsics->end() ? IntrinsicId(it->second) : IntrinsicId::kNone;
-  }
-  return call_sites_.emplace(instr, site).first->second;
+  auto it = kIntrinsics->find(name);
+  return it != kIntrinsics->end() ? IntrinsicId(it->second) : IntrinsicId::kNone;
 }
 
-const Function* Interpreter::LookupFunction(const std::string& name) const {
+void Interpreter::BuildModuleIndex() {
+  const auto& functions = module_.functions();
+  functions_by_name_.reserve(functions.size());
+  for (size_t i = 0; i < functions.size(); ++i) {
+    // Like Module::FindFunction, a definition wins over a declaration of
+    // the same name.
+    const Function& fn = *functions[i];
+    auto [it, inserted] = functions_by_name_.emplace(fn.name(), static_cast<int32_t>(i));
+    if (!inserted && functions[it->second]->IsDeclaration() && !fn.IsDeclaration()) {
+      it->second = static_cast<int32_t>(i);
+    }
+  }
+  plans_.resize(functions.size());
+
+  const auto& globals = module_.globals();
+  num_globals_ = static_cast<uint32_t>(globals.size());
+  globals_by_name_.reserve(globals.size());
+  global_slot_.reserve(globals.size());
+  global_layouts_.reserve(globals.size());
+  uint32_t cells = 0;
+  for (size_t i = 0; i < globals.size(); ++i) {
+    const GlobalVariable* global = globals[i].get();
+    globals_by_name_.emplace(global->name(), global);
+    global_slot_.emplace(global, static_cast<uint32_t>(i));
+    global_layouts_.push_back(Layout::For(global, global->value_type(),
+                                          global->is_array() ? global->array_size() : 0, cells));
+    cells += global_layouts_.back().size;
+  }
+  init_cells_.resize(cells);
+  global_read_stamps_.assign(globals.size(), 0);
+  global_write_stamps_.assign(globals.size(), 0);
+}
+
+int32_t Interpreter::LookupFunction(std::string_view name) const {
   auto it = functions_by_name_.find(name);
-  return it != functions_by_name_.end() ? it->second : nullptr;
+  if (it == functions_by_name_.end() || module_.functions()[it->second]->IsDeclaration()) {
+    return -1;
+  }
+  return it->second;
 }
 
 const GlobalVariable* Interpreter::LookupGlobal(const std::string& name) const {
@@ -283,21 +445,242 @@ const GlobalVariable* Interpreter::LookupGlobal(const std::string& name) const {
   return it != globals_by_name_.end() ? it->second : nullptr;
 }
 
-int32_t Interpreter::GlobalSlotOf(const Value* root) const {
-  auto it = global_slot_.find(root);
-  return it != global_slot_.end() ? it->second : -1;
+const Interpreter::FunctionPlan& Interpreter::PlanFor(uint32_t function) {
+  std::unique_ptr<FunctionPlan>& plan = plans_[function];
+  if (plan == nullptr) {
+    plan = BuildPlan(function);
+  }
+  return *plan;
+}
+
+std::unique_ptr<Interpreter::FunctionPlan> Interpreter::BuildPlan(uint32_t function) {
+  const Function& fn = *module_.functions()[function];
+  auto plan = std::make_unique<FunctionPlan>();
+  plan->function = function;
+  plan->regs = fn.value_id_count();
+  for (const auto& arg : fn.arguments()) {
+    plan->arg_regs.push_back(arg->id());
+    plan->arg_defaults.push_back(DefaultValueFor(arg->type()));
+  }
+  plan->result_default = DefaultValueFor(fn.return_type());
+
+  // Operands: registers for arguments and instructions, constant slots for
+  // everything else (string constants interned once, here).
+  std::unordered_map<const Value*, int32_t> const_slots;
+  auto ref = [&](const Value* value) -> int32_t {
+    ValueKind kind = value->value_kind();
+    if ((kind == ValueKind::kArgument || kind == ValueKind::kInstruction) &&
+        value->id() < plan->regs) {
+      return static_cast<int32_t>(value->id());
+    }
+    auto [it, inserted] = const_slots.emplace(value, ~static_cast<int32_t>(plan->consts.size()));
+    if (inserted) {
+      RtValue constant = RtValue::Int(0);
+      switch (kind) {
+        case ValueKind::kConstantInt:
+          constant = RtValue::Int(value->constant_int());
+          break;
+        case ValueKind::kConstantFloat:
+          constant = RtValue::Float(value->constant_float());
+          break;
+        case ValueKind::kConstantString:
+          constant = InternedString(value->constant_string());
+          break;
+        case ValueKind::kConstantNull:
+          constant = RtValue::Null();
+          break;
+        case ValueKind::kGlobal: {
+          uint32_t slot = global_slot_.at(value);
+          constant = Address(slot, global_layouts_[slot].base);
+          break;
+        }
+        case ValueKind::kArgument:
+        case ValueKind::kInstruction:
+          break;  // A foreign register reads as 0.
+      }
+      plan->consts.push_back(constant);
+    }
+    return it->second;
+  };
+
+  // Ops: each block up to its first terminator; branch targets are patched
+  // once every block's first op is known.
+  size_t instructions = 0;
+  for (const auto& block : fn.blocks()) {
+    instructions += block->instructions().size() + 1;
+  }
+  plan->ops.reserve(instructions);
+  std::vector<uint32_t> block_start;
+  block_start.reserve(fn.blocks().size());
+  std::vector<std::pair<size_t, const BasicBlock*>> switch_fixups;
+  for (const auto& block : fn.blocks()) {
+    block_start.push_back(static_cast<uint32_t>(plan->ops.size()));
+    bool terminated = false;
+    for (const auto& instr_ptr : block->instructions()) {
+      const Instruction* instr = instr_ptr.get();
+      Op op;
+      op.instr = instr;
+      op.dst = instr->id();
+      switch (instr->instr_kind()) {
+        case InstrKind::kAlloca: {
+          // A dense index per function; the allocas' cells tile the frame.
+          op.kind = OpKind::kAlloca;
+          op.x = static_cast<uint32_t>(plan->cell_owner.size());
+          plan->allocas.push_back(Layout::For(instr, instr->allocated_type(),
+                                              instr->alloca_array_size(), op.x));
+          const Layout& layout = plan->allocas.back();
+          for (uint32_t local = 0; local < layout.size; ++local) {
+            plan->cell_owner.push_back(static_cast<uint32_t>(plan->allocas.size() - 1));
+            plan->cell_init.push_back(DefaultCellValue(layout, local));
+          }
+          break;
+        }
+        case InstrKind::kLoad:
+          op.kind = OpKind::kLoad;
+          op.a = ref(instr->operand(0));
+          break;
+        case InstrKind::kStore:
+          op.kind = OpKind::kStore;
+          op.a = ref(instr->operand(0));
+          op.b = ref(instr->operand(1));
+          break;
+        case InstrKind::kBinOp:
+          op.kind = OpKind::kBinOp;
+          op.code = static_cast<uint8_t>(instr->bin_op());
+          op.a = ref(instr->operand(0));
+          op.b = ref(instr->operand(1));
+          break;
+        case InstrKind::kCmp:
+          op.kind = OpKind::kCmp;
+          op.code = static_cast<uint8_t>(instr->cmp_pred());
+          op.a = ref(instr->operand(0));
+          op.b = ref(instr->operand(1));
+          break;
+        case InstrKind::kCast: {
+          op.kind = OpKind::kCast;
+          op.a = ref(instr->operand(0));
+          const IrType* to = instr->type();
+          CastTo cast = CastTo::kSame;
+          if (to->kind() == IrTypeKind::kFloat) {
+            cast = CastTo::kFloat;
+          } else if (to->IsBool()) {
+            cast = CastTo::kBool;
+          } else if (to->IsInteger()) {
+            // Integer truncation — this is where 9000000000 silently becomes
+            // an overflowed 32-bit value (paper Figure 5(a)).
+            cast = to->bit_width() == 8    ? CastTo::kInt8
+                   : to->bit_width() == 16 ? CastTo::kInt16
+                   : to->bit_width() == 32 ? CastTo::kInt32
+                                           : CastTo::kInt64;
+          }
+          op.code = static_cast<uint8_t>(cast);
+          break;
+        }
+        case InstrKind::kCall: {
+          int32_t callee = LookupFunction(instr->callee());
+          if (callee >= 0) {
+            op.kind = OpKind::kCallFunction;
+            op.callee = static_cast<uint32_t>(callee);
+          } else {
+            op.kind = OpKind::kCallIntrinsic;
+            op.code = static_cast<uint8_t>(IntrinsicNamed(instr->callee()));
+          }
+          op.x = static_cast<uint32_t>(plan->call_args.size());
+          op.y = static_cast<uint32_t>(instr->operand_count());
+          for (const Value* arg : instr->operands()) {
+            plan->call_args.push_back(ref(arg));
+          }
+          break;
+        }
+        case InstrKind::kFieldAddr:
+          op.kind = OpKind::kFieldAddr;
+          op.a = ref(instr->operand(0));
+          op.x = static_cast<uint32_t>(instr->field_index());
+          break;
+        case InstrKind::kIndexAddr:
+          op.kind = OpKind::kIndexAddr;
+          op.a = ref(instr->operand(0));
+          op.b = ref(instr->operand(1));
+          break;
+        case InstrKind::kBr:
+          op.kind = OpKind::kBr;
+          break;
+        case InstrKind::kCondBr:
+          op.kind = OpKind::kCondBr;
+          op.a = ref(instr->operand(0));
+          break;
+        case InstrKind::kSwitch:
+          op.kind = OpKind::kSwitch;
+          op.a = ref(instr->operand(0));
+          op.x = static_cast<uint32_t>(plan->switch_targets.size());
+          op.y = static_cast<uint32_t>(instr->switch_values().size());
+          for (size_t i = 0; i <= instr->switch_values().size(); ++i) {
+            switch_fixups.emplace_back(plan->switch_targets.size(), instr->successors()[i]);
+            plan->switch_targets.push_back(0);
+          }
+          break;
+        case InstrKind::kRet:
+          op.kind = OpKind::kRet;
+          if (instr->operand_count() == 1) {
+            op.a = ref(instr->operand(0));
+            op.y = 1;
+          }
+          break;
+        case InstrKind::kUnreachable:
+          op.kind = OpKind::kUnreachable;
+          break;
+      }
+      plan->ops.push_back(op);
+      if (instr->IsTerminator()) {
+        terminated = true;
+        break;
+      }
+    }
+    if (!terminated) {
+      Op fall_off;
+      fall_off.kind = OpKind::kFallOff;
+      plan->ops.push_back(fall_off);
+    }
+  }
+  // Patch branch targets now that every block's first op is known.
+  auto start_of = [&](const BasicBlock* block) {
+    size_t index = block->index();
+    if (index >= fn.blocks().size() || fn.blocks()[index].get() != block) {
+      // Block indices are stale (the function was never finalized).
+      index = 0;
+      while (index + 1 < fn.blocks().size() && fn.blocks()[index].get() != block) {
+        ++index;
+      }
+    }
+    return block_start[index];
+  };
+  for (Op& op : plan->ops) {
+    if (op.kind == OpKind::kBr || op.kind == OpKind::kCondBr) {
+      op.x = start_of(op.instr->successors()[0]);
+    }
+    if (op.kind == OpKind::kCondBr) {
+      op.y = start_of(op.instr->successors()[1]);
+    }
+  }
+  for (const auto& [index, block] : switch_fixups) {
+    plan->switch_targets[index] = start_of(block);
+  }
+  return plan;
 }
 
 void Interpreter::Reset() {
-  global_scalars_ = init_scalars_;
-  cells_ = init_cells_;
+  global_cells_ = init_cells_;
+  overflow_cells_ = init_overflow_;
+  overflow_paths_ = init_paths_;
+  RebuildOverflowIndex();
+  spilled_.clear();
   std::fill(global_read_stamps_.begin(), global_read_stamps_.end(), 0);
   std::fill(global_write_stamps_.begin(), global_write_stamps_.end(), 0);
-  alloca_bounds_.clear();
   logs_.clear();
-  active_frames_.clear();
+  UnwindFrames();
+  arg_stack_.clear();
   steps_ = 0;
-  next_frame_id_ = 0;
+  next_frame_id_ = num_globals_;
   os_ops_ = 0;
   stale_cell_ops_ = 0;
   access_stamp_ = 1;
@@ -306,33 +689,37 @@ void Interpreter::Reset() {
 
 Interpreter::Snapshot Interpreter::TakeSnapshot() const {
   Snapshot snapshot;
-  snapshot.scalars_ = global_scalars_;
-  snapshot.cells_ = cells_;
+  snapshot.cells_ = global_cells_;
+  snapshot.spilled_ = spilled_;
+  snapshot.paths_ = overflow_paths_;
+  snapshot.overflow_ = overflow_cells_;
   snapshot.read_stamps_ = global_read_stamps_;
   snapshot.write_stamps_ = global_write_stamps_;
-  snapshot.alloca_bounds_ = alloca_bounds_;
   snapshot.logs_ = logs_;
   snapshot.steps_ = steps_;
-  snapshot.next_frame_id_ = next_frame_id_;
   snapshot.os_ops_ = os_ops_;
   snapshot.stale_cell_ops_ = stale_cell_ops_;
+  snapshot.next_frame_id_ = next_frame_id_;
   snapshot.access_stamp_ = access_stamp_;
   return snapshot;
 }
 
 void Interpreter::RestoreSnapshot(const Snapshot& snapshot) {
-  global_scalars_ = snapshot.scalars_;
-  cells_ = snapshot.cells_;
+  UnwindFrames();
+  global_cells_ = snapshot.cells_;
+  spilled_ = snapshot.spilled_;
+  overflow_paths_ = snapshot.paths_;
+  RebuildOverflowIndex();
+  overflow_cells_ = snapshot.overflow_;
   global_read_stamps_ = snapshot.read_stamps_;
   global_write_stamps_ = snapshot.write_stamps_;
-  alloca_bounds_ = snapshot.alloca_bounds_;
   logs_ = snapshot.logs_;
   steps_ = snapshot.steps_;
-  next_frame_id_ = snapshot.next_frame_id_;
   os_ops_ = snapshot.os_ops_;
   stale_cell_ops_ = snapshot.stale_cell_ops_;
+  next_frame_id_ = snapshot.next_frame_id_;
   access_stamp_ = snapshot.access_stamp_;
-  active_frames_.clear();
+  arg_stack_.clear();
   call_depth_ = 0;
 }
 
@@ -352,9 +739,15 @@ RtValue Interpreter::DefaultValueFor(const IrType* type) const {
 }
 
 void Interpreter::BuildInitImage() {
-  init_scalars_.reserve(module_.globals().size());
-  for (const auto& global : module_.globals()) {
-    init_scalars_.push_back(DefaultValueFor(global->value_type()));
+  for (uint32_t g = 0; g < num_globals_; ++g) {
+    const Layout& layout = global_layouts_[g];
+    for (uint32_t local = 0; local < layout.size; ++local) {
+      init_cells_[layout.base + local] = DefaultCellValue(layout, local);
+    }
+  }
+  for (uint32_t g = 0; g < num_globals_; ++g) {
+    const GlobalVariable* global = module_.globals()[g].get();
+    const Layout& layout = global_layouts_[g];
     const GlobalInit& init = global->init();
 
     auto leaf_value = [this](const GlobalInit& leaf) -> RtValue {
@@ -363,21 +756,16 @@ void Interpreter::BuildInitImage() {
           return RtValue::Int(leaf.int_value);
         case GlobalInit::Kind::kFloat:
           return RtValue::Float(leaf.float_value);
-        case GlobalInit::Kind::kString: {
-          Symbol sym = pool_.Intern(leaf.string_value);
-          return RtValue::PooledStr(pool_.StablePtr(sym), sym);
-        }
+        case GlobalInit::Kind::kString:
+          return InternedString(leaf.string_value);
         case GlobalInit::Kind::kNull:
           return RtValue::Null();
         case GlobalInit::Kind::kGlobalRef: {
           // Address of another global, or a function reference.
           const GlobalVariable* target = LookupGlobal(leaf.string_value);
           if (target != nullptr) {
-            RtValue addr;
-            addr.kind = RtValue::Kind::kAddr;
-            addr.frame = -1;
-            addr.root = target;
-            return addr;
+            uint32_t slot = global_slot_.at(target);
+            return Address(slot, global_layouts_[slot].base);
           }
           Symbol sym = pool_.Intern(leaf.string_value);
           return RtValue::PooledFnRef(pool_.StablePtr(sym), sym);
@@ -386,20 +774,24 @@ void Interpreter::BuildInitImage() {
           return RtValue::Int(0);
       }
     };
-    auto store_leaf = [this, &global, &leaf_value](std::vector<int64_t> path,
-                                                   const GlobalInit& leaf) {
-      CellKey key;
-      key.frame = -1;
-      key.root = global.get();
-      key.path = std::move(path);
-      init_cells_[std::move(key)] = leaf_value(leaf);
+    auto store_leaf = [&](std::vector<int64_t> steps, const GlobalInit& leaf) {
+      uint32_t local = 0;
+      for (int64_t step : steps) {
+        local = local == kNoCell ? kNoCell : layout.Step(local, step);
+      }
+      if (local != kNoCell) {
+        init_cells_[layout.base + local] = leaf_value(leaf);
+        return;
+      }
+      uint32_t path = InternOverflowPath({g, std::move(steps)});
+      init_overflow_[OverflowKey(g, kOverflowBit | path)] = leaf_value(leaf);
     };
 
     if (init.kind == GlobalInit::Kind::kNone) {
-      continue;  // Scalar slot already holds the type default.
+      continue;  // The root cell already holds the type default.
     }
     if (init.kind != GlobalInit::Kind::kList) {
-      init_scalars_.back() = leaf_value(init);
+      init_cells_[layout.base] = leaf_value(init);
       continue;
     }
     // Array and/or struct initializer.
@@ -409,8 +801,7 @@ void Interpreter::BuildInitImage() {
       if (element.kind == GlobalInit::Kind::kList) {
         // Struct row (possibly inside an array).
         for (size_t j = 0; j < element.elements.size(); ++j) {
-          store_leaf({static_cast<int64_t>(i), static_cast<int64_t>(j)},
-                     element.elements[j]);
+          store_leaf({static_cast<int64_t>(i), static_cast<int64_t>(j)}, element.elements[j]);
         }
       } else if (global->is_array()) {
         store_leaf({static_cast<int64_t>(i)}, element);
@@ -420,27 +811,162 @@ void Interpreter::BuildInitImage() {
       }
     }
   }
+  init_paths_ = overflow_paths_;
 }
 
 // ---------------------------------------------------------------------------
 // Memory.
 
-void Interpreter::CheckBounds(const Value* root, int32_t slot,
-                              const std::vector<int64_t>& path, const Instruction* at) const {
-  if (path.empty()) {
+Interpreter::Frame& Interpreter::PushFrame(const FunctionPlan& plan) {
+  if (next_frame_id_ == std::numeric_limits<uint32_t>::max()) {
+    // Only a run far past any step budget gets here: treat it as a hang.
+    throw HangError();
+  }
+  auto take_buffer = [this] {
+    std::vector<RtValue> buffer;
+    if (!buffer_pool_.empty()) {
+      buffer = std::move(buffer_pool_.back());
+      buffer_pool_.pop_back();
+    }
+    return buffer;
+  };
+  Frame& frame = frames_.emplace_back();
+  frame.plan = &plan;
+  frame.id = next_frame_id_++;
+  frame.regs = take_buffer();
+  frame.regs.assign(plan.regs, RtValue());
+  if (!plan.cell_init.empty()) {
+    frame.cells = take_buffer();
+    frame.cells.assign(plan.cell_init.begin(), plan.cell_init.end());
+  }
+  return frame;
+}
+
+void Interpreter::PopFrame() {
+  Frame& frame = frames_.back();
+  if (frame.escaped) {
+    // Some address of this frame outlives it: keep its cells for stale
+    // reads (and snapshots) under the frame's id.
+    SpilledFrame spilled{frame.id, frame.plan->function, std::move(frame.cells)};
+    auto at = std::upper_bound(
+        spilled_.begin(), spilled_.end(), frame.id,
+        [](uint32_t id, const SpilledFrame& other) { return id < other.id; });
+    spilled_.insert(at, std::move(spilled));
+  } else {
+    if (frame.overflowed) {
+      uint32_t id = frame.id;
+      std::erase_if(overflow_cells_, [id](const auto& cell) { return cell.first >> 32 == id; });
+    }
+    if (frame.cells.capacity() > 0) {
+      buffer_pool_.push_back(std::move(frame.cells));
+    }
+  }
+  buffer_pool_.push_back(std::move(frame.regs));
+  frames_.pop_back();
+}
+
+void Interpreter::UnwindFrames() {
+  while (!frames_.empty()) {
+    PopFrame();
+  }
+}
+
+Interpreter::Frame* Interpreter::LiveFrame(uint32_t id) {
+  for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
+    if (it->id == id) {
+      return &*it;
+    }
+  }
+  return nullptr;
+}
+
+Interpreter::SpilledFrame* Interpreter::FindSpilled(uint32_t id) {
+  auto it = std::lower_bound(spilled_.begin(), spilled_.end(), id,
+                             [](const SpilledFrame& frame, uint32_t key) { return frame.id < key; });
+  return it != spilled_.end() && it->id == id ? &*it : nullptr;
+}
+
+const Interpreter::FunctionPlan& Interpreter::FramePlan(uint32_t storage) {
+  if (Frame* frame = LiveFrame(storage)) {
+    return *frame->plan;
+  }
+  if (SpilledFrame* spilled = FindSpilled(storage)) {
+    return PlanFor(spilled->function);
+  }
+  throw TrapError("Segmentation fault (dangling frame address)");
+}
+
+const Interpreter::Layout& Interpreter::RootLayout(uint32_t storage, uint32_t root) {
+  return storage < num_globals_ ? global_layouts_[storage] : FramePlan(storage).allocas[root];
+}
+
+uint32_t Interpreter::InternOverflowPath(OverflowPath path) {
+  auto it = overflow_path_ids_.find(path);
+  if (it != overflow_path_ids_.end()) {
+    return it->second;
+  }
+  if (overflow_paths_.size() >= kOverflowBit) {
+    throw HangError();  // As with frame ids: only reachable far past any step budget.
+  }
+  uint32_t id = static_cast<uint32_t>(overflow_paths_.size());
+  overflow_path_ids_.emplace(path, id);
+  overflow_paths_.push_back(std::move(path));
+  return id;
+}
+
+void Interpreter::RebuildOverflowIndex() {
+  if (!overflow_path_ids_.empty()) {
+    overflow_path_ids_.clear();
+  }
+  for (uint32_t id = 0; id < overflow_paths_.size(); ++id) {
+    overflow_path_ids_.emplace(overflow_paths_[id], id);
+  }
+}
+
+RtValue Interpreter::StepAddress(RtValue base, int64_t step) {
+  uint32_t storage = base.addr.storage;
+  uint32_t offset = base.addr.offset;
+  if ((offset & kOverflowBit) != 0) {
+    OverflowPath path = overflow_paths_[offset & ~kOverflowBit];
+    path.steps.push_back(step);
+    base.addr.offset = kOverflowBit | InternOverflowPath(std::move(path));
+    return base;
+  }
+  uint32_t root = storage;
+  const Layout* layout = nullptr;
+  if (storage < num_globals_) {
+    layout = &global_layouts_[storage];
+  } else {
+    const FunctionPlan& plan = FramePlan(storage);
+    root = plan.cell_owner[offset];
+    layout = &plan.allocas[root];
+  }
+  uint32_t local = offset - layout->base;
+  uint32_t next = layout->Step(local, step);
+  if (next != kNoCell) {
+    base.addr.offset = layout->base + next;
+    return base;
+  }
+  int64_t prefix[2];
+  size_t length = layout->PathOf(local, prefix);
+  OverflowPath path{root, std::vector<int64_t>(prefix, prefix + length)};
+  path.steps.push_back(step);
+  base.addr.offset = kOverflowBit | InternOverflowPath(std::move(path));
+  return base;
+}
+
+void Interpreter::CheckBounds(uint32_t storage, uint32_t offset, const Instruction* at) {
+  // In-layout cells of an array are in bounds by construction; only an
+  // overflow path can carry an out-of-range first step.
+  if ((offset & kOverflowBit) == 0) {
     return;
   }
-  int64_t bound = 0;
-  if (slot >= 0) {
-    bound = global_bounds_[static_cast<size_t>(slot)];
-  } else {
-    auto it = alloca_bounds_.find(root);
-    bound = it != alloca_bounds_.end() ? it->second : 0;
-  }
+  const OverflowPath& path = overflow_paths_[offset & ~kOverflowBit];
+  int64_t bound = RootLayout(storage, path.root).bound;
   if (bound <= 0) {
     return;
   }
-  int64_t index = path.front();
+  int64_t index = path.steps.front();
   if (index < 0 || index >= bound) {
     throw TrapError("Segmentation fault (array index " + std::to_string(index) +
                     " out of bounds 0.." + std::to_string(bound - 1) + " at " +
@@ -448,17 +974,45 @@ void Interpreter::CheckBounds(const Value* root, int32_t slot,
   }
 }
 
-RtValue Interpreter::DefaultCellValue(const Value* root,
-                                      const std::vector<int64_t>& path) const {
+RtValue* Interpreter::ResolveCell(const RtValue& addr, const Instruction* at, bool write) {
+  uint32_t storage = addr.addr.storage;
+  uint32_t offset = addr.addr.offset;
+  bool overflow = (offset & kOverflowBit) != 0;
+  CheckBounds(storage, offset, at);
+  RtValue* cells = nullptr;
+  if (storage < num_globals_) {
+    (write ? global_write_stamps_ : global_read_stamps_)[storage] = access_stamp_;
+    cells = global_cells_.data();
+  } else if (Frame* frame = LiveFrame(storage)) {
+    frame->overflowed = frame->overflowed || (overflow && write);
+    cells = frame->cells.data();
+  } else if (SpilledFrame* spilled = FindSpilled(storage)) {
+    ++stale_cell_ops_;  // Escaped &local from a completed call.
+    cells = spilled->cells.data();
+  } else {
+    throw TrapError("Segmentation fault (dangling frame address)");
+  }
+  if (!overflow) {
+    return &cells[offset];
+  }
+  uint64_t key = OverflowKey(storage, offset);
+  if (write) {
+    return &overflow_cells_[key];
+  }
+  auto it = overflow_cells_.find(key);
+  return it != overflow_cells_.end() ? &it->second : nullptr;
+}
+
+RtValue Interpreter::DefaultCellValue(const Value* root, std::span<const int64_t> steps) const {
   const IrType* type = nullptr;
   if (root->value_kind() == ValueKind::kGlobal) {
     type = static_cast<const GlobalVariable*>(root)->value_type();
   } else if (root->value_kind() == ValueKind::kInstruction) {
     type = static_cast<const Instruction*>(root)->allocated_type();
   }
-  for (size_t i = 0; i < path.size() && type != nullptr; ++i) {
+  for (size_t i = 0; i < steps.size() && type != nullptr; ++i) {
     if (type->IsStruct()) {
-      size_t field = static_cast<size_t>(path[i]);
+      size_t field = static_cast<size_t>(steps[i]);
       type = field < type->field_types().size() ? type->field_types()[field] : nullptr;
     }
     // Array steps keep the element type (arrays are typed by their element).
@@ -466,14 +1020,10 @@ RtValue Interpreter::DefaultCellValue(const Value* root,
   return DefaultValueFor(type);
 }
 
-void Interpreter::NoteFrameCellAccess(int64_t frame) {
-  if (!active_frames_.empty() && active_frames_.back() == frame) {
-    return;  // Own frame: the overwhelmingly common case.
-  }
-  if (std::find(active_frames_.begin(), active_frames_.end(), frame) != active_frames_.end()) {
-    return;  // A live caller's frame (address passed down the call chain).
-  }
-  ++stale_cell_ops_;  // Escaped &local from a completed call.
+RtValue Interpreter::DefaultCellValue(const Layout& layout, uint32_t local) const {
+  int64_t steps[2];
+  size_t length = layout.PathOf(local, steps);
+  return DefaultCellValue(layout.root, std::span<const int64_t>(steps, length));
 }
 
 RtValue Interpreter::LoadCell(const RtValue& addr, const Instruction* at) {
@@ -483,53 +1033,31 @@ RtValue Interpreter::LoadCell(const RtValue& addr, const Instruction* at) {
   if (addr.kind != RtValue::Kind::kAddr) {
     throw TrapError("Segmentation fault (load through non-pointer value)");
   }
-  int32_t slot = addr.frame == -1 ? GlobalSlotOf(addr.root) : -1;
-  CheckBounds(addr.root, slot, addr.path, at);
-  if (addr.frame != -1) {
-    NoteFrameCellAccess(addr.frame);
+  if (const RtValue* cell = ResolveCell(addr, at, /*write=*/false)) {
+    return *cell;
   }
-  if (slot >= 0) {
-    global_read_stamps_[static_cast<size_t>(slot)] = access_stamp_;
-    if (addr.path.empty()) {
-      return global_scalars_[static_cast<size_t>(slot)];
-    }
-  }
-  CellKey key;
-  key.frame = addr.frame;
-  key.root = addr.root;
-  key.path = addr.path;
-  auto it = cells_.find(key);
-  if (it != cells_.end()) {
-    return it->second;
-  }
-  // Untouched cell: default by leaf type when derivable.
-  return DefaultCellValue(addr.root, addr.path);
+  // Untouched overflow cell: default by leaf type.
+  const OverflowPath& path = overflow_paths_[addr.addr.offset & ~kOverflowBit];
+  return DefaultCellValue(RootLayout(addr.addr.storage, path.root).root, path.steps);
 }
 
-void Interpreter::StoreCell(const RtValue& addr, RtValue value, const Instruction* at) {
+void Interpreter::StoreCell(const RtValue& addr, const RtValue& value, const Instruction* at) {
   if (addr.kind == RtValue::Kind::kNull) {
     throw TrapError("Segmentation fault (null pointer write)");
   }
   if (addr.kind != RtValue::Kind::kAddr) {
     throw TrapError("Segmentation fault (store through non-pointer value)");
   }
-  int32_t slot = addr.frame == -1 ? GlobalSlotOf(addr.root) : -1;
-  CheckBounds(addr.root, slot, addr.path, at);
-  if (addr.frame != -1) {
-    NoteFrameCellAccess(addr.frame);
-  }
-  if (slot >= 0) {
-    global_write_stamps_[static_cast<size_t>(slot)] = access_stamp_;
-    if (addr.path.empty()) {
-      global_scalars_[static_cast<size_t>(slot)] = std::move(value);
-      return;
+  *ResolveCell(addr, at, /*write=*/true) = value;
+  NoteStoredAddress(value);
+}
+
+void Interpreter::NoteStoredAddress(const RtValue& value) {
+  if (value.kind == RtValue::Kind::kAddr && value.addr.storage >= num_globals_) {
+    if (Frame* frame = LiveFrame(value.addr.storage)) {
+      frame->escaped = true;
     }
   }
-  CellKey key;
-  key.frame = addr.frame;
-  key.root = addr.root;
-  key.path = addr.path;
-  cells_[std::move(key)] = std::move(value);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,14 +1079,16 @@ void Interpreter::Step() {
 
 CallOutcome Interpreter::Call(const std::string& function, std::vector<RtValue> args) {
   CallOutcome outcome;
-  const Function* fn = LookupFunction(function);
-  if (fn == nullptr || fn->IsDeclaration()) {
+  int32_t fn = LookupFunction(function);
+  if (fn < 0) {
     outcome.status = CallOutcome::Status::kTrap;
     outcome.trap_reason = "no such function: " + function;
     return outcome;
   }
   try {
-    outcome.return_value = RunFunction(*fn, std::move(args));
+    size_t base = arg_stack_.size();
+    arg_stack_.insert(arg_stack_.end(), args.begin(), args.end());
+    outcome.return_value = RunFunction(static_cast<uint32_t>(fn), base, args.size());
     outcome.status = CallOutcome::Status::kOk;
   } catch (const ExitRequest& exit_request) {
     outcome.status = CallOutcome::Status::kExit;
@@ -577,120 +1107,85 @@ CallOutcome Interpreter::Call(const std::string& function, std::vector<RtValue> 
                               : "request cancelled mid-execution";
   }
   // Trap/exit/hang unwinding skips RunFunction's frame pops.
-  active_frames_.clear();
+  UnwindFrames();
+  arg_stack_.clear();
   call_depth_ = 0;
   return outcome;
 }
 
-RtValue Interpreter::Eval(Frame& frame, const Value* value) {
-  switch (value->value_kind()) {
-    case ValueKind::kConstantInt:
-      return RtValue::Int(value->constant_int());
-    case ValueKind::kConstantFloat:
-      return RtValue::Float(value->constant_float());
-    case ValueKind::kConstantString: {
-      auto it = const_strings_.find(value);
-      if (it != const_strings_.end()) {
-        return it->second;
-      }
-      // Slow path for constants not discovered by the module walk.
-      return const_strings_.emplace(value, InternedString(value->constant_string()))
-          .first->second;
-    }
-    case ValueKind::kConstantNull:
-      return RtValue::Null();
-    case ValueKind::kGlobal: {
-      RtValue addr;
-      addr.kind = RtValue::Kind::kAddr;
-      addr.frame = -1;
-      addr.root = value;
-      return addr;
-    }
-    case ValueKind::kArgument:
-    case ValueKind::kInstruction: {
-      uint32_t id = value->id();
-      return id < frame.regs.size() ? frame.regs[id] : RtValue::Int(0);
-    }
-  }
-  return RtValue::Int(0);
-}
-
-RtValue Interpreter::RunFunction(const Function& fn, std::vector<RtValue> args) {
+RtValue Interpreter::RunFunction(uint32_t function, size_t args_base, size_t argc) {
   if (++call_depth_ > options_.max_call_depth) {
     --call_depth_;
     throw TrapError("Segmentation fault (stack overflow)");
   }
-  Frame frame;
-  frame.fn = &fn;
-  frame.id = next_frame_id_++;
-  active_frames_.push_back(frame.id);
-  if (!frame_pool_.empty()) {
-    frame.regs = std::move(frame_pool_.back());
-    frame_pool_.pop_back();
+  const FunctionPlan& plan = PlanFor(function);
+  Frame& frame = PushFrame(plan);
+  RtValue* regs = frame.regs.data();
+  RtValue* cells = frame.cells.data();
+  const RtValue* consts = plan.consts.data();
+  const uint32_t self = frame.id;
+  for (size_t i = 0; i < plan.arg_regs.size(); ++i) {
+    regs[plan.arg_regs[i]] = i < argc ? arg_stack_[args_base + i] : plan.arg_defaults[i];
   }
-  frame.regs.assign(fn.value_id_count(), RtValue());
-  for (size_t i = 0; i < fn.arguments().size(); ++i) {
-    frame.regs[fn.arguments()[i]->id()] =
-        i < args.size() ? std::move(args[i]) : DefaultValueFor(fn.arguments()[i]->type());
-  }
+  auto value = [regs, consts](int32_t ref) -> const RtValue& {
+    return ref >= 0 ? regs[ref] : consts[~ref];
+  };
+  auto global_cell = [this](const RtValue& addr) {
+    return addr.kind == RtValue::Kind::kAddr && addr.addr.storage < num_globals_ &&
+           (addr.addr.offset & kOverflowBit) == 0;
+  };
+  auto own_cell = [self](const RtValue& addr) {
+    return addr.kind == RtValue::Kind::kAddr && addr.addr.storage == self &&
+           (addr.addr.offset & kOverflowBit) == 0;
+  };
 
-  const BasicBlock* block = fn.entry();
-  RtValue result = DefaultValueFor(fn.return_type());
-  while (block != nullptr) {
-    const BasicBlock* next = nullptr;
-    for (const auto& instr_ptr : block->instructions()) {
-      const Instruction* instr = instr_ptr.get();
-      Step();
-      switch (instr->instr_kind()) {
-        case InstrKind::kAlloca: {
-          alloca_bounds_.emplace(instr, instr->alloca_array_size());
-          RtValue addr;
-          addr.kind = RtValue::Kind::kAddr;
-          addr.frame = frame.id;
-          addr.root = instr;
-          frame.regs[instr->id()] = addr;
-          break;
+  const Op* ops = plan.ops.data();
+  uint32_t pc = 0;
+  while (true) {
+    const Op& op = ops[pc++];
+    if (op.kind == OpKind::kFallOff) {
+      --call_depth_;
+      PopFrame();
+      return plan.result_default;
+    }
+    Step();
+    switch (op.kind) {
+      case OpKind::kAlloca:
+        regs[op.dst] = Address(self, op.x);
+        break;
+      case OpKind::kLoad: {
+        const RtValue& addr = value(op.a);
+        if (own_cell(addr)) {
+          regs[op.dst] = cells[addr.addr.offset];
+        } else if (global_cell(addr)) {
+          global_read_stamps_[addr.addr.storage] = access_stamp_;
+          regs[op.dst] = global_cells_[addr.addr.offset];
+        } else {
+          regs[op.dst] = LoadCell(addr, op.instr);
         }
-        case InstrKind::kLoad:
-          frame.regs[instr->id()] = LoadCell(Eval(frame, instr->operand(0)), instr);
-          break;
-        case InstrKind::kStore:
-          StoreCell(Eval(frame, instr->operand(1)), Eval(frame, instr->operand(0)), instr);
-          break;
-        case InstrKind::kBinOp: {
-          RtValue lhs = Eval(frame, instr->operand(0));
-          RtValue rhs = Eval(frame, instr->operand(1));
-          if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
-            double a = lhs.AsFloat();
-            double b = rhs.AsFloat();
-            double out = 0;
-            switch (instr->bin_op()) {
-              case IrBinOp::kAdd:
-                out = a + b;
-                break;
-              case IrBinOp::kSub:
-                out = a - b;
-                break;
-              case IrBinOp::kMul:
-                out = a * b;
-                break;
-              case IrBinOp::kDiv:
-                if (b == 0) {
-                  throw TrapError("Floating point exception (division by zero)");
-                }
-                out = a / b;
-                break;
-              default:
-                out = 0;
-                break;
-            }
-            frame.regs[instr->id()] = RtValue::Float(out);
-            break;
-          }
-          int64_t a = lhs.AsInt();
-          int64_t b = rhs.AsInt();
-          int64_t out = 0;
-          switch (instr->bin_op()) {
+        break;
+      }
+      case OpKind::kStore: {
+        const RtValue& stored = value(op.a);
+        const RtValue& addr = value(op.b);
+        if (stored.kind != RtValue::Kind::kAddr && own_cell(addr)) {
+          cells[addr.addr.offset] = stored;
+        } else if (stored.kind != RtValue::Kind::kAddr && global_cell(addr)) {
+          global_write_stamps_[addr.addr.storage] = access_stamp_;
+          global_cells_[addr.addr.offset] = stored;
+        } else {
+          StoreCell(addr, stored, op.instr);
+        }
+        break;
+      }
+      case OpKind::kBinOp: {
+        const RtValue& lhs = value(op.a);
+        const RtValue& rhs = value(op.b);
+        if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
+          double a = lhs.AsFloat();
+          double b = rhs.AsFloat();
+          double out = 0;
+          switch (static_cast<IrBinOp>(op.code)) {
             case IrBinOp::kAdd:
               out = a + b;
               break;
@@ -702,235 +1197,200 @@ RtValue Interpreter::RunFunction(const Function& fn, std::vector<RtValue> args) 
               break;
             case IrBinOp::kDiv:
               if (b == 0) {
-                throw TrapError("Floating point exception (integer division by zero)");
+                throw TrapError("Floating point exception (division by zero)");
               }
               out = a / b;
               break;
-            case IrBinOp::kRem:
-              if (b == 0) {
-                throw TrapError("Floating point exception (integer division by zero)");
-              }
-              out = a % b;
-              break;
-            case IrBinOp::kShl:
-              out = b >= 64 ? 0 : a << b;
-              break;
-            case IrBinOp::kShr:
-              out = b >= 64 ? 0 : a >> b;
-              break;
-            case IrBinOp::kAnd:
-              out = a & b;
-              break;
-            case IrBinOp::kOr:
-              out = a | b;
-              break;
-            case IrBinOp::kXor:
-              out = a ^ b;
+            default:
+              out = 0;
               break;
           }
-          frame.regs[instr->id()] = RtValue::Int(out);
+          regs[op.dst] = RtValue::Float(out);
           break;
         }
-        case InstrKind::kCmp: {
-          RtValue lhs = Eval(frame, instr->operand(0));
-          RtValue rhs = Eval(frame, instr->operand(1));
-          bool result_bool = false;
-          bool string_side = lhs.kind == RtValue::Kind::kString ||
-                             rhs.kind == RtValue::Kind::kString ||
-                             lhs.kind == RtValue::Kind::kNull ||
-                             rhs.kind == RtValue::Kind::kNull;
-          if (string_side) {
-            bool lhs_null = lhs.kind == RtValue::Kind::kNull;
-            bool rhs_null = rhs.kind == RtValue::Kind::kNull;
-            int order;
-            if (lhs_null || rhs_null) {
-              order = (lhs_null && rhs_null) ? 0 : (lhs_null ? -1 : 1);
-            } else if (lhs.sp == rhs.sp) {
-              order = 0;  // Same pooled payload.
-            } else {
-              order = CompareStrings(lhs.str(), rhs.str());
+        int64_t a = lhs.AsInt();
+        int64_t b = rhs.AsInt();
+        int64_t out = 0;
+        switch (static_cast<IrBinOp>(op.code)) {
+          case IrBinOp::kAdd:
+            out = WrapAdd(a, b);
+            break;
+          case IrBinOp::kSub:
+            out = WrapSub(a, b);
+            break;
+          case IrBinOp::kMul:
+            out = WrapMul(a, b);
+            break;
+          case IrBinOp::kDiv:
+          case IrBinOp::kRem:
+            if (b == 0) {
+              throw TrapError("Floating point exception (integer division by zero)");
             }
-            switch (instr->cmp_pred()) {
-              case IrCmpPred::kEq:
-                result_bool = order == 0;
-                break;
-              case IrCmpPred::kNe:
-                result_bool = order != 0;
-                break;
-              case IrCmpPred::kLt:
-                result_bool = order < 0;
-                break;
-              case IrCmpPred::kLe:
-                result_bool = order <= 0;
-                break;
-              case IrCmpPred::kGt:
-                result_bool = order > 0;
-                break;
-              case IrCmpPred::kGe:
-                result_bool = order >= 0;
-                break;
+            if (b == -1 && a == std::numeric_limits<int64_t>::min()) {
+              // x86 raises SIGFPE here for both quotient and remainder.
+              throw TrapError("Floating point exception (integer division overflow)");
             }
-          } else if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
-            double a = lhs.AsFloat();
-            double b = rhs.AsFloat();
-            switch (instr->cmp_pred()) {
-              case IrCmpPred::kEq:
-                result_bool = a == b;
-                break;
-              case IrCmpPred::kNe:
-                result_bool = a != b;
-                break;
-              case IrCmpPred::kLt:
-                result_bool = a < b;
-                break;
-              case IrCmpPred::kLe:
-                result_bool = a <= b;
-                break;
-              case IrCmpPred::kGt:
-                result_bool = a > b;
-                break;
-              case IrCmpPred::kGe:
-                result_bool = a >= b;
-                break;
-            }
-          } else {
-            int64_t a = lhs.AsInt();
-            int64_t b = rhs.AsInt();
-            switch (instr->cmp_pred()) {
-              case IrCmpPred::kEq:
-                result_bool = a == b;
-                break;
-              case IrCmpPred::kNe:
-                result_bool = a != b;
-                break;
-              case IrCmpPred::kLt:
-                result_bool = a < b;
-                break;
-              case IrCmpPred::kLe:
-                result_bool = a <= b;
-                break;
-              case IrCmpPred::kGt:
-                result_bool = a > b;
-                break;
-              case IrCmpPred::kGe:
-                result_bool = a >= b;
-                break;
-            }
-          }
-          frame.regs[instr->id()] = RtValue::Int(result_bool ? 1 : 0);
-          break;
+            out = static_cast<IrBinOp>(op.code) == IrBinOp::kDiv ? a / b : a % b;
+            break;
+          case IrBinOp::kShl:
+            // Counts outside [0, 63] shift every bit out.
+            out = b < 0 || b >= 64 ? 0 : static_cast<int64_t>(static_cast<uint64_t>(a) << b);
+            break;
+          case IrBinOp::kShr:
+            out = b < 0 || b >= 64 ? 0 : a >> b;
+            break;
+          case IrBinOp::kAnd:
+            out = a & b;
+            break;
+          case IrBinOp::kOr:
+            out = a | b;
+            break;
+          case IrBinOp::kXor:
+            out = a ^ b;
+            break;
         }
-        case InstrKind::kCast: {
-          RtValue operand = Eval(frame, instr->operand(0));
-          const IrType* to = instr->type();
-          if (to->kind() == IrTypeKind::kFloat) {
-            frame.regs[instr->id()] = RtValue::Float(operand.AsFloat());
-          } else if (to->IsBool()) {
-            frame.regs[instr->id()] = RtValue::Int(operand.IsTruthy() ? 1 : 0);
-          } else if (to->IsInteger()) {
-            int64_t v = operand.AsInt();
-            // Integer truncation — this is where 9000000000 silently becomes
-            // an overflowed 32-bit value (paper Figure 5(a)).
-            switch (to->bit_width()) {
-              case 8:
-                v = static_cast<int8_t>(v);
-                break;
-              case 16:
-                v = static_cast<int16_t>(v);
-                break;
-              case 32:
-                v = static_cast<int32_t>(v);
-                break;
-              default:
-                break;
-            }
-            frame.regs[instr->id()] = RtValue::Int(v);
-          } else {
-            frame.regs[instr->id()] = operand;
-          }
-          break;
-        }
-        case InstrKind::kCall:
-          frame.regs[instr->id()] = ExecCall(frame, instr);
-          break;
-        case InstrKind::kFieldAddr: {
-          RtValue base = Eval(frame, instr->operand(0));
-          if (base.kind == RtValue::Kind::kNull) {
-            throw TrapError("Segmentation fault (null pointer field access)");
-          }
-          if (base.kind != RtValue::Kind::kAddr) {
-            throw TrapError("Segmentation fault (field access on non-pointer)");
-          }
-          base.path.push_back(instr->field_index());
-          frame.regs[instr->id()] = base;
-          break;
-        }
-        case InstrKind::kIndexAddr: {
-          RtValue base = Eval(frame, instr->operand(0));
-          if (base.kind == RtValue::Kind::kNull) {
-            throw TrapError("Segmentation fault (null pointer indexing)");
-          }
-          if (base.kind != RtValue::Kind::kAddr) {
-            throw TrapError("Segmentation fault (indexing a non-pointer)");
-          }
-          RtValue index = Eval(frame, instr->operand(1));
-          base.path.push_back(index.AsInt());
-          frame.regs[instr->id()] = base;
-          break;
-        }
-        case InstrKind::kBr:
-          next = instr->successors()[0];
-          break;
-        case InstrKind::kCondBr: {
-          RtValue condition = Eval(frame, instr->operand(0));
-          next = condition.IsTruthy() ? instr->successors()[0] : instr->successors()[1];
-          break;
-        }
-        case InstrKind::kSwitch: {
-          RtValue subject = Eval(frame, instr->operand(0));
-          next = instr->successors()[0];  // default
-          for (size_t i = 0; i < instr->switch_values().size(); ++i) {
-            if (instr->switch_values()[i] == subject.AsInt()) {
-              next = instr->successors()[i + 1];
-              break;
-            }
-          }
-          break;
-        }
-        case InstrKind::kRet: {
-          --call_depth_;
-          RtValue ret = instr->operand_count() == 1 ? Eval(frame, instr->operand(0)) : result;
-          frame_pool_.push_back(std::move(frame.regs));
-          active_frames_.pop_back();
-          return ret;
-        }
-        case InstrKind::kUnreachable:
-          throw TrapError("Segmentation fault (unreachable code executed)");
-      }
-      if (next != nullptr) {
+        regs[op.dst] = RtValue::Int(out);
         break;
       }
+      case OpKind::kCmp: {
+        const RtValue& lhs = value(op.a);
+        const RtValue& rhs = value(op.b);
+        bool result_bool = false;
+        bool string_side = lhs.kind == RtValue::Kind::kString ||
+                           rhs.kind == RtValue::Kind::kString ||
+                           lhs.kind == RtValue::Kind::kNull || rhs.kind == RtValue::Kind::kNull;
+        auto holds = [pred = static_cast<IrCmpPred>(op.code)](auto a, auto b) {
+          switch (pred) {
+            case IrCmpPred::kEq:
+              return a == b;
+            case IrCmpPred::kNe:
+              return a != b;
+            case IrCmpPred::kLt:
+              return a < b;
+            case IrCmpPred::kLe:
+              return a <= b;
+            case IrCmpPred::kGt:
+              return a > b;
+            case IrCmpPred::kGe:
+              return a >= b;
+          }
+          return false;
+        };
+        if (string_side) {
+          bool lhs_null = lhs.kind == RtValue::Kind::kNull;
+          bool rhs_null = rhs.kind == RtValue::Kind::kNull;
+          int order;
+          if (lhs_null || rhs_null) {
+            order = (lhs_null && rhs_null) ? 0 : (lhs_null ? -1 : 1);
+          } else if (lhs.SamePayload(rhs)) {
+            order = 0;  // Same pooled payload.
+          } else {
+            order = CompareStrings(lhs.str(), rhs.str());
+          }
+          result_bool = holds(order, 0);
+        } else if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
+          result_bool = holds(lhs.AsFloat(), rhs.AsFloat());
+        } else {
+          result_bool = holds(lhs.AsInt(), rhs.AsInt());
+        }
+        regs[op.dst] = RtValue::Int(result_bool ? 1 : 0);
+        break;
+      }
+      case OpKind::kCast: {
+        const RtValue& operand = value(op.a);
+        switch (static_cast<CastTo>(op.code)) {
+          case CastTo::kFloat:
+            regs[op.dst] = RtValue::Float(operand.AsFloat());
+            break;
+          case CastTo::kBool:
+            regs[op.dst] = RtValue::Int(operand.IsTruthy() ? 1 : 0);
+            break;
+          case CastTo::kInt8:
+            regs[op.dst] = RtValue::Int(static_cast<int8_t>(operand.AsInt()));
+            break;
+          case CastTo::kInt16:
+            regs[op.dst] = RtValue::Int(static_cast<int16_t>(operand.AsInt()));
+            break;
+          case CastTo::kInt32:
+            regs[op.dst] = RtValue::Int(static_cast<int32_t>(operand.AsInt()));
+            break;
+          case CastTo::kInt64:
+            regs[op.dst] = RtValue::Int(operand.AsInt());
+            break;
+          case CastTo::kSame:
+            regs[op.dst] = operand;
+            break;
+        }
+        break;
+      }
+      case OpKind::kCallFunction:
+      case OpKind::kCallIntrinsic: {
+        size_t base = arg_stack_.size();
+        for (uint32_t i = 0; i < op.y; ++i) {
+          arg_stack_.push_back(value(plan.call_args[op.x + i]));
+        }
+        RtValue result = op.kind == OpKind::kCallFunction
+                             ? RunFunction(op.callee, base, op.y)
+                             : Intrinsic(static_cast<IntrinsicId>(op.code), op.instr, base, op.y);
+        arg_stack_.resize(base);
+        regs[op.dst] = result;
+        break;
+      }
+      case OpKind::kFieldAddr: {
+        const RtValue& base = value(op.a);
+        if (base.kind == RtValue::Kind::kNull) {
+          throw TrapError("Segmentation fault (null pointer field access)");
+        }
+        if (base.kind != RtValue::Kind::kAddr) {
+          throw TrapError("Segmentation fault (field access on non-pointer)");
+        }
+        regs[op.dst] = StepAddress(base, op.x);
+        break;
+      }
+      case OpKind::kIndexAddr: {
+        const RtValue& base = value(op.a);
+        if (base.kind == RtValue::Kind::kNull) {
+          throw TrapError("Segmentation fault (null pointer indexing)");
+        }
+        if (base.kind != RtValue::Kind::kAddr) {
+          throw TrapError("Segmentation fault (indexing a non-pointer)");
+        }
+        regs[op.dst] = StepAddress(base, value(op.b).AsInt());
+        break;
+      }
+      case OpKind::kBr:
+        pc = op.x;
+        break;
+      case OpKind::kCondBr:
+        pc = value(op.a).IsTruthy() ? op.x : op.y;
+        break;
+      case OpKind::kSwitch: {
+        int64_t subject = value(op.a).AsInt();
+        const std::vector<int64_t>& cases = op.instr->switch_values();
+        pc = plan.switch_targets[op.x];  // default
+        for (uint32_t i = 0; i < op.y; ++i) {
+          if (cases[i] == subject) {
+            pc = plan.switch_targets[op.x + 1 + i];
+            break;
+          }
+        }
+        break;
+      }
+      case OpKind::kRet: {
+        --call_depth_;
+        RtValue ret = op.y != 0 ? value(op.a) : plan.result_default;
+        if (ret.kind == RtValue::Kind::kAddr && ret.addr.storage == self) {
+          frame.escaped = true;  // Returning &local: the cells outlive the call.
+        }
+        PopFrame();
+        return ret;
+      }
+      case OpKind::kUnreachable:
+        throw TrapError("Segmentation fault (unreachable code executed)");
+      case OpKind::kFallOff:
+        break;  // Handled before Step().
     }
-    block = next;
   }
-  --call_depth_;
-  frame_pool_.push_back(std::move(frame.regs));
-  active_frames_.pop_back();
-  return result;
-}
-
-RtValue Interpreter::ExecCall(Frame& frame, const Instruction* instr) {
-  std::vector<RtValue> args;
-  args.reserve(instr->operand_count());
-  for (size_t i = 0; i < instr->operand_count(); ++i) {
-    args.push_back(Eval(frame, instr->operand(i)));
-  }
-  auto it = call_sites_.find(instr);
-  const CallSite site = it != call_sites_.end() ? it->second : ResolveCallSite(instr);
-  if (site.function != nullptr) {
-    return RunFunction(*site.function, std::move(args));
-  }
-  return Intrinsic(site.intrinsic, instr->callee(), args, instr);
 }
 
 // ---------------------------------------------------------------------------
@@ -941,7 +1401,7 @@ void Interpreter::AppendLog(std::string level, const std::string& message) {
 }
 
 std::string Interpreter::FormatMessage(const std::string& format,
-                                       const std::vector<RtValue>& args,
+                                       std::span<const RtValue> args,
                                        size_t first_arg) const {
   std::string out;
   size_t arg_index = first_arg;
@@ -979,6 +1439,8 @@ std::string Interpreter::FormatMessage(const std::string& format,
 namespace {
 
 // C-style prefix integer parse (what atoi/strtol do with garbage input).
+// Overlong digit strings wrap in two's complement, like the target's own
+// unchecked accumulation loop.
 int64_t ParsePrefixInt(const std::string& text) {
   size_t i = 0;
   while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) != 0) {
@@ -989,18 +1451,22 @@ int64_t ParsePrefixInt(const std::string& text) {
     negative = text[i] == '-';
     ++i;
   }
-  int64_t value = 0;
+  uint64_t value = 0;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
-    value = value * 10 + (text[i] - '0');
+    value = value * 10 + static_cast<uint64_t>(text[i] - '0');
     ++i;
   }
-  return negative ? -value : value;
+  return static_cast<int64_t>(negative ? 0 - value : value);
 }
 
 }  // namespace
 
-RtValue Interpreter::Intrinsic(IntrinsicId id, const std::string& name,
-                               std::vector<RtValue>& args, const Instruction* instr) {
+RtValue Interpreter::Intrinsic(IntrinsicId id, const Instruction* instr, size_t args_base,
+                               size_t argc) {
+  // A view of the argument stack: valid until the next push, so only
+  // kInvokeHandler (whose callee pushes) must not read it after calling.
+  std::span<const RtValue> args(arg_stack_.data() + args_base, argc);
+  const std::string& name = instr->callee();
   auto need_string = [&](size_t index) -> const std::string& {
     if (index >= args.size() || args[index].kind == RtValue::Kind::kNull) {
       throw TrapError("Segmentation fault (null string passed to " + name + ")");
@@ -1304,13 +1770,13 @@ RtValue Interpreter::Intrinsic(IntrinsicId id, const std::string& name,
       if (args.empty() || args[0].kind != RtValue::Kind::kFnRef) {
         throw TrapError("Segmentation fault (call through non-function value)");
       }
-      const Function* handler = LookupFunction(args[0].str());
-      if (handler == nullptr || handler->IsDeclaration()) {
+      int32_t handler = LookupFunction(args[0].str());
+      if (handler < 0) {
         throw TrapError("Segmentation fault (call through dangling handler '" + args[0].str() +
                         "')");
       }
-      std::vector<RtValue> handler_args(args.begin() + 1, args.end());
-      return RunFunction(*handler, std::move(handler_args));
+      // The handler's arguments are ours minus the function reference.
+      return RunFunction(static_cast<uint32_t>(handler), args_base + 1, argc - 1);
     }
 
     case IntrinsicId::kNone:
@@ -1324,7 +1790,7 @@ std::optional<RtValue> Interpreter::ReadGlobal(const std::string& name) const {
   if (global == nullptr) {
     return std::nullopt;
   }
-  return global_scalars_[static_cast<size_t>(GlobalSlotOf(global))];
+  return global_cells_[global_layouts_[global_slot_.at(global)].base];
 }
 
 void Interpreter::WriteGlobal(const std::string& name, RtValue value) {
@@ -1332,7 +1798,7 @@ void Interpreter::WriteGlobal(const std::string& name, RtValue value) {
   if (global == nullptr) {
     return;
   }
-  global_scalars_[static_cast<size_t>(GlobalSlotOf(global))] = std::move(value);
+  global_cells_[global_layouts_[global_slot_.at(global)].base] = value;
 }
 
 bool Interpreter::GlobalWasRead(const std::string& name) const {
@@ -1340,7 +1806,7 @@ bool Interpreter::GlobalWasRead(const std::string& name) const {
   if (global == nullptr) {
     return false;
   }
-  return global_read_stamps_[static_cast<size_t>(GlobalSlotOf(global))] != 0;
+  return global_read_stamps_[global_slot_.at(global)] != 0;
 }
 
 }  // namespace spex

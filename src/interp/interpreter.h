@@ -8,31 +8,50 @@
 // budget (runaway loops are hangs), exit codes, captured logs, final global
 // values, and a record of which globals were ever read.
 //
-// Storage layout is optimized for campaign throughput: per-frame registers
-// are dense slots indexed by the per-function Value id, scalar globals live
-// in a flat slot table built once per module, and array/field cells use
-// hashed (not tree) lookup. String payloads are interned in a per-instance
-// StringPool, so an RtValue is pointer-sized state and register moves,
-// Reset() copies and snapshot restores never allocate. Call instructions
-// are resolved once (defined function or intrinsic enum) instead of
-// string-compared per call. The post-InitGlobals() image is cached so
-// Reset() restores by copy, and TakeSnapshot()/RestoreSnapshot() extend the
-// same trick to arbitrary execution points — an injection campaign replays
-// the shared template-parse prefix thousands of times.
+// Memory model (flat storage, built for campaign throughput):
+//   - An RtValue is 16 trivially copyable bytes: a tag, a pool symbol and
+//     one payload word. Strings are interned (per-Interpreter StringPool),
+//     so moving a value never allocates.
+//   - Every storage root (a global or an alloca) has a layout computed from
+//     its IR type: cell 0 is the root itself, then one cell per array
+//     element followed by the element's struct fields, or one cell per
+//     field of a struct. An address is (storage id, flat cell offset);
+//     FieldAddr/IndexAddr step the offset within the layout.
+//   - Globals live in one flat cell array. Each call frame keeps its
+//     registers and its alloca cells in its own slot arrays, dropped on
+//     return unless an address of the frame escaped (was stored as a value
+//     or returned by its own frame); an escaped frame's cells are spilled
+//     to interpreter-lifetime storage so stale reads stay exact.
+//   - Paths the layout cannot index (indexing a scalar, depth 3 or more,
+//     `p = &buf[1]; p[2]`, an out-of-range index) go to one sparse
+//     overflow map keyed by (storage, interned path).
+//   - Each function is compiled once, on first call, into a flat op array
+//     whose operands are resolved register or constant slots (string
+//     constants interned up front); intrinsic arguments come from a
+//     reusable argument stack.
+// Reset() restores the cached post-initializer image by vector copy, and
+// TakeSnapshot()/RestoreSnapshot() extend the same trick to arbitrary
+// execution points between calls — an injection campaign replays the
+// shared template-parse prefix thousands of times. A restore copies a few
+// vectors; it allocates only when the target's buffers are smaller than
+// the snapshot's, or when escaped cells or overflow paths exist.
 #ifndef SPEX_INTERP_INTERPRETER_H_
 #define SPEX_INTERP_INTERPRETER_H_
 
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "src/ir/ir.h"
 #include "src/osim/os_simulator.h"
 #include "src/support/cancellation.h"
-#include "src/support/hashing.h"
 #include "src/support/string_pool.h"
 
 namespace spex {
@@ -41,22 +60,28 @@ namespace spex {
 // function reference (config-table handler slots). String payloads are
 // interned: `sp` points into pool-stable storage (an Interpreter's pool or
 // the process-wide boundary pool), so copying an RtValue never copies
-// characters.
+// characters. Only the payload member named by `kind` is meaningful.
 struct RtValue {
-  enum class Kind { kInt, kFloat, kString, kNull, kAddr, kFnRef };
+  enum class Kind : uint8_t { kInt, kFloat, kString, kNull, kAddr, kFnRef };
+
+  // kAddr payload: `storage` names a global (ids below the module's global
+  // count) or a call frame; `offset` is a cell of that storage's flat
+  // layout, or an overflow path (see Interpreter).
+  struct Addr {
+    uint32_t storage;
+    uint32_t offset;
+  };
+
   Kind kind = Kind::kInt;
-  int64_t i = 0;
-  double f = 0;
-
-  // kString / kFnRef payload: stable pooled pointer plus the pool's symbol
-  // id (diagnostics; equality of syms is only meaningful within one pool).
-  const std::string* sp = nullptr;
+  // kString / kFnRef: the pool's symbol id (diagnostics; equality of syms
+  // is only meaningful within one pool).
   Symbol sym = kInvalidSymbol;
-
-  // kAddr payload: frame -1 = global storage.
-  int64_t frame = -1;
-  const Value* root = nullptr;
-  std::vector<int64_t> path;
+  union {
+    int64_t i = 0;          // kInt
+    double f;               // kFloat
+    const std::string* sp;  // kString / kFnRef: stable pooled pointer.
+    Addr addr;              // kAddr
+  };
 
   static RtValue Int(int64_t v);
   static RtValue Float(double v);
@@ -73,14 +98,21 @@ struct RtValue {
   static RtValue PooledStr(const std::string* sp, Symbol sym);
   static RtValue PooledFnRef(const std::string* sp, Symbol sym);
 
-  // String payload; empty string when no payload is attached.
+  // String payload; empty string for other kinds or a missing payload.
   const std::string& str() const;
+  // True when both are strings or function references with the same
+  // pooled payload (equal text, no character comparison needed).
+  bool SamePayload(const RtValue& other) const;
 
   bool IsTruthy() const;
+  // Floats convert like x86-64's cvttsd2si: NaN and out-of-range values
+  // become INT64_MIN instead of host undefined behaviour.
   int64_t AsInt() const;
   double AsFloat() const;
   std::string ToDebugString() const;
 };
+
+static_assert(sizeof(RtValue) <= 16 && std::is_trivially_copyable_v<RtValue>);
 
 struct InterpOptions {
   // Instruction budget; exceeding it classifies the run as a hang.
@@ -109,30 +141,47 @@ struct CallOutcome {
 
 class Interpreter {
  private:
-  // Identity of a non-scalar cell (array element / struct field / alloca).
-  struct CellKey {
-    int64_t frame = -1;
+  // Flat cell layout of one storage root (see the file comment). Cell 0 is
+  // the root; an array root has `elems` elements of 1 + `fields` cells
+  // each (the element, then its struct fields); a struct root that is not
+  // an array has `fields` field cells.
+  struct Layout {
     const Value* root = nullptr;
-    std::vector<int64_t> path;
+    int64_t bound = 0;  // Element count checked on the first path step (<= 0: none).
+    uint32_t base = 0;  // Cell 0's index in the owning cell array.
+    uint32_t elems = 0;
+    uint32_t fields = 0;
+    uint32_t size = 1;
 
-    bool operator==(const CellKey& other) const {
-      return frame == other.frame && root == other.root && path == other.path;
-    }
+    static Layout For(const Value* root, const IrType* type, int64_t bound, uint32_t base);
+    // The layout-relative cell one path step below cell `local`, or
+    // kNoCell when the longer path does not fit the layout.
+    uint32_t Step(uint32_t local, int64_t step) const;
+    // Writes the path from the root to layout-relative cell `local` (at
+    // most two steps) and returns its length.
+    size_t PathOf(uint32_t local, int64_t (&steps)[2]) const;
   };
-  struct CellKeyHash {
-    size_t operator()(const CellKey& key) const {
-      size_t h = std::hash<const void*>()(key.root);
-      h = HashCombine(h, std::hash<int64_t>()(key.frame));
-      for (int64_t step : key.path) {
-        h = HashCombine(h, std::hash<int64_t>()(step));
-      }
-      return h;
-    }
+  // An interned path the layout of `root` cannot index: `root` is a global
+  // id, or an alloca's index within its function.
+  struct OverflowPath {
+    uint32_t root = 0;
+    std::vector<int64_t> steps;
+    bool operator==(const OverflowPath& other) const = default;
   };
-  using CellMap = std::unordered_map<CellKey, RtValue, CellKeyHash>;
+  struct OverflowPathHash {
+    size_t operator()(const OverflowPath& path) const;
+  };
+
+  // The cells of a returned frame whose address escaped.
+  struct SpilledFrame {
+    uint32_t id = 0;
+    uint32_t function = 0;  // Index into Module::functions().
+    std::vector<RtValue> cells;
+  };
 
  public:
   Interpreter(const Module& module, OsSimulator* os, InterpOptions options = {});
+  ~Interpreter();
 
   // Re-initializes global storage from the cached initializer image, clears
   // logs, read-tracking and the step counter. Does not reset the OS.
@@ -157,16 +206,17 @@ class Interpreter {
 
    private:
     friend class Interpreter;
-    std::vector<RtValue> scalars_;
-    CellMap cells_;
+    std::vector<RtValue> cells_;
+    std::vector<SpilledFrame> spilled_;
+    std::vector<OverflowPath> paths_;
+    std::unordered_map<uint64_t, RtValue> overflow_;
     std::vector<int32_t> read_stamps_;
     std::vector<int32_t> write_stamps_;
-    std::unordered_map<const Value*, int64_t> alloca_bounds_;
     std::vector<std::string> logs_;
     int64_t steps_ = 0;
-    int64_t next_frame_id_ = 0;
     int64_t os_ops_ = 0;
     int64_t stale_cell_ops_ = 0;
+    uint32_t next_frame_id_ = 0;
     int32_t access_stamp_ = 1;
   };
 
@@ -215,24 +265,16 @@ class Interpreter {
   int64_t os_ops() const { return os_ops_; }
   // Cell accesses through an address whose owning frame is no longer on
   // the call stack — i.e. through an escaped &local. These cells persist
-  // in cell storage across Call()s but are not covered by the per-global
-  // stamps, so the campaign treats stale traffic on both sides of a
-  // reordering as a conflict.
+  // in spilled storage across Call()s but are not covered by the
+  // per-global stamps, so the campaign treats stale traffic on both sides
+  // of a reordering as a conflict.
   int64_t stale_cell_ops() const { return stale_cell_ops_; }
   size_t log_count() const { return logs_.size(); }
 
  private:
-  struct Frame {
-    const Function* fn = nullptr;
-    int64_t id = 0;
-    // Dense register file indexed by Value::id() (arguments and
-    // instructions share the function's id space).
-    std::vector<RtValue> regs;
-  };
-
   // Enum dispatch for the simulated C-library/OS surface; call sites are
-  // resolved to an IntrinsicId once in BuildModuleIndex instead of walking
-  // a string-compare chain per call.
+  // resolved to an IntrinsicId once, when their function is compiled,
+  // instead of walking a string-compare chain per call.
   enum class IntrinsicId : uint8_t {
     kNone,  // Unresolved external: trap.
     kStrcmp,
@@ -288,12 +330,18 @@ class Interpreter {
     kInvokeHandler,
   };
 
-  // Resolved call target: a defined function, or an intrinsic id.
-  struct CallSite {
-    const Function* function = nullptr;
-    IntrinsicId intrinsic = IntrinsicId::kNone;
-  };
+  // One function compiled for execution (built on first call).
+  struct Op;
+  struct FunctionPlan;
 
+  struct Frame {
+    const FunctionPlan* plan = nullptr;
+    uint32_t id = 0;       // Storage id of this frame's cells.
+    bool escaped = false;  // An address of this frame was stored or returned.
+    bool overflowed = false;  // The overflow map holds cells of this frame.
+    std::vector<RtValue> regs;   // Indexed by Value::id().
+    std::vector<RtValue> cells;  // Alloca cells, laid out by the plan.
+  };
   class TrapError {
    public:
     explicit TrapError(std::string reason) : reason_(std::move(reason)) {}
@@ -319,37 +367,55 @@ class Interpreter {
   // that a runaway loop is interrupted within ~microseconds.
   static constexpr int64_t kCancelPollInterval = 1024;
 
+  static IntrinsicId IntrinsicNamed(std::string_view name);
   void BuildModuleIndex();
   void BuildInitImage();
   RtValue DefaultValueFor(const IrType* type) const;
 
-  const Function* LookupFunction(const std::string& name) const;
+  // Index into Module::functions() of the callable definition named
+  // `name`, or -1.
+  int32_t LookupFunction(std::string_view name) const;
   const GlobalVariable* LookupGlobal(const std::string& name) const;
-  // Resolves (and caches) the target of a call instruction on first
-  // execution; see call_sites_.
-  CallSite ResolveCallSite(const Instruction* instr);
-  // Dense slot of a global root, or -1 if the root is not a global.
-  int32_t GlobalSlotOf(const Value* root) const;
+  const FunctionPlan& PlanFor(uint32_t function);
+  std::unique_ptr<FunctionPlan> BuildPlan(uint32_t function);
 
-  RtValue RunFunction(const Function& fn, std::vector<RtValue> args);
-  RtValue Eval(Frame& frame, const Value* value);
-  RtValue ExecCall(Frame& frame, const Instruction* instr);
-  RtValue Intrinsic(IntrinsicId id, const std::string& name, std::vector<RtValue>& args,
-                    const Instruction* instr);
+  // Runs `function` with its arguments at arg_stack_[args_base, +argc).
+  RtValue RunFunction(uint32_t function, size_t args_base, size_t argc);
+  RtValue Intrinsic(IntrinsicId id, const Instruction* instr, size_t args_base, size_t argc);
 
+  // --- Memory.
+  Frame& PushFrame(const FunctionPlan& plan);
+  void PopFrame();
+  // Pops every live frame (trap/exit/hang unwinding skips the returns).
+  void UnwindFrames();
+  Frame* LiveFrame(uint32_t id);
+  SpilledFrame* FindSpilled(uint32_t id);
+  // The plan of a live or spilled frame; traps on a dangling frame id.
+  const FunctionPlan& FramePlan(uint32_t storage);
+  // Layout of root `root` (a global id, or an alloca index) of `storage`.
+  const Layout& RootLayout(uint32_t storage, uint32_t root);
+  // The address one FieldAddr/IndexAddr step below `base`.
+  RtValue StepAddress(RtValue base, int64_t step);
+  uint32_t InternOverflowPath(OverflowPath path);
+  void RebuildOverflowIndex();
+  // Traps when an overflow address's first path step is outside its
+  // root's array bound (in-layout cells are in bounds by construction).
+  void CheckBounds(uint32_t storage, uint32_t offset, const Instruction* at);
+  // The cell an address names; nullptr for an overflow cell that was never
+  // written (reads then default by leaf type). Performs the bounds check,
+  // stale-access counting and global stamping of one access.
+  RtValue* ResolveCell(const RtValue& addr, const Instruction* at, bool write);
   RtValue LoadCell(const RtValue& addr, const Instruction* at);
-  void StoreCell(const RtValue& addr, RtValue value, const Instruction* at);
-  // Bumps stale_cell_ops_ when `frame` is not on the live call chain.
-  void NoteFrameCellAccess(int64_t frame);
-  // Bounds check for array roots; throws TrapError on violation.
-  void CheckBounds(const Value* root, int32_t slot, const std::vector<int64_t>& path,
-                   const Instruction* at) const;
+  void StoreCell(const RtValue& addr, const RtValue& value, const Instruction* at);
+  // Marks the live frame of a stored address as escaped.
+  void NoteStoredAddress(const RtValue& value);
   // Default value of an untouched cell, derived from the leaf type.
-  RtValue DefaultCellValue(const Value* root, const std::vector<int64_t>& path) const;
+  RtValue DefaultCellValue(const Value* root, std::span<const int64_t> steps) const;
+  RtValue DefaultCellValue(const Layout& layout, uint32_t local) const;
 
   void Step();
   void AppendLog(std::string level, const std::string& message);
-  std::string FormatMessage(const std::string& format, const std::vector<RtValue>& args,
+  std::string FormatMessage(const std::string& format, std::span<const RtValue> args,
                             size_t first_arg) const;
 
   const Module& module_;
@@ -363,42 +429,40 @@ class Interpreter {
 
   // --- Module-derived indexes, built once per Interpreter (the module is
   // immutable). Function/global lookup by name is hashed; Module::Find* is
-  // a linear scan and far too slow for the call-instruction hot path.
-  std::unordered_map<std::string, const Function*> functions_by_name_;
+  // a linear scan and far too slow for the call path.
+  std::unordered_map<std::string_view, int32_t> functions_by_name_;
   std::unordered_map<std::string, const GlobalVariable*> globals_by_name_;
-  std::unordered_map<const Value*, int32_t> global_slot_;
-  std::vector<int64_t> global_bounds_;  // Slot -> element count (0 = scalar).
-  // Constant-string operands interned per Value on first evaluation
-  // (module constants are deduplicated, so this converges to one entry per
-  // distinct literal actually executed).
-  std::unordered_map<const Value*, RtValue> const_strings_;
-  // Call instruction -> resolved target, filled lazily by ResolveCallSite
-  // so construction stays free of a whole-module walk.
-  std::unordered_map<const Instruction*, CallSite> call_sites_;
+  std::unordered_map<const Value*, uint32_t> global_slot_;
+  std::vector<Layout> global_layouts_;  // Global id -> layout in global_cells_.
+  uint32_t num_globals_ = 0;            // Storage ids below this are globals.
+  // Function index -> compiled plan, built on first call.
+  std::vector<std::unique_ptr<FunctionPlan>> plans_;
 
-  // --- Cached InitGlobals() image; Reset() restores by copy.
-  std::vector<RtValue> init_scalars_;
-  CellMap init_cells_;
+  // --- Cached post-initializer image; Reset() restores by copy.
+  std::vector<RtValue> init_cells_;
+  std::vector<OverflowPath> init_paths_;
+  std::unordered_map<uint64_t, RtValue> init_overflow_;
 
   // --- Mutable run state.
-  std::vector<RtValue> global_scalars_;  // Slot -> scalar (path-empty) value.
-  // Slot -> stamp of the last load/store through that global root since
-  // Reset() (0 = untouched); GlobalWasRead() is stamp != 0.
+  std::vector<RtValue> global_cells_;
+  // Global id -> stamp of the last load/store through that global root
+  // since Reset() (0 = untouched); GlobalWasRead() is stamp != 0.
   std::vector<int32_t> global_read_stamps_;
   std::vector<int32_t> global_write_stamps_;
-  CellMap cells_;                        // Non-scalar globals + alloca cells.
-  std::unordered_map<const Value*, int64_t> alloca_bounds_;
+  std::vector<SpilledFrame> spilled_;  // Sorted by id.
+  // The only hashed cell structure: (storage << 32 | path id) -> cell.
+  std::unordered_map<uint64_t, RtValue> overflow_cells_;
+  std::vector<OverflowPath> overflow_paths_;  // Path id -> path.
+  std::unordered_map<OverflowPath, uint32_t, OverflowPathHash> overflow_path_ids_;
   std::vector<std::string> logs_;
-  // Recycled register files; RunFunction pops/pushes to avoid a fresh
-  // allocation per call.
-  std::vector<std::vector<RtValue>> frame_pool_;
-  // Frame ids of the live call chain, innermost last; cell accesses whose
-  // frame is absent are escaped-local traffic (see stale_cell_ops()).
-  std::vector<int64_t> active_frames_;
+  std::deque<Frame> frames_;  // The live call chain, innermost last.
+  // Recycled register and cell arrays, so a call allocates nothing.
+  std::vector<std::vector<RtValue>> buffer_pool_;
+  std::vector<RtValue> arg_stack_;  // Call arguments in flight.
   int64_t steps_ = 0;
-  int64_t next_frame_id_ = 0;
   int64_t os_ops_ = 0;  // Intrinsic calls that consulted the simulated OS.
   int64_t stale_cell_ops_ = 0;
+  uint32_t next_frame_id_ = 0;
   int32_t access_stamp_ = 1;
   int call_depth_ = 0;
 };

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <type_traits>
+
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
 
@@ -464,6 +468,103 @@ TEST(InterpMemoryTest, OutOfBoundsTrapTextIsExact) {
   CallOutcome low = sut.Call("local", {RtValue::Int(-1)});
   EXPECT_EQ(low.status, CallOutcome::Status::kTrap);
   EXPECT_EQ(low.trap_reason, "Segmentation fault (array index -1 out of bounds 0..2 at sut.c:3:38)");
+}
+
+// --- MiniC integer semantics: defined results where the host C++ operation
+// would be undefined behaviour (or a SIGFPE) on a config-derived value.
+
+TEST(InterpIntegerTest, AddSubMulWrapInTwosComplement) {
+  Sut sut(R"(
+    long add(long a, long b) { return a + b; }
+    long sub(long a, long b) { return a - b; }
+    long mul(long a, long b) { return a * b; }
+  )");
+  auto run = [&](const char* fn, int64_t a, int64_t b) {
+    CallOutcome outcome = sut.Call(fn, {RtValue::Int(a), RtValue::Int(b)});
+    EXPECT_TRUE(outcome.ok()) << fn << ": " << outcome.trap_reason;
+    return outcome.return_value.AsInt();
+  };
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(run("add", kMax, 1), kMin);
+  EXPECT_EQ(run("sub", kMin, 1), kMax);
+  EXPECT_EQ(run("mul", 841048816911995911LL, 31), 7625769250562321625LL);
+  EXPECT_EQ(run("mul", kMin, -1), kMin);
+}
+
+TEST(InterpIntegerTest, MinDividedByMinusOneTraps) {
+  Sut sut(R"(
+    long quot(long a, long b) { return a / b; }
+    long rem(long a, long b) { return a % b; }
+  )");
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (const char* fn : {"quot", "rem"}) {
+    CallOutcome outcome = sut.Call(fn, {RtValue::Int(kMin), RtValue::Int(-1)});
+    EXPECT_EQ(outcome.status, CallOutcome::Status::kTrap) << fn;
+    EXPECT_EQ(outcome.trap_reason, "Floating point exception (integer division overflow)") << fn;
+  }
+  EXPECT_EQ(sut.Call("quot", {RtValue::Int(kMin + 1), RtValue::Int(-1)}).return_value.AsInt(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(sut.Call("rem", {RtValue::Int(-7), RtValue::Int(2)}).return_value.AsInt(), -1);
+}
+
+TEST(InterpIntegerTest, ShiftCountsOutsideTheWordGiveZero) {
+  Sut sut(R"(
+    long shl(long a, long b) { return a << b; }
+    long shr(long a, long b) { return a >> b; }
+  )");
+  auto run = [&](const char* fn, int64_t a, int64_t b) {
+    return sut.Call(fn, {RtValue::Int(a), RtValue::Int(b)}).return_value.AsInt();
+  };
+  EXPECT_EQ(run("shl", 5, -1), 0);
+  EXPECT_EQ(run("shr", 5, -1), 0);
+  EXPECT_EQ(run("shl", 5, 64), 0);
+  EXPECT_EQ(run("shr", -5, 64), 0);
+  EXPECT_EQ(run("shl", 1, 63), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(run("shl", -3, 2), -12);
+  EXPECT_EQ(run("shr", -8, 1), -4);
+}
+
+TEST(InterpIntegerTest, PrefixParseOfOverlongDigitsWraps) {
+  Sut sut(R"(
+    long conv_l(char *s) { return atol(s); }
+    int conv_i(char *s) { return atoi(s); }
+  )");
+  auto run = [&](const char* fn, const char* text) {
+    return sut.Call(fn, {RtValue::Str(text)}).return_value.AsInt();
+  };
+  // 99999999999999999999 mod 2^64.
+  EXPECT_EQ(run("conv_l", "99999999999999999999"), 7766279631452241919LL);
+  EXPECT_EQ(run("conv_i", "99999999999999999999"), 1661992959);
+  EXPECT_EQ(run("conv_l", "-9223372036854775808"), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(run("conv_l", "9223372036854775808"), std::numeric_limits<int64_t>::min());
+}
+
+TEST(InterpIntegerTest, OutOfRangeFloatConvertsToMinInt) {
+  Sut sut(R"(
+    long to_long(double d) { return (long) d; }
+    long parsed(char *s) { return (long) strtod(s); }
+  )");
+  auto run = [&](RtValue arg) { return sut.Call("to_long", {arg}).return_value.AsInt(); };
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(run(RtValue::Float(1e300)), kMin);
+  EXPECT_EQ(run(RtValue::Float(-1e300)), kMin);
+  EXPECT_EQ(run(RtValue::Float(std::nan(""))), kMin);
+  EXPECT_EQ(run(RtValue::Float(-9223372036854775808.0)), kMin);
+  EXPECT_EQ(run(RtValue::Float(-2.9)), -2);
+  EXPECT_EQ(sut.Call("parsed", {RtValue::Str("1e400")}).return_value.AsInt(), kMin);
+}
+
+TEST(InterpTest, RuntimeValueIsSixteenTriviallyCopyableBytes) {
+  static_assert(sizeof(RtValue) == 16);
+  static_assert(std::is_trivially_copyable_v<RtValue>);
+  // The payload is a union: a string comparison fast path must not mistake
+  // an integer for a pooled pointer.
+  RtValue text = RtValue::Str("x");
+  RtValue number = RtValue::Int(static_cast<int64_t>(reinterpret_cast<intptr_t>(text.sp)));
+  EXPECT_FALSE(text.SamePayload(number));
+  EXPECT_EQ(number.str(), "");
+  EXPECT_TRUE(text.SamePayload(RtValue::Str("x")));
 }
 
 }  // namespace
