@@ -505,14 +505,8 @@ std::unique_ptr<Interpreter::FunctionPlan> Interpreter::BuildPlan(uint32_t funct
 
   // Ops: each block up to its first terminator; branch targets are patched
   // once every block's first op is known.
-  size_t instructions = 0;
-  for (const auto& block : fn.blocks()) {
-    instructions += block->instructions().size() + 1;
-  }
-  plan->ops.reserve(instructions);
   std::vector<uint32_t> block_start;
   block_start.reserve(fn.blocks().size());
-  std::vector<std::pair<size_t, const BasicBlock*>> switch_fixups;
   for (const auto& block : fn.blocks()) {
     block_start.push_back(static_cast<uint32_t>(plan->ops.size()));
     bool terminated = false;
@@ -614,10 +608,7 @@ std::unique_ptr<Interpreter::FunctionPlan> Interpreter::BuildPlan(uint32_t funct
           op.a = ref(instr->operand(0));
           op.x = static_cast<uint32_t>(plan->switch_targets.size());
           op.y = static_cast<uint32_t>(instr->switch_values().size());
-          for (size_t i = 0; i <= instr->switch_values().size(); ++i) {
-            switch_fixups.emplace_back(plan->switch_targets.size(), instr->successors()[i]);
-            plan->switch_targets.push_back(0);
-          }
+          plan->switch_targets.resize(plan->switch_targets.size() + op.y + 1);
           break;
         case InstrKind::kRet:
           op.kind = OpKind::kRet;
@@ -661,9 +652,11 @@ std::unique_ptr<Interpreter::FunctionPlan> Interpreter::BuildPlan(uint32_t funct
     if (op.kind == OpKind::kCondBr) {
       op.y = start_of(op.instr->successors()[1]);
     }
-  }
-  for (const auto& [index, block] : switch_fixups) {
-    plan->switch_targets[index] = start_of(block);
+    if (op.kind == OpKind::kSwitch) {
+      for (uint32_t i = 0; i <= op.y; ++i) {
+        plan->switch_targets[op.x + i] = start_of(op.instr->successors()[i]);
+      }
+    }
   }
   return plan;
 }
