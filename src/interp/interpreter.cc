@@ -421,7 +421,7 @@ void Interpreter::BuildModuleIndex() {
   uint32_t cells = 0;
   for (size_t i = 0; i < globals.size(); ++i) {
     const GlobalVariable* global = globals[i].get();
-    globals_by_name_.emplace(global->name(), global);
+    globals_by_name_.emplace(global->name(), static_cast<uint32_t>(i));
     global_slot_.emplace(global, static_cast<uint32_t>(i));
     global_layouts_.push_back(Layout::For(global, global->value_type(),
                                           global->is_array() ? global->array_size() : 0, cells));
@@ -440,9 +440,9 @@ int32_t Interpreter::LookupFunction(std::string_view name) const {
   return it->second;
 }
 
-const GlobalVariable* Interpreter::LookupGlobal(const std::string& name) const {
+int32_t Interpreter::LookupGlobal(const std::string& name) const {
   auto it = globals_by_name_.find(name);
-  return it != globals_by_name_.end() ? it->second : nullptr;
+  return it != globals_by_name_.end() ? static_cast<int32_t>(it->second) : -1;
 }
 
 const Interpreter::FunctionPlan& Interpreter::PlanFor(uint32_t function) {
@@ -755,10 +755,9 @@ void Interpreter::BuildInitImage() {
           return RtValue::Null();
         case GlobalInit::Kind::kGlobalRef: {
           // Address of another global, or a function reference.
-          const GlobalVariable* target = LookupGlobal(leaf.string_value);
-          if (target != nullptr) {
-            uint32_t slot = global_slot_.at(target);
-            return Address(slot, global_layouts_[slot].base);
+          int32_t target = LookupGlobal(leaf.string_value);
+          if (target >= 0) {
+            return Address(target, global_layouts_[target].base);
           }
           Symbol sym = pool_.Intern(leaf.string_value);
           return RtValue::PooledFnRef(pool_.StablePtr(sym), sym);
@@ -1779,27 +1778,24 @@ RtValue Interpreter::Intrinsic(IntrinsicId id, const Instruction* instr, size_t 
 }
 
 std::optional<RtValue> Interpreter::ReadGlobal(const std::string& name) const {
-  const GlobalVariable* global = LookupGlobal(name);
-  if (global == nullptr) {
+  int32_t global = LookupGlobal(name);
+  if (global < 0) {
     return std::nullopt;
   }
-  return global_cells_[global_layouts_[global_slot_.at(global)].base];
+  return global_cells_[global_layouts_[global].base];
 }
 
 void Interpreter::WriteGlobal(const std::string& name, RtValue value) {
-  const GlobalVariable* global = LookupGlobal(name);
-  if (global == nullptr) {
+  int32_t global = LookupGlobal(name);
+  if (global < 0) {
     return;
   }
-  global_cells_[global_layouts_[global_slot_.at(global)].base] = value;
+  global_cells_[global_layouts_[global].base] = value;
 }
 
 bool Interpreter::GlobalWasRead(const std::string& name) const {
-  const GlobalVariable* global = LookupGlobal(name);
-  if (global == nullptr) {
-    return false;
-  }
-  return global_read_stamps_[global_slot_.at(global)] != 0;
+  int32_t global = LookupGlobal(name);
+  return global >= 0 && global_read_stamps_[global] != 0;
 }
 
 }  // namespace spex

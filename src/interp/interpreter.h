@@ -375,7 +375,8 @@ class Interpreter {
   // Index into Module::functions() of the callable definition named
   // `name`, or -1.
   int32_t LookupFunction(std::string_view name) const;
-  const GlobalVariable* LookupGlobal(const std::string& name) const;
+  // Global id of the global named `name`, or -1.
+  int32_t LookupGlobal(const std::string& name) const;
   const FunctionPlan& PlanFor(uint32_t function);
   std::unique_ptr<FunctionPlan> BuildPlan(uint32_t function);
 
@@ -431,7 +432,7 @@ class Interpreter {
   // immutable). Function/global lookup by name is hashed; Module::Find* is
   // a linear scan and far too slow for the call path.
   std::unordered_map<std::string_view, int32_t> functions_by_name_;
-  std::unordered_map<std::string, const GlobalVariable*> globals_by_name_;
+  std::unordered_map<std::string, uint32_t> globals_by_name_;
   std::unordered_map<const Value*, uint32_t> global_slot_;
   std::vector<Layout> global_layouts_;  // Global id -> layout in global_cells_.
   uint32_t num_globals_ = 0;            // Storage ids below this are globals.

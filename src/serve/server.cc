@@ -472,7 +472,6 @@ void CheckServer::AdoptReturnedConns() {
       continue;
     }
     conn->idle = true;
-    gauge_idle_keepalive_.fetch_add(1, std::memory_order_relaxed);
     epoll_event event{};
     event.events = EPOLLIN;
     event.data.fd = conn->fd;
@@ -480,6 +479,10 @@ void CheckServer::AdoptReturnedConns() {
     Conn* raw = conn.get();
     conns_[conn->fd] = std::move(conn);
     ArmConnDeadline(raw, options_.keepalive_idle_timeout);
+    // Publish the connection as parked only once its idle deadline is
+    // armed: a reader that sees the gauge and then moves the clock must
+    // not have its move folded into the deadline.
+    gauge_idle_keepalive_.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -782,7 +785,7 @@ ServerStats CheckServer::stats() const {
   snapshot.partial_reads = stat_partial_reads_.load(std::memory_order_relaxed);
   snapshot.client_aborts = stat_client_aborts_.load(std::memory_order_relaxed);
   snapshot.open_connections = gauge_open_connections_.load(std::memory_order_relaxed);
-  snapshot.idle_keepalive = gauge_idle_keepalive_.load(std::memory_order_relaxed);
+  snapshot.idle_keepalive = gauge_idle_keepalive_.load(std::memory_order_acquire);
   snapshot.max_connections = options_.max_connections;
   snapshot.queue_depth = queue_->size();
   snapshot.inflight_replays = inflight_replays_.load(std::memory_order_relaxed);
