@@ -33,8 +33,9 @@
 // TakeSnapshot()/RestoreSnapshot() extend the same trick to arbitrary
 // execution points between calls — an injection campaign replays the
 // shared template-parse prefix thousands of times. A restore copies a few
-// vectors; it allocates only when the target's buffers are smaller than
-// the snapshot's, or when escaped cells or overflow paths exist.
+// vectors; beyond growing buffers smaller than the snapshot's, it
+// allocates only for captured log lines, spilled frames and overflow
+// paths.
 #ifndef SPEX_INTERP_INTERPRETER_H_
 #define SPEX_INTERP_INTERPRETER_H_
 
