@@ -997,17 +997,24 @@ RtValue* Interpreter::ResolveCell(const RtValue& addr, const Instruction* at, bo
 
 RtValue Interpreter::DefaultCellValue(const Value* root, std::span<const int64_t> steps) const {
   const IrType* type = nullptr;
+  bool array = false;
   if (root->value_kind() == ValueKind::kGlobal) {
-    type = static_cast<const GlobalVariable*>(root)->value_type();
+    const auto* global = static_cast<const GlobalVariable*>(root);
+    type = global->value_type();
+    array = global->is_array();
   } else if (root->value_kind() == ValueKind::kInstruction) {
-    type = static_cast<const Instruction*>(root)->allocated_type();
+    const auto* alloca = static_cast<const Instruction*>(root);
+    type = alloca->allocated_type();
+    array = alloca->alloca_array_size() > 0;
   }
-  for (size_t i = 0; i < steps.size() && type != nullptr; ++i) {
+  // An array's first step is the element index, which keeps the element
+  // type (arrays are typed by their element); every later step into a
+  // struct selects a field.
+  for (size_t i = array ? 1 : 0; i < steps.size() && type != nullptr; ++i) {
     if (type->IsStruct()) {
       size_t field = static_cast<size_t>(steps[i]);
       type = field < type->field_types().size() ? type->field_types()[field] : nullptr;
     }
-    // Array steps keep the element type (arrays are typed by their element).
   }
   return DefaultValueFor(type);
 }

@@ -431,6 +431,7 @@ TEST(InterpMemoryTest, UntouchedCellsDefaultByLeafType) {
   Sut sut(R"(
     struct rec { int n; double ratio; char *name; int *ptr; };
     struct rec r;
+    struct rec recs[2];
     double ratios[4];
     int global_name() { log_info("name=%s ptr=%s n=%d", r.name, r.ptr, r.n); return 0; }
     int global_ptr_is_null() { if (r.ptr == NULL) { return 1; } return 0; }
@@ -442,16 +443,26 @@ TEST(InterpMemoryTest, UntouchedCellsDefaultByLeafType) {
       return 0;
     }
     double local_ratio() { struct rec l; return l.ratio / l.ratio; }
+    int array_name() {
+      log_info("name=%s ptr=%s n=%d", recs[1].name, recs[1].ptr, recs[1].n);
+      return 0;
+    }
+    double array_ratio() { return recs[0].ratio / recs[0].ratio; }
+    double local_array_ratio() { struct rec ls[2]; return ls[0].ratio / ls[0].ratio; }
   )");
   ASSERT_TRUE(sut.Call("global_name").ok());
   ASSERT_TRUE(sut.Call("local_name").ok());
-  ASSERT_EQ(sut.interp->logs().size(), 2u);
+  ASSERT_TRUE(sut.Call("array_name").ok());
+  ASSERT_EQ(sut.interp->logs().size(), 3u);
   EXPECT_EQ(sut.interp->logs()[0], "INFO: name=(null) ptr=(null) n=0");
   EXPECT_EQ(sut.interp->logs()[1], "INFO: name=(null) ptr=(null) n=0");
+  // An array's first path step is the element index, not a field.
+  EXPECT_EQ(sut.interp->logs()[2], "INFO: name=(null) ptr=(null) n=0");
   EXPECT_EQ(sut.Call("global_ptr_is_null").return_value.AsInt(), 1);
   // A float cell divides on the float path, whose trap text differs from
   // the integer path's: the untouched cell is a 0.0, not an integer 0.
-  for (const char* fn : {"global_ratio", "element_ratio", "local_ratio"}) {
+  for (const char* fn :
+       {"global_ratio", "element_ratio", "local_ratio", "array_ratio", "local_array_ratio"}) {
     CallOutcome outcome = sut.Call(fn);
     EXPECT_EQ(outcome.status, CallOutcome::Status::kTrap) << fn;
     EXPECT_EQ(outcome.trap_reason, "Floating point exception (division by zero)") << fn;
