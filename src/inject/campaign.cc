@@ -335,8 +335,6 @@ CampaignCacheStats InjectionCampaign::cache_stats() const {
   stats.store_hits = stat_store_hits_.load(std::memory_order_relaxed);
   stats.store_misses = stat_store_misses_.load(std::memory_order_relaxed);
   stats.store_appends = stat_store_appends_.load(std::memory_order_relaxed);
-  stats.store_reverified = stat_store_reverified_.load(std::memory_order_relaxed);
-  stats.store_mismatches = stat_store_mismatches_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -820,14 +818,10 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   std::vector<std::string> keys;
   std::vector<uint8_t> consulted;  // 1 = we looked this config up.
   std::vector<uint8_t> served;     // 1 = result came straight from the store.
-  std::vector<uint8_t> reverify;   // 1 = hit replayed anyway (sampling knob).
-  std::vector<StoredVerdict> cached;
   if (store != nullptr) {
     keys.resize(configs.size());
     consulted.assign(configs.size(), 0);
     served.assign(configs.size(), 0);
-    reverify.assign(configs.size(), 0);
-    cached.resize(configs.size());
   }
 
   const std::vector<std::string> keysets = KeysetIds(configs);
@@ -844,16 +838,10 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
       keys[i] = SuspectExecutionKey(configs[i]);
       consulted[i] = 1;
       StoredVerdict record;
-      bool due = false;
-      if (store->Lookup(scope_id, keys[i], &record, &due) && UsableStoredVerdict(record)) {
-        if (!due) {
-          results[i] = ResultFromStored(record, configs[i]);
-          served[i] = 1;
-          return;
-        }
-        // Sampled re-verification: replay live below, compare after.
-        reverify[i] = 1;
-        cached[i] = std::move(record);
+      if (store->Lookup(scope_id, keys[i], &record) && UsableStoredVerdict(record)) {
+        results[i] = ResultFromStored(record, configs[i]);
+        served[i] = 1;
+        return;
       }
     }
     const std::string* keyset = snapshot_ok ? &keysets[i] : nullptr;
@@ -873,12 +861,11 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
                             batch, &per_replay);
   });
 
-  // Driver-side store epilogue (after Replay): account hits, settle
-  // re-verifications, and persist fresh verdicts in one batched append.
-  // kDeadlineExceeded results — timeouts and cancel-skips alike — are
-  // never stored: they say the checker ran out of time, not what the
-  // target does, and caching one would freeze a transient budget miss
-  // into a permanent wrong answer.
+  // Driver-side store epilogue (after Replay): account hits and persist
+  // fresh verdicts in one batched append. kDeadlineExceeded results —
+  // timeouts and cancel-skips alike — are never stored: they say the
+  // checker ran out of time, not what the target does, and caching one
+  // would freeze a transient budget miss into a permanent wrong answer.
   CampaignCacheStats call_stats;
   if (store != nullptr) {
     std::vector<VerdictAppend> pending;
@@ -888,28 +875,14 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
         ++call_stats.store_hits;
         continue;
       }
-      const InjectionResult& result = results[i];
-      if (reverify[i] != 0) {
-        ++call_stats.store_reverified;
-        if (result.category == ReactionCategory::kDeadlineExceeded) continue;
-        if (!SameInjectionResult(result, ResultFromStored(cached[i], configs[i]))) {
-          // The store contradicted a live replay: the live replay wins,
-          // in the results and on disk (the append overwrites, last-wins).
-          ++call_stats.store_mismatches;
-          pending.push_back({scope_id, keys[i], ToStoredVerdict(result)});
-        }
-        continue;
-      }
       ++call_stats.store_misses;
-      if (result.category == ReactionCategory::kDeadlineExceeded) continue;
-      pending.push_back({scope_id, keys[i], ToStoredVerdict(result)});
+      if (results[i].category == ReactionCategory::kDeadlineExceeded) continue;
+      pending.push_back({scope_id, keys[i], ToStoredVerdict(results[i])});
     }
     call_stats.store_appends = store->AppendBatch(std::move(pending));
     stat_store_hits_.fetch_add(call_stats.store_hits, std::memory_order_relaxed);
     stat_store_misses_.fetch_add(call_stats.store_misses, std::memory_order_relaxed);
     stat_store_appends_.fetch_add(call_stats.store_appends, std::memory_order_relaxed);
-    stat_store_reverified_.fetch_add(call_stats.store_reverified, std::memory_order_relaxed);
-    stat_store_mismatches_.fetch_add(call_stats.store_mismatches, std::memory_order_relaxed);
   }
   if (stats != nullptr) {
     *stats = call_stats;

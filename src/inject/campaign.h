@@ -196,8 +196,6 @@ struct CampaignCacheStats {
   size_t store_hits = 0;        // Replays served from the persistent store.
   size_t store_misses = 0;      // Store consulted, no record: replayed live.
   size_t store_appends = 0;     // Fresh verdicts persisted to the store.
-  size_t store_reverified = 0;  // Sampled store hits replayed anyway and compared.
-  size_t store_mismatches = 0;  // Re-verifications that contradicted the store.
 };
 
 // Per-request guardrails for ReplayExternal — how a *service* keeps one
@@ -472,8 +470,6 @@ class InjectionCampaign {
   mutable std::atomic<size_t> stat_store_hits_{0};
   mutable std::atomic<size_t> stat_store_misses_{0};
   mutable std::atomic<size_t> stat_store_appends_{0};
-  mutable std::atomic<size_t> stat_store_reverified_{0};
-  mutable std::atomic<size_t> stat_store_mismatches_{0};
 };
 
 }  // namespace spex

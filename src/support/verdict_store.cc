@@ -314,40 +314,39 @@ size_t VerdictStore::LoadRecords(const char* data, size_t size, Index* index) {
     } else if (type == kRecordVerdict) {
       uint64_t scope_id = 0;
       std::string key;
-      auto entry = std::make_shared<Entry>();
-      StoredVerdict& verdict = entry->verdict;
+      auto verdict = std::make_shared<StoredVerdict>();
       uint8_t category = 0;
       uint8_t pinpointed = 0;
       uint64_t tests_run = 0;
       uint32_t n_logs = 0;
       if (!cursor.ReadU64(&scope_id) || !cursor.ReadBytes(&key) ||
           !cursor.ReadU8(&category) || !cursor.ReadU8(&pinpointed) ||
-          !cursor.ReadU64(&tests_run) || !cursor.ReadBytes(&verdict.detail) ||
+          !cursor.ReadU64(&tests_run) || !cursor.ReadBytes(&verdict->detail) ||
           !cursor.ReadU32(&n_logs)) {
         break;
       }
       if (scope_id >= fingerprints_.size()) break;  // Dangling scope: corrupt.
       bool logs_ok = true;
-      verdict.logs.reserve(n_logs);
+      verdict->logs.reserve(n_logs);
       for (uint32_t i = 0; i < n_logs; ++i) {
         std::string log;
         if (!cursor.ReadBytes(&log)) {
           logs_ok = false;
           break;
         }
-        verdict.logs.push_back(std::move(log));
+        verdict->logs.push_back(std::move(log));
       }
       if (!logs_ok) break;
-      verdict.category = category;
-      verdict.pinpointed = pinpointed != 0;
-      verdict.tests_run = static_cast<int64_t>(tests_run);
+      verdict->category = category;
+      verdict->pinpointed = pinpointed != 0;
+      verdict->tests_run = static_cast<int64_t>(tests_run);
       std::string composed = ComposeKey(scope_id, key);
       auto it = index->find(composed);
       if (it != index->end()) {
-        it->second = std::move(entry);
+        it->second = std::move(verdict);
         ++dead_records_;  // The overwritten record is dead log weight.
       } else {
-        index->emplace(std::move(composed), std::move(entry));
+        index->emplace(std::move(composed), std::move(verdict));
       }
     } else if (type == kRecordTombstone) {
       uint64_t scope_id = 0;
@@ -376,21 +375,15 @@ uint64_t VerdictStore::ResolveScope(std::string_view fingerprint) {
 }
 
 bool VerdictStore::Lookup(uint64_t scope_id, std::string_view key,
-                          StoredVerdict* out, bool* reverify_due) const {
+                          StoredVerdict* out) const {
   std::shared_ptr<const Index> index = index_.load(std::memory_order_acquire);
   auto it = index->find(ComposeKey(scope_id, key));
   if (it == index->end()) {
     stat_misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const Entry& entry = *it->second;
-  *out = entry.verdict;
-  uint64_t hits_before = entry.hits.fetch_add(1, std::memory_order_relaxed);
+  *out = *it->second;
   stat_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (reverify_due != nullptr) {
-    *reverify_due = options_.reverify_period > 0 &&
-                    hits_before % options_.reverify_period == 0;
-  }
   return true;
 }
 
@@ -425,18 +418,17 @@ size_t VerdictStore::AppendBatch(std::vector<VerdictAppend> appends) {
     if (append.scope_id >= durable_fingerprints_) continue;  // Unknown scope.
     std::string composed = ComposeKey(append.scope_id, append.key);
     auto it = next->find(composed);
-    if (it != next->end() && it->second->verdict == append.verdict) {
+    if (it != next->end() && *it->second == append.verdict) {
       continue;  // Identical record already stored; skip the log write.
     }
     AppendFrame(&bytes, EncodeVerdict(append.scope_id, append.key,
                                       append.verdict));
-    auto entry = std::make_shared<Entry>();
-    entry->verdict = std::move(append.verdict);
+    auto verdict = std::make_shared<const StoredVerdict>(std::move(append.verdict));
     if (it != next->end()) {
-      it->second = std::move(entry);
+      it->second = std::move(verdict);
       ++dead_records_;
     } else {
-      next->emplace(std::move(composed), std::move(entry));
+      next->emplace(std::move(composed), std::move(verdict));
     }
     ++written;
   }
@@ -512,11 +504,10 @@ Status VerdictStore::CompactLocked() {
     AppendFrame(&bytes, payload);
   }
   std::shared_ptr<const Index> index = index_.load(std::memory_order_acquire);
-  for (const auto& [composed, entry] : *index) {
+  for (const auto& [composed, verdict] : *index) {
     uint64_t scope_id = 0;
     std::memcpy(&scope_id, composed.data(), 8);
-    AppendFrame(&bytes, EncodeVerdict(scope_id, composed.substr(8),
-                                      entry->verdict));
+    AppendFrame(&bytes, EncodeVerdict(scope_id, composed.substr(8), *verdict));
   }
   bool ok = WriteFully(tmp_fd, bytes.data(), bytes.size()) &&
             ::fsync(tmp_fd) == 0;

@@ -68,11 +68,6 @@ struct StoredVerdict {
 struct VerdictStoreOptions {
   // Open without claiming the writer lock; all appends are dropped.
   bool read_only = false;
-  // Sampled re-verification: when > 0, every Nth hit of a key (counting
-  // from the first hit each process makes) reports `reverify_due`, telling
-  // the caller to replay anyway and compare. 0 disables sampling — the
-  // scope fingerprint is then the only staleness guard.
-  size_t reverify_period = 0;
   // Compact at open when dead records exceed this fraction of live ones.
   double compact_dead_ratio = 0.5;
   // ...but never bother compacting fewer dead records than this.
@@ -122,11 +117,7 @@ class VerdictStore {
   uint64_t ResolveScope(std::string_view fingerprint);
 
   // Looks up a verdict. Lock-free; safe concurrently with appends.
-  // `reverify_due`, when non-null, is set true when the sampling knob says
-  // this hit should be replayed anyway and compared (see
-  // VerdictStoreOptions::reverify_period).
-  bool Lookup(uint64_t scope_id, std::string_view key, StoredVerdict* out,
-              bool* reverify_due = nullptr) const;
+  bool Lookup(uint64_t scope_id, std::string_view key, StoredVerdict* out) const;
 
   // Appends a batch of verdicts (last-wins on duplicate keys) and
   // publishes them for lookup. Returns how many records were durably
@@ -153,13 +144,9 @@ class VerdictStore {
   const std::string& path() const { return path_; }
 
  private:
-  struct Entry {
-    StoredVerdict verdict;
-    // Per-process hit counter driving sampled re-verification.
-    mutable std::atomic<uint64_t> hits{0};
-  };
   // Keys are scope_id (8 bytes little-endian) + execution key bytes.
-  using Index = std::unordered_map<std::string, std::shared_ptr<Entry>>;
+  // Values are shared so the copy-on-write index copy stays shallow.
+  using Index = std::unordered_map<std::string, std::shared_ptr<const StoredVerdict>>;
 
   VerdictStore(std::string path, VerdictStoreOptions options);
 

@@ -2,9 +2,9 @@
 // through Target::CheckConfigBatch: round-trip bit-identity across reopen
 // (serial and sharded), scope isolation + tombstones, corruption /
 // truncation / version-skew fallback (never trusted, never fatal),
-// single-writer degradation, sampled re-verification, and the soundness
-// contracts the injection layer owns — template edits land in a fresh
-// scope, checker-deadline verdicts are never cached.
+// single-writer degradation, and the soundness contracts the injection
+// layer owns — template edits land in a fresh scope, checker-deadline
+// verdicts are never cached.
 #include "src/support/verdict_store.h"
 
 #include <gtest/gtest.h>
@@ -208,23 +208,6 @@ TEST(VerdictStoreTest, UnwritablePathDegradesWithPathBlamingStatus) {
   EXPECT_FALSE(store->Lookup(store->ResolveScope("scope"), "key", &loaded));
   store->Append(store->ResolveScope("scope"), "key", MakeVerdict(1, "dropped"));
   EXPECT_EQ(store->stats().dropped_appends, 1u);
-}
-
-TEST(VerdictStoreTest, ReverifyPeriodSamplesHits) {
-  std::string path = TempStorePath("reverify");
-  VerdictStoreOptions options;
-  options.reverify_period = 2;
-  auto store = VerdictStore::Open(path, options);
-  uint64_t scope = store->ResolveScope("scope");
-  store->Append(scope, "key", MakeVerdict(1, "sampled"));
-  StoredVerdict loaded;
-  bool due = false;
-  ASSERT_TRUE(store->Lookup(scope, "key", &loaded, &due));
-  EXPECT_TRUE(due) << "the first hit each process makes is always re-verified";
-  ASSERT_TRUE(store->Lookup(scope, "key", &loaded, &due));
-  EXPECT_FALSE(due);
-  ASSERT_TRUE(store->Lookup(scope, "key", &loaded, &due));
-  EXPECT_TRUE(due);
 }
 
 TEST(VerdictStoreTest, CompactionPreservesLiveRecordsAcrossReopen) {
@@ -487,44 +470,6 @@ TEST(VerdictStoreBatchTest, CheckerDeadlineVerdictsAreNeverCached) {
   // SUT: caching it would freeze a transient timeout into a permanent lie.
   EXPECT_EQ(summary.store_appends, 0u);
   EXPECT_EQ(store->size(), 0u);
-}
-
-TEST(VerdictStoreBatchTest, SampledReverificationConfirmsWithoutRewrites) {
-  std::string path = TempStorePath("reverify_batch");
-  std::vector<ConfigInput> corpus = FleetCorpus();
-  BatchOptions options;
-  options.check.mode = CheckMode::kDynamic;
-
-  BatchSummary cold;
-  {
-    Session session;
-    Target* target = LoadFleetServer(session);
-    ASSERT_NE(target, nullptr);
-    target->AttachVerdictStore(VerdictStore::Open(path));
-    cold = target->CheckConfigBatch(corpus, options);
-    EXPECT_EQ(cold.store_appends, 7u);
-  }
-
-  // reverify_period = 1: every hit is replayed live anyway and compared.
-  // The replays must all confirm (nothing rewritten) and the reports stay
-  // identical — the sampling knob costs time, never changes answers.
-  VerdictStoreOptions reverify_all;
-  reverify_all.reverify_period = 1;
-  Session session;
-  Target* target = LoadFleetServer(session);
-  ASSERT_NE(target, nullptr);
-  target->AttachVerdictStore(VerdictStore::Open(path, reverify_all));
-  BatchSummary checked = target->CheckConfigBatch(corpus, options);
-  EXPECT_EQ(checked.unique_replays, 7u) << "re-verified hits replay live";
-  EXPECT_EQ(checked.store_appends, 0u) << "confirmations rewrite nothing";
-  CampaignCacheStats stats = target->campaign_cache_stats();
-  EXPECT_EQ(stats.store_reverified, 7u);
-  EXPECT_EQ(stats.store_mismatches, 0u);
-  ASSERT_EQ(checked.reports.size(), cold.reports.size());
-  for (size_t i = 0; i < cold.reports.size(); ++i) {
-    ExpectSameViolations(cold.reports[i].violations, checked.reports[i].violations,
-                         "reverify " + cold.reports[i].name);
-  }
 }
 
 }  // namespace
