@@ -221,11 +221,6 @@ void Target::AttachVerdictStore(std::shared_ptr<VerdictStore> store) {
   }
 }
 
-std::shared_ptr<VerdictStore> Target::verdict_store() {
-  std::lock_guard<std::mutex> lock(campaign_mutex_);
-  return verdict_store_;
-}
-
 std::vector<Violation> Target::CheckConfig(std::string_view config_text,
                                            std::string_view file_name,
                                            const CheckOptions& options) {

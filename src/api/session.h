@@ -292,7 +292,6 @@ class Target {
   // verdicts are structurally unreachable. Pass nullptr to detach.
   // Thread-safe; takes effect for checks that start after the call.
   void AttachVerdictStore(std::shared_ptr<VerdictStore> store);
-  std::shared_ptr<VerdictStore> verdict_store();
 
   // The generated misconfiguration batch (MisconfigGenerator order, so
   // façade campaigns are bit-identical to a hand-driven RunAll).

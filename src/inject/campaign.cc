@@ -721,11 +721,6 @@ void InjectionCampaign::AttachVerdictStore(std::shared_ptr<VerdictStore> store,
   store_scope_ = std::move(scope);
 }
 
-std::shared_ptr<VerdictStore> InjectionCampaign::verdict_store() const {
-  std::lock_guard<std::mutex> lock(store_mutex_);
-  return store_;
-}
-
 bool InjectionCampaign::CacheServes(const ConfigFile& template_config) {
   // Recomputed per call on purpose: a cheaper pointer-identity fast path
   // would silently validate a *different* template whose stack slot reused

@@ -292,7 +292,6 @@ class InjectionCampaign {
   // source, annotations, SUT spec, campaign knobs — because the store key
   // is (scope + template fingerprint, execution key). Thread-safe.
   void AttachVerdictStore(std::shared_ptr<VerdictStore> store, std::string scope);
-  std::shared_ptr<VerdictStore> verdict_store() const;
 
   // Cumulative across every run this campaign executed. After a second
   // RunAll over the same template, snapshots_built stays flat — the point

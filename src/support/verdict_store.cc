@@ -24,7 +24,6 @@ constexpr uint32_t kMaxRecordBytes = 1u << 26;
 
 constexpr uint8_t kRecordFingerprint = 1;  // Interns the next scope id.
 constexpr uint8_t kRecordVerdict = 2;
-constexpr uint8_t kRecordTombstone = 3;
 
 // CRC32 (IEEE, reflected) with a lazily built table — no zlib dependency.
 const uint32_t* Crc32Table() {
@@ -155,8 +154,7 @@ bool WriteFully(int fd, const char* data, size_t size) {
 
 }  // namespace
 
-VerdictStore::VerdictStore(std::string path, VerdictStoreOptions options)
-    : path_(std::move(path)), options_(options) {
+VerdictStore::VerdictStore(std::string path) : path_(std::move(path)) {
   index_.store(std::make_shared<const Index>(), std::memory_order_release);
 }
 
@@ -167,9 +165,8 @@ VerdictStore::~VerdictStore() {
 }
 
 std::shared_ptr<VerdictStore> VerdictStore::Open(const std::string& path,
-                                                VerdictStoreOptions options,
                                                 Status* status) {
-  std::shared_ptr<VerdictStore> store(new VerdictStore(path, options));
+  std::shared_ptr<VerdictStore> store(new VerdictStore(path));
   Status open_status = store->OpenInternal();
   if (status != nullptr) *status = open_status;
   return store;
@@ -179,25 +176,23 @@ Status VerdictStore::OpenInternal() {
   std::lock_guard<std::mutex> lock(mutex_);
   Status degradation = Status::Ok();
 
-  if (!options_.read_only) {
-    lock_fd_ = ::open((path_ + ".lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-                      0644);
-    if (lock_fd_ >= 0 && ::flock(lock_fd_, LOCK_EX | LOCK_NB) == 0) {
-      writable_ = true;
-    } else if (lock_fd_ >= 0) {
-      ::close(lock_fd_);
-      lock_fd_ = -1;
-      degradation = Status::Unavailable(
-          "verdict store writer lock is held elsewhere; opened read-only");
-    } else {
-      // The lock file could not even be created (unwritable directory,
-      // missing parent, path is a directory, ...) — a different failure
-      // from contention, and the operator's fix is different too: make
-      // the path writable, don't hunt for the other writer.
-      degradation = Status::Unavailable(
-          std::string("verdict store path unwritable (") +
-          std::strerror(errno) + "); opened read-only");
-    }
+  lock_fd_ = ::open((path_ + ".lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
+                    0644);
+  if (lock_fd_ >= 0 && ::flock(lock_fd_, LOCK_EX | LOCK_NB) == 0) {
+    writable_ = true;
+  } else if (lock_fd_ >= 0) {
+    ::close(lock_fd_);
+    lock_fd_ = -1;
+    degradation = Status::Unavailable(
+        "verdict store writer lock is held elsewhere; opened read-only");
+  } else {
+    // The lock file could not even be created (unwritable directory,
+    // missing parent, ...) — a different failure from contention, and the
+    // operator's fix is different too: make the path writable, don't hunt
+    // for the other writer.
+    degradation = Status::Unavailable(
+        std::string("verdict store path unwritable (") +
+        std::strerror(errno) + "); opened read-only");
   }
 
   fd_ = ::open(path_.c_str(),
@@ -205,10 +200,16 @@ Status VerdictStore::OpenInternal() {
                          : (O_RDONLY | O_CLOEXEC),
                0644);
   if (fd_ < 0) {
-    // Read-only and no file yet (or unreadable): behave as empty.
+    // Read-only and no file yet, or the data file cannot be opened (the
+    // path is a directory, ...): behave as empty, and hand the writer
+    // lock back so it does not block a handle that could use it.
+    std::string reason = std::strerror(errno);
     writable_ = false;
+    if (lock_fd_ >= 0) ::close(lock_fd_);  // Releases the flock.
+    lock_fd_ = -1;
     return degradation.ok()
-               ? Status::Unavailable("verdict store unreadable; acting empty")
+               ? Status::Unavailable("verdict store unreadable (" + reason +
+                                     "); acting empty")
                : degradation;
   }
 
@@ -238,7 +239,6 @@ Status VerdictStore::OpenInternal() {
     }
   }
   if (!header_ok) {
-    stat_dropped_bytes_.store(file_size, std::memory_order_relaxed);
     if (writable_) {
       ::ftruncate(fd_, 0);
       std::string header = HeaderBytes();
@@ -263,7 +263,6 @@ Status VerdictStore::OpenInternal() {
 
   if (valid_end < file_size) {
     uint64_t dropped = file_size - valid_end;
-    stat_dropped_bytes_.store(dropped, std::memory_order_relaxed);
     if (writable_) ::ftruncate(fd_, static_cast<off_t>(valid_end));
     if (degradation.ok()) {
       degradation = Status::InvalidArgument(
@@ -272,19 +271,9 @@ Status VerdictStore::OpenInternal() {
     }
   }
 
-  stat_loaded_.store(index->size(), std::memory_order_relaxed);
   durable_fingerprints_ = fingerprints_.size();
   index_.store(std::shared_ptr<const Index>(std::move(index)),
                std::memory_order_release);
-
-  if (writable_ && dead_records_ >= options_.compact_min_dead) {
-    std::shared_ptr<const Index> live =
-        index_.load(std::memory_order_acquire);
-    if (static_cast<double>(dead_records_) >
-        options_.compact_dead_ratio * static_cast<double>(live->size())) {
-      CompactLocked();
-    }
-  }
   return degradation;
 }
 
@@ -340,20 +329,7 @@ size_t VerdictStore::LoadRecords(const char* data, size_t size, Index* index) {
       verdict->category = category;
       verdict->pinpointed = pinpointed != 0;
       verdict->tests_run = static_cast<int64_t>(tests_run);
-      std::string composed = ComposeKey(scope_id, key);
-      auto it = index->find(composed);
-      if (it != index->end()) {
-        it->second = std::move(verdict);
-        ++dead_records_;  // The overwritten record is dead log weight.
-      } else {
-        index->emplace(std::move(composed), std::move(verdict));
-      }
-    } else if (type == kRecordTombstone) {
-      uint64_t scope_id = 0;
-      std::string key;
-      if (!cursor.ReadU64(&scope_id) || !cursor.ReadBytes(&key)) break;
-      if (index->erase(ComposeKey(scope_id, key)) > 0) ++dead_records_;
-      ++dead_records_;  // The tombstone itself is dead weight too.
+      index->insert_or_assign(ComposeKey(scope_id, key), std::move(verdict));
     } else {
       break;  // Unknown record type: future format, stop trusting here.
     }
@@ -378,22 +354,15 @@ bool VerdictStore::Lookup(uint64_t scope_id, std::string_view key,
                           StoredVerdict* out) const {
   std::shared_ptr<const Index> index = index_.load(std::memory_order_acquire);
   auto it = index->find(ComposeKey(scope_id, key));
-  if (it == index->end()) {
-    stat_misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (it == index->end()) return false;
   *out = *it->second;
-  stat_hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 size_t VerdictStore::AppendBatch(std::vector<VerdictAppend> appends) {
   if (appends.empty()) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!writable_) {
-    stat_dropped_appends_.fetch_add(appends.size(), std::memory_order_relaxed);
-    return 0;
-  }
+  if (!writable_) return 0;
 
   std::string bytes;
   // Intern records first, in id order, so file-local implicit ids match.
@@ -423,13 +392,8 @@ size_t VerdictStore::AppendBatch(std::vector<VerdictAppend> appends) {
     }
     AppendFrame(&bytes, EncodeVerdict(append.scope_id, append.key,
                                       append.verdict));
-    auto verdict = std::make_shared<const StoredVerdict>(std::move(append.verdict));
-    if (it != next->end()) {
-      it->second = std::move(verdict);
-      ++dead_records_;
-    } else {
-      next->emplace(std::move(composed), std::move(verdict));
-    }
+    next->insert_or_assign(std::move(composed),
+                           std::make_shared<const StoredVerdict>(std::move(append.verdict)));
     ++written;
   }
   if (bytes.empty()) return 0;
@@ -437,110 +401,16 @@ size_t VerdictStore::AppendBatch(std::vector<VerdictAppend> appends) {
     // Disk trouble: stop trusting the writer role; readers keep the old
     // snapshot, so nothing unverified is ever served.
     writable_ = false;
-    stat_dropped_appends_.fetch_add(appends.size(), std::memory_order_relaxed);
     return 0;
   }
-  stat_appends_.fetch_add(written, std::memory_order_relaxed);
   index_.store(std::shared_ptr<const Index>(std::move(next)),
                std::memory_order_release);
   return written;
 }
 
-void VerdictStore::Append(uint64_t scope_id, std::string_view key,
-                          StoredVerdict verdict) {
-  std::vector<VerdictAppend> one;
-  one.push_back({scope_id, std::string(key), std::move(verdict)});
-  AppendBatch(std::move(one));
-}
-
-void VerdictStore::Invalidate(uint64_t scope_id, std::string_view key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string composed = ComposeKey(scope_id, key);
-  std::shared_ptr<const Index> current = index_.load(std::memory_order_acquire);
-  if (current->find(composed) == current->end()) return;
-  if (writable_) {
-    std::string payload;
-    payload.push_back(static_cast<char>(kRecordTombstone));
-    PutU64(&payload, scope_id);
-    PutBytes(&payload, key);
-    std::string bytes;
-    AppendFrame(&bytes, payload);
-    WriteFully(fd_, bytes.data(), bytes.size());
-    dead_records_ += 2;  // The dead verdict plus the tombstone itself.
-  }
-  auto next = std::make_unique<Index>(*current);
-  next->erase(composed);
-  stat_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  index_.store(std::shared_ptr<const Index>(std::move(next)),
-               std::memory_order_release);
-}
-
 void VerdictStore::Flush() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0 && writable_) ::fsync(fd_);
-}
-
-Status VerdictStore::Compact() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return CompactLocked();
-}
-
-Status VerdictStore::CompactLocked() {
-  if (!writable_) {
-    return Status::Unavailable("verdict store is read-only; cannot compact");
-  }
-  std::string tmp_path = path_ + ".tmp";
-  int tmp_fd =
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) return Status::Internal("compact: cannot create temp file");
-
-  std::string bytes = HeaderBytes();
-  // Every known fingerprint is rewritten in id order: index keys embed
-  // scope ids, so ids must survive compaction unchanged.
-  for (const std::string& fingerprint : fingerprints_) {
-    std::string payload;
-    payload.push_back(static_cast<char>(kRecordFingerprint));
-    PutBytes(&payload, fingerprint);
-    AppendFrame(&bytes, payload);
-  }
-  std::shared_ptr<const Index> index = index_.load(std::memory_order_acquire);
-  for (const auto& [composed, verdict] : *index) {
-    uint64_t scope_id = 0;
-    std::memcpy(&scope_id, composed.data(), 8);
-    AppendFrame(&bytes, EncodeVerdict(scope_id, composed.substr(8), *verdict));
-  }
-  bool ok = WriteFully(tmp_fd, bytes.data(), bytes.size()) &&
-            ::fsync(tmp_fd) == 0;
-  ::close(tmp_fd);
-  if (!ok || ::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    return Status::Internal("compact: rewrite failed; keeping old log");
-  }
-  ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CLOEXEC, 0644);
-  if (fd_ < 0) writable_ = false;
-  durable_fingerprints_ = fingerprints_.size();
-  dead_records_ = 0;
-  stat_compactions_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
-VerdictStoreStats VerdictStore::stats() const {
-  VerdictStoreStats stats;
-  stats.hits = stat_hits_.load(std::memory_order_relaxed);
-  stats.misses = stat_misses_.load(std::memory_order_relaxed);
-  stats.appends = stat_appends_.load(std::memory_order_relaxed);
-  stats.dropped_appends = stat_dropped_appends_.load(std::memory_order_relaxed);
-  stats.invalidations = stat_invalidations_.load(std::memory_order_relaxed);
-  stats.live_records = size();
-  stats.loaded_records = stat_loaded_.load(std::memory_order_relaxed);
-  stats.dropped_bytes = stat_dropped_bytes_.load(std::memory_order_relaxed);
-  stats.compactions = stat_compactions_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.read_only = !writable_;
-  }
-  return stats;
 }
 
 size_t VerdictStore::size() const {

@@ -12,24 +12,27 @@
 // (target source, annotations, SUT spec, template, campaign options) must
 // be folded into the scope so an edit lands in a fresh, empty scope.
 //
-// Durability model — append log + compaction:
+// Durability model — append log:
 //   header | record | record | ...
 // Each record is CRC32-framed ([crc][len][payload]); payloads are
-// fingerprint interns, verdicts, or tombstones. A corrupt, truncated, or
+// fingerprint interns or verdicts. A corrupt, truncated, or
 // version-mismatched store is *never trusted*: parsing stops at the first
-// bad frame, the valid prefix is kept (writable handles truncate the bad
-// tail away), and a bad header means "start empty". Every failure mode
-// degrades to a cache miss, never to a wrong verdict.
+// bad frame or unknown record type, the valid prefix is kept (writable
+// handles truncate the bad tail away), and a bad header means "start
+// empty". Every failure mode degrades to a cache miss, never to a wrong
+// verdict. The file grows by one record per unique execution per scope;
+// deleting it is how to reclaim the space.
 //
 // Concurrency model — single writer, lock-free readers:
 //   - Lookup() is wait-free on the hot path: it loads an atomic
 //     shared_ptr snapshot of the index. Any number of threads may call it
 //     concurrently with appends.
-//   - AppendBatch()/Invalidate()/Compact() serialize on an internal
-//     mutex and publish a fresh index snapshot (copy-on-write).
+//   - ResolveScope() and AppendBatch() serialize on an internal mutex;
+//     AppendBatch publishes a fresh index snapshot (copy-on-write).
 //   - Cross-process: the writer role is claimed via flock() on a sidecar
-//     "<path>.lock" file. A second process opening the same path gets a
-//     read-only handle (lookups work, appends are counted and dropped).
+//     "<path>.lock" file. A second handle opening the same path, in this
+//     process or another, gets a read-only handle (lookups work, appends
+//     are dropped).
 #ifndef SPEX_SUPPORT_VERDICT_STORE_H_
 #define SPEX_SUPPORT_VERDICT_STORE_H_
 
@@ -65,30 +68,6 @@ struct StoredVerdict {
   }
 };
 
-struct VerdictStoreOptions {
-  // Open without claiming the writer lock; all appends are dropped.
-  bool read_only = false;
-  // Compact at open when dead records exceed this fraction of live ones.
-  double compact_dead_ratio = 0.5;
-  // ...but never bother compacting fewer dead records than this.
-  size_t compact_min_dead = 64;
-};
-
-// Counters. Snapshot via stats(); all fields are cumulative for the
-// lifetime of this handle except live_records (current index size).
-struct VerdictStoreStats {
-  uint64_t hits = 0;             // Lookups that found a record.
-  uint64_t misses = 0;           // Lookups that found nothing.
-  uint64_t appends = 0;          // Records durably appended by this handle.
-  uint64_t dropped_appends = 0;  // Appends discarded (read-only handle).
-  uint64_t invalidations = 0;    // Tombstones written.
-  uint64_t live_records = 0;     // Verdicts currently in the index.
-  uint64_t loaded_records = 0;   // Verdicts recovered from disk at open.
-  uint64_t dropped_bytes = 0;    // Corrupt/truncated tail ignored at open.
-  uint64_t compactions = 0;      // Log rewrites (open-time + explicit).
-  bool read_only = false;        // True when this handle cannot write.
-};
-
 // One pending write for AppendBatch().
 struct VerdictAppend {
   uint64_t scope_id = 0;
@@ -101,10 +80,9 @@ class VerdictStore {
   // Opens (creating if needed) the store at `path`. Never fails hard: the
   // returned handle is always usable — worst case it behaves as an empty
   // read-only store. `status`, when non-null, reports the first
-  // degradation (writer lock held elsewhere, corrupt tail dropped, bad
-  // header reset) or Ok for a clean open.
+  // degradation (writer lock held elsewhere, path unwritable, corrupt tail
+  // dropped, bad header reset) or Ok for a clean open.
   static std::shared_ptr<VerdictStore> Open(const std::string& path,
-                                            VerdictStoreOptions options = {},
                                             Status* status = nullptr);
   ~VerdictStore();
 
@@ -112,33 +90,21 @@ class VerdictStore {
   VerdictStore& operator=(const VerdictStore&) = delete;
 
   // Maps a scope fingerprint (arbitrary bytes) to a dense store-local id.
-  // Ids are stable across reopen and compaction for the life of the file.
-  // Thread-safe.
+  // Ids are stable across reopen for the life of the file. Thread-safe.
   uint64_t ResolveScope(std::string_view fingerprint);
 
   // Looks up a verdict. Lock-free; safe concurrently with appends.
   bool Lookup(uint64_t scope_id, std::string_view key, StoredVerdict* out) const;
 
-  // Appends a batch of verdicts (last-wins on duplicate keys) and
-  // publishes them for lookup. Returns how many records were durably
-  // written — 0 on a read-only handle. Serialized internally; safe from
-  // any thread.
+  // Appends a batch of verdicts (last-wins on duplicate keys; a record
+  // equal to the stored one is skipped) and publishes them for lookup.
+  // Returns how many records were durably written — 0 on a read-only
+  // handle. Serialized internally; safe from any thread.
   size_t AppendBatch(std::vector<VerdictAppend> appends);
-
-  // Single-record convenience over AppendBatch.
-  void Append(uint64_t scope_id, std::string_view key, StoredVerdict verdict);
-
-  // Writes a tombstone for (scope_id, key) and removes it from the index.
-  void Invalidate(uint64_t scope_id, std::string_view key);
 
   // fsync()s the log. Appends are otherwise buffered by the OS only.
   void Flush();
 
-  // Rewrites the log with only live records (scope ids preserved).
-  // No-op (Unavailable) on a read-only handle.
-  Status Compact();
-
-  VerdictStoreStats stats() const;
   size_t size() const;
   bool read_only() const { return !writable_; }
   const std::string& path() const { return path_; }
@@ -148,18 +114,14 @@ class VerdictStore {
   // Values are shared so the copy-on-write index copy stays shallow.
   using Index = std::unordered_map<std::string, std::shared_ptr<const StoredVerdict>>;
 
-  VerdictStore(std::string path, VerdictStoreOptions options);
+  explicit VerdictStore(std::string path);
 
   Status OpenInternal();
   // Parses [data, data+size), filling index/fingerprints. Returns the
   // offset just past the last valid record.
   size_t LoadRecords(const char* data, size_t size, Index* index);
-  // Serializes pending fingerprint interns + appends under mutex_.
-  bool WriteAll(const std::string& bytes);
-  Status CompactLocked();
 
   const std::string path_;
-  const VerdictStoreOptions options_;
 
   // Reader-visible snapshot; swapped wholesale by writers.
   std::atomic<std::shared_ptr<const Index>> index_;
@@ -172,17 +134,6 @@ class VerdictStore {
   std::vector<std::string> fingerprints_;          // id -> fingerprint.
   std::unordered_map<std::string, uint64_t> fingerprint_ids_;
   size_t durable_fingerprints_ = 0;  // Prefix of fingerprints_ on disk.
-  size_t dead_records_ = 0;          // Overwritten/tombstoned log entries.
-
-  // Stats (atomics: hits/misses are bumped from lock-free readers).
-  mutable std::atomic<uint64_t> stat_hits_{0};
-  mutable std::atomic<uint64_t> stat_misses_{0};
-  std::atomic<uint64_t> stat_appends_{0};
-  std::atomic<uint64_t> stat_dropped_appends_{0};
-  std::atomic<uint64_t> stat_invalidations_{0};
-  std::atomic<uint64_t> stat_loaded_{0};
-  std::atomic<uint64_t> stat_dropped_bytes_{0};
-  std::atomic<uint64_t> stat_compactions_{0};
 };
 
 }  // namespace spex

@@ -702,7 +702,7 @@ int Run(int argc, char** argv) {
   std::shared_ptr<VerdictStore> store;
   if (!options.store_path.empty()) {
     Status store_status;
-    store = VerdictStore::Open(options.store_path, {}, &store_status);
+    store = VerdictStore::Open(options.store_path, &store_status);
     if (!store_status.ok()) {
       std::cerr << "spexcheck: verdict store '" << options.store_path
                 << "' degraded: " << store_status.message() << "\n";

@@ -1,20 +1,29 @@
 // Persistent verdict store (src/support/verdict_store.h) and its wiring
 // through Target::CheckConfigBatch: round-trip bit-identity across reopen
-// (serial and sharded), scope isolation + tombstones, corruption /
-// truncation / version-skew fallback (never trusted, never fatal),
-// single-writer degradation, and the soundness contracts the injection
-// layer owns — template edits land in a fresh scope, checker-deadline
-// verdicts are never cached.
+// (serial and sharded), scope isolation and last-write-wins, corruption /
+// truncation / version-skew fallback (never trusted, never fatal, also
+// under a seeded mutation harness), single-writer degradation, and the
+// soundness contracts the injection layer owns — template edits land in a
+// fresh scope, checker-deadline verdicts are never cached.
 #include "src/support/verdict_store.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/file.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/api/session.h"
+#include "src/support/rng.h"
 
 namespace spex {
 namespace {
@@ -24,7 +33,7 @@ namespace {
 std::string TempStorePath(const std::string& tag) {
   std::string path =
       (std::filesystem::temp_directory_path() / ("spex_vst_test_" + tag + ".vst")).string();
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
   std::filesystem::remove(path + ".lock");
   return path;
 }
@@ -39,51 +48,59 @@ StoredVerdict MakeVerdict(uint8_t category, const std::string& detail) {
   return verdict;
 }
 
+// One-record AppendBatch; returns how many records were written.
+size_t Put(VerdictStore& store, std::string_view scope, const std::string& key,
+           StoredVerdict verdict) {
+  std::vector<VerdictAppend> one;
+  one.push_back({store.ResolveScope(scope), key, std::move(verdict)});
+  return store.AppendBatch(std::move(one));
+}
+
 TEST(VerdictStoreTest, RoundTripsEveryFieldAcrossReopen) {
   std::string path = TempStorePath("roundtrip");
   StoredVerdict verdict = MakeVerdict(3, "crash in server_init");
   {
     Status status;
-    auto store = VerdictStore::Open(path, {}, &status);
+    auto store = VerdictStore::Open(path, &status);
     EXPECT_TRUE(status.ok()) << status.ToString();
     ASSERT_FALSE(store->read_only());
-    store->Append(store->ResolveScope("scope-a"), "key-1", verdict);
+    EXPECT_EQ(Put(*store, "scope-a", "key-1", verdict), 1u);
+    EXPECT_EQ(Put(*store, "scope-a", "key-1", verdict), 0u) << "an equal record is not rewritten";
     store->Flush();
     EXPECT_EQ(store->size(), 1u);
   }
   Status status;
-  auto store = VerdictStore::Open(path, {}, &status);
+  auto store = VerdictStore::Open(path, &status);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(store->stats().loaded_records, 1u);
+  EXPECT_EQ(store->size(), 1u);
   uint64_t scope = store->ResolveScope("scope-a");
   StoredVerdict loaded;
   ASSERT_TRUE(store->Lookup(scope, "key-1", &loaded));
   EXPECT_EQ(loaded, verdict);
-  // Unknown key and unknown scope both miss; misses are counted.
+  // Unknown key and unknown scope both miss.
   EXPECT_FALSE(store->Lookup(scope, "key-2", &loaded));
   EXPECT_FALSE(store->Lookup(store->ResolveScope("scope-b"), "key-1", &loaded));
-  EXPECT_EQ(store->stats().hits, 1u);
-  EXPECT_EQ(store->stats().misses, 2u);
 }
 
-TEST(VerdictStoreTest, ScopesIsolateAndTombstonesSurviveReopen) {
-  std::string path = TempStorePath("tombstone");
+TEST(VerdictStoreTest, ScopesIsolateAndLastWriteWinsAcrossReopen) {
+  std::string path = TempStorePath("scopes");
   StoredVerdict a = MakeVerdict(1, "verdict-a");
   StoredVerdict b = MakeVerdict(2, "verdict-b");
+  StoredVerdict final_a = MakeVerdict(4, "overwritten");
   {
     auto store = VerdictStore::Open(path);
-    uint64_t scope_a = store->ResolveScope("scope-a");
-    uint64_t scope_b = store->ResolveScope("scope-b");
-    store->Append(scope_a, "key", a);
-    store->Append(scope_b, "key", b);
+    Put(*store, "scope-a", "key", a);
+    Put(*store, "scope-b", "key", b);
     EXPECT_EQ(store->size(), 2u);
-    store->Invalidate(scope_a, "key");
-    EXPECT_EQ(store->size(), 1u);
+    Put(*store, "scope-a", "key", final_a);
+    EXPECT_EQ(store->size(), 2u);
   }
   auto store = VerdictStore::Open(path);
+  EXPECT_EQ(store->size(), 2u);
   StoredVerdict loaded;
-  EXPECT_FALSE(store->Lookup(store->ResolveScope("scope-a"), "key", &loaded))
-      << "a tombstone must survive reopen";
+  ASSERT_TRUE(store->Lookup(store->ResolveScope("scope-a"), "key", &loaded))
+      << "scope ids must survive reopen";
+  EXPECT_EQ(loaded, final_a) << "the last record for a key wins on reload";
   ASSERT_TRUE(store->Lookup(store->ResolveScope("scope-b"), "key", &loaded));
   EXPECT_EQ(loaded, b);
 }
@@ -94,9 +111,8 @@ TEST(VerdictStoreTest, CorruptTailDropsOnlyTheTailAndStaysWritable) {
   StoredVerdict second = MakeVerdict(2, "second");
   {
     auto store = VerdictStore::Open(path);
-    uint64_t scope = store->ResolveScope("scope");
-    store->Append(scope, "key-1", first);
-    store->Append(scope, "key-2", second);
+    Put(*store, "scope", "key-1", first);
+    Put(*store, "scope", "key-2", second);
   }
   {
     // A torn write: garbage bytes after the last valid frame.
@@ -105,9 +121,9 @@ TEST(VerdictStoreTest, CorruptTailDropsOnlyTheTailAndStaysWritable) {
   }
   {
     Status status;
-    auto store = VerdictStore::Open(path, {}, &status);
-    EXPECT_FALSE(status.ok()) << "a dropped tail must be reported";
-    EXPECT_GT(store->stats().dropped_bytes, 0u);
+    auto store = VerdictStore::Open(path, &status);
+    EXPECT_NE(status.message().find("dropped 48 bytes"), std::string::npos)
+        << "a dropped tail must be reported: " << status.ToString();
     // The valid prefix is kept...
     StoredVerdict loaded;
     ASSERT_TRUE(store->Lookup(store->ResolveScope("scope"), "key-1", &loaded));
@@ -116,10 +132,10 @@ TEST(VerdictStoreTest, CorruptTailDropsOnlyTheTailAndStaysWritable) {
     EXPECT_EQ(loaded, second);
     // ...and the handle still writes (the bad tail was truncated away).
     ASSERT_FALSE(store->read_only());
-    store->Append(store->ResolveScope("scope"), "key-3", MakeVerdict(3, "third"));
+    EXPECT_EQ(Put(*store, "scope", "key-3", MakeVerdict(3, "third")), 1u);
   }
   Status status;
-  auto store = VerdictStore::Open(path, {}, &status);
+  auto store = VerdictStore::Open(path, &status);
   EXPECT_TRUE(status.ok()) << "truncation must have repaired the log: " << status.ToString();
   EXPECT_EQ(store->size(), 3u);
 }
@@ -131,15 +147,14 @@ TEST(VerdictStoreTest, GarbageHeaderStartsEmptyAndRecovers) {
     file << "this is not a verdict store at all, but it is longer than a header";
   }
   Status status;
-  auto store = VerdictStore::Open(path, {}, &status);
+  auto store = VerdictStore::Open(path, &status);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(store->size(), 0u) << "a bad header is never trusted";
-  EXPECT_GT(store->stats().dropped_bytes, 0u);
   // The handle rebuilt a fresh header: appends round-trip from here on.
-  store->Append(store->ResolveScope("scope"), "key", MakeVerdict(1, "fresh"));
+  Put(*store, "scope", "key", MakeVerdict(1, "fresh"));
   store.reset();
   Status reopened_status;
-  auto reopened = VerdictStore::Open(path, {}, &reopened_status);
+  auto reopened = VerdictStore::Open(path, &reopened_status);
   EXPECT_TRUE(reopened_status.ok()) << reopened_status.ToString();
   EXPECT_EQ(reopened->size(), 1u);
 }
@@ -158,7 +173,7 @@ TEST(VerdictStoreTest, VersionSkewStartsEmpty) {
     file << std::string(64, 'x');
   }
   Status status;
-  auto store = VerdictStore::Open(path, {}, &status);
+  auto store = VerdictStore::Open(path, &status);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(store->size(), 0u);
 }
@@ -167,26 +182,25 @@ TEST(VerdictStoreTest, SecondHandleDegradesToReadOnlyAndDropsAppends) {
   std::string path = TempStorePath("second_writer");
   auto writer = VerdictStore::Open(path);
   ASSERT_FALSE(writer->read_only());
-  writer->Append(writer->ResolveScope("scope"), "key", MakeVerdict(1, "from writer"));
+  Put(*writer, "scope", "key", MakeVerdict(1, "from writer"));
   writer->Flush();
 
   Status status;
-  auto reader = VerdictStore::Open(path, {}, &status);
+  auto reader = VerdictStore::Open(path, &status);
   EXPECT_FALSE(status.ok()) << "losing the writer race must be reported";
   EXPECT_TRUE(reader->read_only());
   StoredVerdict loaded;
   EXPECT_TRUE(reader->Lookup(reader->ResolveScope("scope"), "key", &loaded))
       << "read-only handles still serve what was durable at open";
-  reader->Append(reader->ResolveScope("scope"), "key-2", MakeVerdict(2, "dropped"));
-  EXPECT_EQ(reader->stats().dropped_appends, 1u);
+  EXPECT_EQ(Put(*reader, "scope", "key-2", MakeVerdict(2, "dropped")), 0u);
   EXPECT_FALSE(reader->Lookup(reader->ResolveScope("scope"), "key-2", &loaded));
 }
 
 // An unwritable store path (here: a missing parent directory, which fails
 // even for root) must degrade to read-only-acting-empty with a status that
 // blames the path, NOT the "writer lock held elsewhere" contention message
-// — the operator's fix is completely different. Appends are dropped and
-// counted; checking continues.
+// — the operator's fix is completely different. Appends are dropped;
+// checking continues.
 TEST(VerdictStoreTest, UnwritablePathDegradesWithPathBlamingStatus) {
   std::string path = (std::filesystem::temp_directory_path() /
                       "spex_vst_no_such_parent" / "store.vst")
@@ -194,7 +208,7 @@ TEST(VerdictStoreTest, UnwritablePathDegradesWithPathBlamingStatus) {
   std::filesystem::remove_all(std::filesystem::temp_directory_path() /
                               "spex_vst_no_such_parent");
   Status status;
-  auto store = VerdictStore::Open(path, {}, &status);
+  auto store = VerdictStore::Open(path, &status);
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_NE(status.message().find("unwritable"), std::string::npos) << status.ToString();
@@ -203,37 +217,184 @@ TEST(VerdictStoreTest, UnwritablePathDegradesWithPathBlamingStatus) {
       << status.ToString();
   EXPECT_TRUE(store->read_only());
 
-  // Degraded handles stay usable: lookups miss, appends drop and count.
+  // Degraded handles stay usable: lookups miss, appends drop.
   StoredVerdict loaded;
   EXPECT_FALSE(store->Lookup(store->ResolveScope("scope"), "key", &loaded));
-  store->Append(store->ResolveScope("scope"), "key", MakeVerdict(1, "dropped"));
-  EXPECT_EQ(store->stats().dropped_appends, 1u);
+  EXPECT_EQ(Put(*store, "scope", "key", MakeVerdict(1, "dropped")), 0u);
 }
 
-TEST(VerdictStoreTest, CompactionPreservesLiveRecordsAcrossReopen) {
-  std::string path = TempStorePath("compact");
-  StoredVerdict final_verdict = MakeVerdict(4, "overwritten");
+// The lock file can be created but the data file cannot be opened (the
+// path is a directory, which fails open(O_RDWR) even for root): the
+// handle acts empty and read-only, and must not keep the writer lock it
+// cannot use.
+TEST(VerdictStoreTest, UnopenableDataFileReleasesTheWriterLock) {
+  std::string path = TempStorePath("data_is_a_directory");
+  std::filesystem::create_directory(path);
+  Status status;
+  auto store = VerdictStore::Open(path, &status);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_TRUE(store->read_only());
+  EXPECT_EQ(store->size(), 0u);
+
+  int fd = ::open((path + ".lock").c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0)
+      << "a handle that cannot write must release the writer lock";
+  ::close(fd);
+  store.reset();
+  std::filesystem::remove_all(path);
+}
+
+// CRC32 (IEEE, reflected), as the store frames its records.
+uint32_t Crc32(std::string_view bytes) {
+  uint32_t crc = 0xffffffffu;
+  for (unsigned char c : bytes) {
+    crc ^= c;
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return ~crc;
+}
+
+// A well-framed record of type 3, which older builds declared as a
+// tombstone for (scope 0, `key`) but never wrote.
+std::string OldTombstoneFrame(const std::string& key) {
+  auto put_u32 = [](std::string* out, uint32_t value) {
+    out->append(reinterpret_cast<const char*>(&value), 4);
+  };
+  std::string payload(1, '\x03');
+  payload.append(8, '\0');
+  put_u32(&payload, static_cast<uint32_t>(key.size()));
+  payload += key;
+  std::string frame;
+  put_u32(&frame, Crc32(payload));
+  put_u32(&frame, static_cast<uint32_t>(payload.size()));
+  return frame + payload;
+}
+
+// Seeded mutation harness over VerdictStore::Open: a log holding verdicts
+// in two scopes is bit-flipped, overwritten and truncated — at random
+// offsets and at every record boundary — and reopened. Whatever survives
+// must be something that was written under that very key, never more
+// records than were written, and the repaired file must reopen cleanly.
+TEST(VerdictStoreMutationTest, MutatedLogsNeverServeUnwrittenVerdicts) {
+  const std::string path = TempStorePath("mutation");
+  const std::vector<std::string> scopes = {"scope-a", "scope-b"};
+  std::vector<std::string> keys;
+  for (int i = 0; i < 6; ++i) keys.push_back("key-" + std::to_string(i));
+  // (scope, key) -> every verdict ever written under it.
+  std::map<std::pair<std::string, std::string>, std::vector<StoredVerdict>> written;
+  size_t records_written = 0;
   {
     auto store = VerdictStore::Open(path);
-    uint64_t scope_a = store->ResolveScope("scope-a");
-    uint64_t scope_b = store->ResolveScope("scope-b");
-    store->Append(scope_a, "key", MakeVerdict(1, "stale"));
-    store->Append(scope_a, "key", final_verdict);  // Last-wins overwrite.
-    store->Append(scope_b, "key", MakeVerdict(2, "doomed"));
-    store->Invalidate(scope_b, "key");
-    ASSERT_TRUE(store->Compact().ok());
-    EXPECT_EQ(store->stats().compactions, 1u);
-    EXPECT_EQ(store->size(), 1u);
+    for (int round = 0; round < 2; ++round) {
+      for (const std::string& scope : scopes) {
+        for (size_t k = 0; k < keys.size(); k += round + 1) {  // Round 1 overwrites half.
+          StoredVerdict verdict =
+              MakeVerdict(static_cast<uint8_t>(k), scope + "/" + keys[k] + "#" + std::to_string(round));
+          verdict.logs.resize(k);  // Vary record lengths, down to no logs.
+          records_written += Put(*store, scope, keys[k], verdict);
+          written[{scope, keys[k]}].push_back(std::move(verdict));
+        }
+      }
+    }
   }
-  Status status;
-  auto store = VerdictStore::Open(path, {}, &status);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(store->size(), 1u);
-  StoredVerdict loaded;
-  ASSERT_TRUE(store->Lookup(store->ResolveScope("scope-a"), "key", &loaded))
-      << "scope ids must survive compaction + reopen";
-  EXPECT_EQ(loaded, final_verdict);
-  EXPECT_FALSE(store->Lookup(store->ResolveScope("scope-b"), "key", &loaded));
+  std::string pristine;
+  {
+    std::ifstream in(path, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(records_written, 18u);
+  // Frame starts ([crc][len][payload] after the 16-byte header) and the end.
+  std::vector<size_t> boundaries = {16};
+  while (boundaries.back() + 8 <= pristine.size()) {
+    uint32_t len = 0;
+    std::memcpy(&len, pristine.data() + boundaries.back() + 4, 4);
+    boundaries.push_back(boundaries.back() + 8 + len);
+  }
+  ASSERT_EQ(boundaries.back(), pristine.size());
+  ASSERT_EQ(boundaries.size(), 1 + 2 + records_written) << "header, 2 interns, every verdict";
+
+  DeterministicRng rng(0x5eed);
+  // Writes `bytes` as the store, checks the invariants and returns how
+  // many verdicts the reopened store serves.
+  auto check = [&](const std::string& bytes, const std::string& what) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    size_t served = 0;
+    {
+      auto store = VerdictStore::Open(path);
+      EXPECT_FALSE(store->read_only()) << what;
+      EXPECT_LE(store->size(), written.size()) << what;
+      for (const std::string& scope : scopes) {
+        uint64_t id = store->ResolveScope(scope);
+        for (const std::string& key : keys) {
+          StoredVerdict loaded;
+          if (!store->Lookup(id, key, &loaded)) continue;
+          ++served;
+          auto it = written.find({scope, key});
+          if (it == written.end()) {
+            ADD_FAILURE() << what << ": served a never-written key " << key;
+            continue;
+          }
+          EXPECT_NE(std::find(it->second.begin(), it->second.end(), loaded), it->second.end())
+              << what << ": " << scope << "/" << key << " served a verdict never written there";
+        }
+        StoredVerdict loaded;
+        EXPECT_FALSE(store->Lookup(id, "never-written", &loaded)) << what;
+      }
+      EXPECT_EQ(served, store->size()) << what << ": index holds keys outside the written set";
+    }
+    // The first writable open repaired the file: a second one is clean
+    // and serves exactly what the first served.
+    Status status;
+    auto reopened = VerdictStore::Open(path, &status);
+    EXPECT_TRUE(status.ok()) << what << ": " << status.ToString();
+    EXPECT_EQ(reopened->size(), served) << what;
+    return served;
+  };
+
+  for (size_t b = 0; b < boundaries.size(); ++b) {
+    const size_t at = boundaries[b];
+    const std::string where = "boundary " + std::to_string(b);
+    const size_t prefix = check(pristine.substr(0, at), "truncate at " + where);
+    // A well-framed record of an unknown type ends the trusted prefix.
+    EXPECT_EQ(check(pristine.substr(0, at) + OldTombstoneFrame("key-0") + pristine.substr(at),
+                    "old tombstone at " + where),
+              prefix);
+    if (at == pristine.size()) break;
+    check(pristine.substr(0, at + 1 + rng.NextBounded(7)), "truncate inside frame header at " + where);
+    std::string flipped = pristine;
+    flipped[at + rng.NextBounded(8)] ^= static_cast<char>(1u << rng.NextBounded(8));
+    check(flipped, "flip frame header bit at " + where);
+    std::string payload = pristine;
+    payload[at + 8 + rng.NextBounded(boundaries[b + 1] - at - 8)] ^= 0x01;
+    check(payload, "flip payload bit at " + where);
+  }
+  for (int i = 0; i < 6000; ++i) {
+    std::string bytes = pristine;
+    switch (rng.NextBounded(3)) {
+      case 0:
+        for (uint64_t n = 1 + rng.NextBounded(3); n > 0; --n) {
+          bytes[rng.NextBounded(bytes.size())] ^= static_cast<char>(1u << rng.NextBounded(8));
+        }
+        break;
+      case 1: {
+        size_t at = rng.NextBounded(bytes.size());
+        for (uint64_t n = 1 + rng.NextBounded(8); n > 0 && at < bytes.size(); --n, ++at) {
+          bytes[at] = static_cast<char>(rng.NextBounded(256));
+        }
+        break;
+      }
+      default:
+        bytes.resize(rng.NextBounded(bytes.size()));
+        break;
+    }
+    check(bytes, "random mutation " + std::to_string(i));
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".lock");
 }
 
 // --- Batch wiring: the store through Target::CheckConfigBatch. Fixture
