@@ -12,8 +12,8 @@
 #
 # Usage:
 #   scripts/smoke.sh          # full: Release ctest + ASan/UBSan ctest + TSan tests
-#   scripts/smoke.sh --quick  # Release campaign/interp/session tests, ASan/UBSan
-#                             # interp/inject tests, TSan tests
+#   scripts/smoke.sh --quick  # Release campaign/interp/session/store tests, ASan/UBSan
+#                             # interp/inject/store tests, TSan tests
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,7 +25,7 @@ echo "== Release configuration =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
 if [[ "${QUICK}" == "1" ]]; then
-  ctest --test-dir build-release --output-on-failure -R 'thread_pool_test|inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test'
+  ctest --test-dir build-release --output-on-failure -R 'thread_pool_test|inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|verdict_store_test|config_set_test|parser_robustness_test'
 else
   ctest --test-dir build-release --output-on-failure -j "${JOBS}"
 fi
@@ -37,7 +37,7 @@ cmake -B build-asan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}"
 if [[ "${QUICK}" == "1" ]]; then
-  ctest --test-dir build-asan --output-on-failure -R 'interp_test|inject_test'
+  ctest --test-dir build-asan --output-on-failure -R 'interp_test|inject_test|verdict_store_test'
 else
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 fi
