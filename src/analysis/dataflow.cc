@@ -56,7 +56,6 @@ AnalysisContext::AnalysisContext(const Module& module) : module_(module) {
   loads_by_loc_.reserve(instruction_count / 4 + 1);
   stores_by_loc_.reserve(instruction_count / 4 + 1);
   call_sites_.reserve(instruction_count / 4 + 1);
-  returns_.reserve(module.functions().size());
 
   for (const auto& fn : module.functions()) {
     for (const auto& block : fn->blocks()) {
@@ -81,9 +80,6 @@ AnalysisContext::AnalysisContext(const Module& module) : module_(module) {
           }
           case InstrKind::kCall:
             call_sites_[instr->callee()].push_back(instr.get());
-            break;
-          case InstrKind::kRet:
-            returns_[fn.get()].push_back(instr.get());
             break;
           default:
             break;
@@ -173,11 +169,6 @@ const ControlDependence& AnalysisContext::ControlDepsFor(const Function& fn) con
 void AnalysisContext::ReleaseControlDeps() {
   std::lock_guard<std::mutex> lock(control_deps_mutex_);
   control_deps_.clear();
-}
-
-const std::vector<const Instruction*>& AnalysisContext::ReturnsOf(const Function* fn) const {
-  auto it = returns_.find(fn);
-  return it != returns_.end() ? it->second : empty_;
 }
 
 namespace {

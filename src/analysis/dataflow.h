@@ -47,9 +47,6 @@ class AnalysisContext {
   const std::vector<const Instruction*>& UsersOf(const Value* value) const;
   const std::vector<const Instruction*>& CallSitesOf(const std::string& callee) const;
 
-  // All return instructions of a function.
-  const std::vector<const Instruction*>& ReturnsOf(const Function* fn) const;
-
   const Function* FindFunction(const std::string& name) const {
     return module_.FindFunction(name);
   }
@@ -69,7 +66,6 @@ class AnalysisContext {
   std::unordered_map<MemLoc, std::vector<const Instruction*>, MemLocHash> stores_by_loc_;
   std::unordered_map<const Value*, std::vector<const Instruction*>> users_;
   std::unordered_map<std::string, std::vector<const Instruction*>> call_sites_;
-  std::unordered_map<const Function*, std::vector<const Instruction*>> returns_;
   std::vector<const Instruction*> empty_;
   mutable std::mutex control_deps_mutex_;
   mutable std::unordered_map<const Function*, std::unique_ptr<ControlDependence>> control_deps_;
@@ -132,7 +128,6 @@ struct ParamDataflow {
   std::vector<const Instruction*> switch_uses;
 
   bool Contains(const Value* value) const { return tainted_values.count(value) > 0; }
-  bool HoldsLocation(const MemLoc& loc) const { return locations.count(loc) > 0; }
 };
 
 // ---------------------------------------------------------------------------

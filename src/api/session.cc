@@ -14,8 +14,7 @@ namespace spex {
 
 Session::Session(SessionOptions options)
     : options_(std::move(options)),
-      apis_(ApiRegistry::BuiltinC()),
-      boundary_epoch_(BoundaryStringPool()) {
+      apis_(ApiRegistry::BuiltinC()) {
   if (!options_.custom_api_spec.empty()) {
     apis_.ImportSpec(options_.custom_api_spec, &diags_);
   }

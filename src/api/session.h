@@ -5,9 +5,8 @@
 // campaigns) for as long as the service is up. Session is the one way to
 // load and run a target: it owns the parse -> lower -> annotate -> infer
 // wiring (one load path for corpus targets and caller sources alike) plus
-// the long-lived resources: the ApiRegistry, the accumulated diagnostics,
-// the one campaign worker pool, and a boundary string-pool epoch so
-// interned boundary strings are reclaimed when the session ends.
+// the long-lived resources: the ApiRegistry, the accumulated diagnostics
+// and the one campaign worker pool.
 //
 //   spex::Session session;
 //   spex::Target* target = session.LoadTarget("squid");          // or LoadSource(...)
@@ -45,7 +44,6 @@
 #include "src/corpus/synthesizer.h"
 #include "src/design/manual_model.h"
 #include "src/matrix/matrix_check.h"
-#include "src/support/string_pool.h"
 #include "src/support/thread_pool.h"
 
 namespace spex {
@@ -159,9 +157,6 @@ class Session {
   SessionOptions options_;
   ApiRegistry apis_;
   DiagnosticEngine diags_;
-  // Ties boundary-pool growth to the session: RtValue::Str interning done
-  // on behalf of this session is reclaimed when the last session closes.
-  StringPoolEpoch boundary_epoch_;
   // Guards diags_, targets_ growth and pool creation (mutable: the const
   // diagnostic accessors lock it too). Never held during an analysis.
   mutable std::mutex mutex_;

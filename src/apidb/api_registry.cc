@@ -157,11 +157,6 @@ bool ApiRegistry::IsTerminating(const std::string& name) const {
   return spec != nullptr && spec->is_terminating;
 }
 
-bool ApiRegistry::IsErrorLogging(const std::string& name) const {
-  const ApiSpec* spec = Find(name);
-  return spec != nullptr && spec->is_error_logging;
-}
-
 std::optional<ApiParamSpec> ParseParamKind(std::string_view token) {
   ApiParamSpec spec;
   std::string upper = ToUpperCopy(token);

@@ -69,7 +69,6 @@ class ApiRegistry {
   size_t size() const { return specs_.size(); }
 
   bool IsTerminating(const std::string& name) const;
-  bool IsErrorLogging(const std::string& name) const;
 
  private:
   std::map<std::string, ApiSpec> specs_;

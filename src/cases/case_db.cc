@@ -30,15 +30,6 @@ const std::map<std::string, CategoryCounts>& PaperBreakdown() {
 
 }  // namespace
 
-size_t PaperSampleSize(const std::string& target) {
-  auto it = PaperBreakdown().find(target);
-  if (it == PaperBreakdown().end()) {
-    return 0;
-  }
-  const CategoryCounts& counts = it->second;
-  return counts.avoidable + counts.single_sw + counts.cross_sw + counts.conform + counts.good;
-}
-
 std::vector<HistoricalCase> BuildCaseDb(const std::string& target, size_t samples,
                                         const std::vector<std::string>& constrained_params) {
   std::vector<HistoricalCase> cases;

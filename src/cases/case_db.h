@@ -59,9 +59,6 @@ struct BenefitBreakdown {
 BenefitBreakdown AnalyzeBenefit(const std::vector<HistoricalCase>& cases,
                                 const ModuleConstraints& constraints);
 
-// The paper's per-target sample sizes (Table 9).
-size_t PaperSampleSize(const std::string& target);
-
 }  // namespace spex
 
 #endif  // SPEX_CASES_CASE_DB_H_

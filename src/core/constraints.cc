@@ -54,18 +54,6 @@ std::string PermissionConstraint::ToString() const {
   return out.str();
 }
 
-bool RangeConstraint::HasInvalidInterval() const {
-  if (is_enum) {
-    return true;  // Everything outside the enumerated set is invalid.
-  }
-  for (const RangeInterval& interval : intervals) {
-    if (!interval.valid) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<RangeInterval> RangeConstraint::ValidIntervals() const {
   std::vector<RangeInterval> result;
   for (const RangeInterval& interval : intervals) {

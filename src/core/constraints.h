@@ -71,7 +71,6 @@ struct RangeConstraint {
   OutOfRangeBehavior out_of_range = OutOfRangeBehavior::kUnknown;
   SourceLoc loc;
 
-  bool HasInvalidInterval() const;
   // The valid intervals only (numeric form).
   std::vector<RangeInterval> ValidIntervals() const;
   std::string ToString() const;

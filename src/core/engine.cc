@@ -120,24 +120,17 @@ SpexEngine::SpexEngine(const Module& module, const ApiRegistry& apis, SpexOption
       dataflow_engine_(context_),
       region_analyzer_(apis) {}
 
-const ParamDataflow* SpexEngine::DataflowFor(const std::string& param) const {
-  auto it = dataflows_.find(param);
-  return it != dataflows_.end() ? &it->second : nullptr;
-}
-
 ModuleConstraints SpexEngine::Run(const AnnotationFile& annotations, DiagnosticEngine* diags) {
   MappingExtractor extractor(module_, context_, apis_);
   return InferFromMappings(extractor.Extract(annotations, diags));
 }
 
 ModuleConstraints SpexEngine::InferFromMappings(const std::vector<MappedParam>& mappings) {
-  mappings_ = mappings;
-  dataflows_.clear();
   value_to_params_.clear();
 
   std::vector<ParamState> states;
-  states.reserve(mappings_.size());
-  for (const MappedParam& mapping : mappings_) {
+  states.reserve(mappings.size());
+  for (const MappedParam& mapping : mappings) {
     ParamState state;
     state.mapping = &mapping;
     state.dataflow = dataflow_engine_.Analyze(mapping.seeds);
@@ -149,7 +142,6 @@ ModuleConstraints SpexEngine::InferFromMappings(const std::vector<MappedParam>& 
   }
   value_to_params_.reserve(tainted_total);
   for (size_t i = 0; i < states.size(); ++i) {
-    dataflows_[mappings_[i].name] = states[i].dataflow;
     for (const Value* value : states[i].dataflow.tainted_values) {
       value_to_params_[value].push_back(i);
     }

@@ -18,7 +18,6 @@
 #ifndef SPEX_CORE_ENGINE_H_
 #define SPEX_CORE_ENGINE_H_
 
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,10 +47,6 @@ class SpexEngine {
 
   // As Run, but with pre-extracted mappings (used by tests).
   ModuleConstraints InferFromMappings(const std::vector<MappedParam>& mappings);
-
-  const AnalysisContext& context() const { return context_; }
-  const std::vector<MappedParam>& mappings() const { return mappings_; }
-  const ParamDataflow* DataflowFor(const std::string& param) const;
 
  private:
   struct ParamState {
@@ -85,8 +80,6 @@ class SpexEngine {
   AnalysisContext context_;
   DataflowEngine dataflow_engine_;
   RegionAnalyzer region_analyzer_;
-  std::vector<MappedParam> mappings_;
-  std::map<std::string, ParamDataflow> dataflows_;
   // Hashed: point-queried once per cmp operand during control-dep and
   // value-relationship inference, never iterated.
   std::unordered_map<const Value*, std::vector<size_t>> value_to_params_;

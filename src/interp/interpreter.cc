@@ -39,41 +39,23 @@ RtValue RtValue::Float(double v) {
   return value;
 }
 
-RtValue RtValue::Str(std::string_view v) {
-  StringPool& pool = BoundaryStringPool();
-  RtValue value;
-  value.kind = Kind::kString;
-  value.sp = pool.InternPtr(v, &value.sym);
-  return value;
-}
-
 RtValue RtValue::Null() {
   RtValue value;
   value.kind = Kind::kNull;
   return value;
 }
 
-RtValue RtValue::FnRef(std::string_view name) {
-  StringPool& pool = BoundaryStringPool();
-  RtValue value;
-  value.kind = Kind::kFnRef;
-  value.sp = pool.InternPtr(name, &value.sym);
-  return value;
-}
-
-RtValue RtValue::PooledStr(const std::string* sp, Symbol sym) {
+RtValue RtValue::PooledStr(const std::string* sp) {
   RtValue value;
   value.kind = Kind::kString;
   value.sp = sp;
-  value.sym = sym;
   return value;
 }
 
-RtValue RtValue::PooledFnRef(const std::string* sp, Symbol sym) {
+RtValue RtValue::PooledFnRef(const std::string* sp) {
   RtValue value;
   value.kind = Kind::kFnRef;
   value.sp = sp;
-  value.sym = sym;
   return value;
 }
 
@@ -311,8 +293,7 @@ Interpreter::Interpreter(const Module& module, OsSimulator* os, InterpOptions op
 Interpreter::~Interpreter() = default;
 
 RtValue Interpreter::InternedString(std::string_view text) {
-  Symbol sym = pool_.Intern(text);
-  return RtValue::PooledStr(pool_.StablePtr(sym), sym);
+  return RtValue::PooledStr(pool_.Intern(text));
 }
 
 Interpreter::IntrinsicId Interpreter::IntrinsicNamed(std::string_view name) {
@@ -759,8 +740,7 @@ void Interpreter::BuildInitImage() {
           if (target >= 0) {
             return Address(target, global_layouts_[target].base);
           }
-          Symbol sym = pool_.Intern(leaf.string_value);
-          return RtValue::PooledFnRef(pool_.StablePtr(sym), sym);
+          return RtValue::PooledFnRef(pool_.Intern(leaf.string_value));
         }
         default:
           return RtValue::Int(0);

@@ -9,9 +9,9 @@
 // values, and a record of which globals were ever read.
 //
 // Memory model (flat storage, built for campaign throughput):
-//   - An RtValue is 16 trivially copyable bytes: a tag, a pool symbol and
-//     one payload word. Strings are interned (per-Interpreter StringPool),
-//     so moving a value never allocates.
+//   - An RtValue is 16 trivially copyable bytes: a tag and one payload
+//     word. Strings are interned (per-Interpreter StringPool), so moving a
+//     value never allocates.
 //   - Every storage root (a global or an alloca) has a layout computed from
 //     its IR type: cell 0 is the root itself, then one cell per array
 //     element followed by the element's struct fields, or one cell per
@@ -58,10 +58,9 @@
 namespace spex {
 
 // A runtime value: integer, float, string (possibly null), address, or a
-// function reference (config-table handler slots). String payloads are
-// interned: `sp` points into pool-stable storage (an Interpreter's pool or
-// the process-wide boundary pool), so copying an RtValue never copies
-// characters. Only the payload member named by `kind` is meaningful.
+// function reference (config-table handler slots). A string points into the
+// pool of the interpreter that made it, so it lives as long as that
+// interpreter. Only the payload member named by `kind` is meaningful.
 struct RtValue {
   enum class Kind : uint8_t { kInt, kFloat, kString, kNull, kAddr, kFnRef };
 
@@ -74,9 +73,6 @@ struct RtValue {
   };
 
   Kind kind = Kind::kInt;
-  // kString / kFnRef: the pool's symbol id (diagnostics; equality of syms
-  // is only meaningful within one pool).
-  Symbol sym = kInvalidSymbol;
   union {
     int64_t i = 0;          // kInt
     double f;               // kFloat
@@ -86,18 +82,11 @@ struct RtValue {
 
   static RtValue Int(int64_t v);
   static RtValue Float(double v);
-  // Interns into the process-wide boundary pool; use Interpreter's
-  // InternedString() on hot paths instead. Lifetime: permanent when no
-  // boundary-pool epoch is open; while any spex::Session (or other
-  // StringPoolEpoch holder) is alive, the payload lives until the last
-  // overlapping epoch closes — do not stash RtValues built during a
-  // Session's lifetime beyond it.
-  static RtValue Str(std::string_view v);
   static RtValue Null();
-  static RtValue FnRef(std::string_view name);
-  // Wraps an already-interned payload (no hashing, no copy).
-  static RtValue PooledStr(const std::string* sp, Symbol sym);
-  static RtValue PooledFnRef(const std::string* sp, Symbol sym);
+  // Wraps an already-interned payload (no hashing, no copy); build strings
+  // with Interpreter::InternedString().
+  static RtValue PooledStr(const std::string* sp);
+  static RtValue PooledFnRef(const std::string* sp);
 
   // String payload; empty string for other kinds or a missing payload.
   const std::string& str() const;
@@ -228,13 +217,12 @@ class Interpreter {
   // default to 0 / null.
   CallOutcome Call(const std::string& function, std::vector<RtValue> args);
 
-  // Interns `text` into this interpreter's pool — the allocation-free way
-  // to build string arguments for Call() on hot paths.
+  // Interns `text` into this interpreter's pool — the way to build string
+  // arguments for Call().
   RtValue InternedString(std::string_view text);
 
   // --- Observables.
   const std::vector<std::string>& logs() const { return logs_; }
-  void ClearLogs() { logs_.clear(); }
   // Current value of a scalar global, or nullopt if it does not exist.
   std::optional<RtValue> ReadGlobal(const std::string& name) const;
   void WriteGlobal(const std::string& name, RtValue value);

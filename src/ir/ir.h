@@ -50,11 +50,6 @@ class Value {
   const std::string& name() const { return name_; }
   uint32_t id() const { return id_; }
 
-  bool IsConstant() const {
-    return value_kind_ == ValueKind::kConstantInt || value_kind_ == ValueKind::kConstantFloat ||
-           value_kind_ == ValueKind::kConstantString || value_kind_ == ValueKind::kConstantNull;
-  }
-
   int64_t constant_int() const { return constant_int_; }
   double constant_float() const { return constant_float_; }
   const std::string& constant_string() const { return constant_string_; }

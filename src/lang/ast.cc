@@ -53,48 +53,6 @@ bool IsComparisonOp(BinaryOp op) {
   }
 }
 
-const char* BinaryOpSpelling(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      return "+";
-    case BinaryOp::kSub:
-      return "-";
-    case BinaryOp::kMul:
-      return "*";
-    case BinaryOp::kDiv:
-      return "/";
-    case BinaryOp::kRem:
-      return "%";
-    case BinaryOp::kShl:
-      return "<<";
-    case BinaryOp::kShr:
-      return ">>";
-    case BinaryOp::kBitAnd:
-      return "&";
-    case BinaryOp::kBitOr:
-      return "|";
-    case BinaryOp::kBitXor:
-      return "^";
-    case BinaryOp::kLt:
-      return "<";
-    case BinaryOp::kLe:
-      return "<=";
-    case BinaryOp::kGt:
-      return ">";
-    case BinaryOp::kGe:
-      return ">=";
-    case BinaryOp::kEq:
-      return "==";
-    case BinaryOp::kNe:
-      return "!=";
-    case BinaryOp::kLogicalAnd:
-      return "&&";
-    case BinaryOp::kLogicalOr:
-      return "||";
-  }
-  return "?";
-}
-
 int StructDecl::FieldIndex(const std::string& field_name) const {
   for (size_t i = 0; i < fields.size(); ++i) {
     if (fields[i].name == field_name) {

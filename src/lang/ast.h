@@ -45,23 +45,6 @@ struct AstType {
            kind == AstTypeKind::kInt || kind == AstTypeKind::kLong;
   }
   std::string ToString() const;
-
-  static AstType MakeInt() {
-    AstType t;
-    t.kind = AstTypeKind::kInt;
-    return t;
-  }
-  static AstType MakePointerTo(AstType inner) {
-    AstType t;
-    t.kind = AstTypeKind::kPointer;
-    t.pointee = std::make_shared<AstType>(std::move(inner));
-    return t;
-  }
-  static AstType MakeString() {
-    AstType c;
-    c.kind = AstTypeKind::kChar;
-    return MakePointerTo(std::move(c));
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -110,7 +93,6 @@ enum class BinaryOp {
 // True for <, <=, >, >=, ==, != — the comparison subset that feeds range and
 // relationship inference.
 bool IsComparisonOp(BinaryOp op);
-const char* BinaryOpSpelling(BinaryOp op);
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;

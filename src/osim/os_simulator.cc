@@ -27,11 +27,6 @@ bool OsSimulator::IsReadable(const std::string& path) const {
   return it != files_.end() && it->second.readable;
 }
 
-bool OsSimulator::IsWritable(const std::string& path) const {
-  auto it = files_.find(path);
-  return it != files_.end() && it->second.writable;
-}
-
 bool OsSimulator::RemoveFile(const std::string& path) { return files_.erase(path) > 0; }
 
 void OsSimulator::OccupyPort(int64_t port) { occupied_ports_.insert(port); }

@@ -24,7 +24,6 @@ class OsSimulator {
   bool FileExists(const std::string& path) const;
   bool DirectoryExists(const std::string& path) const;
   bool IsReadable(const std::string& path) const;
-  bool IsWritable(const std::string& path) const;
   bool RemoveFile(const std::string& path);
 
   // --- Network.

@@ -8,8 +8,6 @@ namespace {
 
 const char* SeverityLabel(DiagSeverity severity) {
   switch (severity) {
-    case DiagSeverity::kNote:
-      return "note";
     case DiagSeverity::kWarning:
       return "warning";
     case DiagSeverity::kError:
@@ -34,10 +32,6 @@ void DiagnosticEngine::Warning(const SourceLoc& loc, std::string message) {
   ++warning_count_;
 }
 
-void DiagnosticEngine::Note(const SourceLoc& loc, std::string message) {
-  diagnostics_.push_back({DiagSeverity::kNote, loc, std::move(message)});
-}
-
 std::string DiagnosticEngine::Render() const {
   std::ostringstream out;
   for (const Diagnostic& diag : diagnostics_) {
@@ -50,12 +44,6 @@ void DiagnosticEngine::Append(const DiagnosticEngine& other) {
   diagnostics_.insert(diagnostics_.end(), other.diagnostics_.begin(), other.diagnostics_.end());
   error_count_ += other.error_count_;
   warning_count_ += other.warning_count_;
-}
-
-void DiagnosticEngine::Clear() {
-  diagnostics_.clear();
-  error_count_ = 0;
-  warning_count_ = 0;
 }
 
 }  // namespace spex

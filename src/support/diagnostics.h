@@ -15,7 +15,7 @@
 
 namespace spex {
 
-enum class DiagSeverity { kNote, kWarning, kError };
+enum class DiagSeverity { kWarning, kError };
 
 struct Diagnostic {
   DiagSeverity severity = DiagSeverity::kError;
@@ -29,7 +29,6 @@ class DiagnosticEngine {
  public:
   void Error(const SourceLoc& loc, std::string message);
   void Warning(const SourceLoc& loc, std::string message);
-  void Note(const SourceLoc& loc, std::string message);
 
   bool HasErrors() const { return error_count_ > 0; }
   size_t error_count() const { return error_count_; }
@@ -42,8 +41,6 @@ class DiagnosticEngine {
 
   // Appends every diagnostic `other` recorded, counts included.
   void Append(const DiagnosticEngine& other);
-
-  void Clear();
 
  private:
   std::vector<Diagnostic> diagnostics_;

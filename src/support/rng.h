@@ -8,8 +8,6 @@
 #define SPEX_SUPPORT_RNG_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace spex {
 
@@ -31,15 +29,6 @@ class DeterministicRng {
   int64_t NextInRange(int64_t lo, int64_t hi) {
     uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
     return lo + static_cast<int64_t>(NextBounded(span));
-  }
-
-  double NextDouble() { return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0); }
-
-  bool NextBool(double probability_true = 0.5) { return NextDouble() < probability_true; }
-
-  template <typename T>
-  const T& Pick(const std::vector<T>& items) {
-    return items[NextBounded(items.size())];
   }
 
   // Derives an independent child stream; used so that adding parameters to

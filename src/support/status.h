@@ -49,9 +49,6 @@ class Status {
   static Status DeadlineExceeded(std::string message) {
     return Status(StatusCode::kDeadlineExceeded, std::move(message));
   }
-  static Status Cancelled(std::string message) {
-    return Status(StatusCode::kCancelled, std::move(message));
-  }
   static Status ResourceExhausted(std::string message) {
     return Status(StatusCode::kResourceExhausted, std::move(message));
   }

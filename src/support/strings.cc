@@ -126,14 +126,6 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
-bool ContainsSubstring(std::string_view haystack, std::string_view needle) {
-  return haystack.find(needle) != std::string_view::npos;
-}
-
 bool ContainsSubstringIgnoreCase(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) {
     return true;

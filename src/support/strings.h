@@ -33,8 +33,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 int CompareStrings(std::string_view a, std::string_view b);
 int CompareStringsIgnoreCase(std::string_view a, std::string_view b);
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
-bool ContainsSubstring(std::string_view haystack, std::string_view needle);
 bool ContainsSubstringIgnoreCase(std::string_view haystack, std::string_view needle);
 
 // Strict integer parsing: the whole string must be a decimal (optionally
