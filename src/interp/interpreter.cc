@@ -153,17 +153,6 @@ RtValue Address(uint32_t storage, uint32_t offset) {
   return value;
 }
 
-// MiniC integer arithmetic wraps in two's complement.
-int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
-}
-int64_t WrapSub(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) - static_cast<uint64_t>(b));
-}
-int64_t WrapMul(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) * static_cast<uint64_t>(b));
-}
-
 enum class OpKind : uint8_t {
   kAlloca,
   kLoad,
@@ -1187,46 +1176,10 @@ RtValue Interpreter::RunFunction(uint32_t function, size_t args_base, size_t arg
           regs[op.dst] = RtValue::Float(out);
           break;
         }
-        int64_t a = lhs.AsInt();
-        int64_t b = rhs.AsInt();
         int64_t out = 0;
-        switch (static_cast<IrBinOp>(op.code)) {
-          case IrBinOp::kAdd:
-            out = WrapAdd(a, b);
-            break;
-          case IrBinOp::kSub:
-            out = WrapSub(a, b);
-            break;
-          case IrBinOp::kMul:
-            out = WrapMul(a, b);
-            break;
-          case IrBinOp::kDiv:
-          case IrBinOp::kRem:
-            if (b == 0) {
-              throw TrapError("Floating point exception (integer division by zero)");
-            }
-            if (b == -1 && a == std::numeric_limits<int64_t>::min()) {
-              // x86 raises SIGFPE here for both quotient and remainder.
-              throw TrapError("Floating point exception (integer division overflow)");
-            }
-            out = static_cast<IrBinOp>(op.code) == IrBinOp::kDiv ? a / b : a % b;
-            break;
-          case IrBinOp::kShl:
-            // Counts outside [0, 63] shift every bit out.
-            out = b < 0 || b >= 64 ? 0 : static_cast<int64_t>(static_cast<uint64_t>(a) << b);
-            break;
-          case IrBinOp::kShr:
-            out = b < 0 || b >= 64 ? 0 : a >> b;
-            break;
-          case IrBinOp::kAnd:
-            out = a & b;
-            break;
-          case IrBinOp::kOr:
-            out = a | b;
-            break;
-          case IrBinOp::kXor:
-            out = a ^ b;
-            break;
+        if (const char* trap =
+                EvalIntBinOp(static_cast<IrBinOp>(op.code), lhs.AsInt(), rhs.AsInt(), &out)) {
+          throw TrapError(trap);
         }
         regs[op.dst] = RtValue::Int(out);
         break;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -165,6 +166,54 @@ const char* IrCmpPredName(IrCmpPred pred);
 IrCmpPred NegateCmpPred(IrCmpPred pred);
 // The predicate with operands swapped (e.g. a<b -> b>a).
 IrCmpPred SwapCmpPred(IrCmpPred pred);
+
+// MiniC integer arithmetic, shared by the interpreter and constant folding
+// so that a folded global equals the same expression computed at run time.
+// Add, sub and mul wrap in two's complement; shift counts outside [0, 63]
+// shift every bit out. Returns the trap reason for `/` and `%` by zero and
+// for INT64_MIN / -1 (x86 raises SIGFPE for both), else nullptr with the
+// result in *out.
+inline const char* EvalIntBinOp(IrBinOp op, int64_t a, int64_t b, int64_t* out) {
+  uint64_t ua = static_cast<uint64_t>(a);
+  uint64_t ub = static_cast<uint64_t>(b);
+  switch (op) {
+    case IrBinOp::kAdd:
+      *out = static_cast<int64_t>(ua + ub);
+      break;
+    case IrBinOp::kSub:
+      *out = static_cast<int64_t>(ua - ub);
+      break;
+    case IrBinOp::kMul:
+      *out = static_cast<int64_t>(ua * ub);
+      break;
+    case IrBinOp::kDiv:
+    case IrBinOp::kRem:
+      if (b == 0) {
+        return "Floating point exception (integer division by zero)";
+      }
+      if (b == -1 && a == std::numeric_limits<int64_t>::min()) {
+        return "Floating point exception (integer division overflow)";
+      }
+      *out = op == IrBinOp::kDiv ? a / b : a % b;
+      break;
+    case IrBinOp::kShl:
+      *out = b < 0 || b >= 64 ? 0 : static_cast<int64_t>(ua << b);
+      break;
+    case IrBinOp::kShr:
+      *out = b < 0 || b >= 64 ? 0 : a >> b;
+      break;
+    case IrBinOp::kAnd:
+      *out = a & b;
+      break;
+    case IrBinOp::kOr:
+      *out = a | b;
+      break;
+    case IrBinOp::kXor:
+      *out = a ^ b;
+      break;
+  }
+  return nullptr;
+}
 
 class Instruction : public Value {
  public:

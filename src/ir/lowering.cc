@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +46,35 @@ const std::unordered_map<std::string, BuiltinReturn>& BuiltinReturns() {
   return *kTable;
 }
 
+// The IR operation of an arithmetic or bitwise operator; nullopt for
+// comparisons and the short-circuit operators.
+std::optional<IrBinOp> ArithOpFor(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      return IrBinOp::kAdd;
+    case BinaryOp::kSub:
+      return IrBinOp::kSub;
+    case BinaryOp::kMul:
+      return IrBinOp::kMul;
+    case BinaryOp::kDiv:
+      return IrBinOp::kDiv;
+    case BinaryOp::kRem:
+      return IrBinOp::kRem;
+    case BinaryOp::kShl:
+      return IrBinOp::kShl;
+    case BinaryOp::kShr:
+      return IrBinOp::kShr;
+    case BinaryOp::kBitAnd:
+      return IrBinOp::kAnd;
+    case BinaryOp::kBitOr:
+      return IrBinOp::kOr;
+    case BinaryOp::kBitXor:
+      return IrBinOp::kXor;
+    default:
+      return std::nullopt;
+  }
+}
+
 class LoweringContext {
  public:
   LoweringContext(const TranslationUnit& unit, DiagnosticEngine* diags)
@@ -62,6 +92,9 @@ class LoweringContext {
   void LowerStructs();
   void LowerGlobals();
   GlobalInit EvalConstInit(const Expr& expr);
+  // Folds one integer operation with the interpreter's rules; an operation
+  // that would trap at run time is a lowering error.
+  GlobalInit FoldInt(IrBinOp op, int64_t a, int64_t b, const SourceLoc& loc);
   void DeclareFunctions();
   void LowerFunctionBody(const FunctionDecl& decl, Function* fn);
 
@@ -164,7 +197,7 @@ GlobalInit LoweringContext::EvalConstInit(const Expr& expr) {
       if (expr.unary_op == UnaryOp::kNegate) {
         GlobalInit inner = EvalConstInit(*expr.lhs);
         if (inner.kind == GlobalInit::Kind::kInt) {
-          return GlobalInit::Int(-inner.int_value);
+          return FoldInt(IrBinOp::kSub, 0, inner.int_value, expr.loc);
         }
         if (inner.kind == GlobalInit::Kind::kFloat) {
           return GlobalInit::Float(-inner.float_value);
@@ -189,23 +222,10 @@ GlobalInit LoweringContext::EvalConstInit(const Expr& expr) {
     case ExprKind::kBinary: {
       GlobalInit lhs = EvalConstInit(*expr.lhs);
       GlobalInit rhs = EvalConstInit(*expr.rhs);
-      if (lhs.kind == GlobalInit::Kind::kInt && rhs.kind == GlobalInit::Kind::kInt) {
-        int64_t a = lhs.int_value;
-        int64_t b = rhs.int_value;
-        switch (expr.binary_op) {
-          case BinaryOp::kAdd:
-            return GlobalInit::Int(a + b);
-          case BinaryOp::kSub:
-            return GlobalInit::Int(a - b);
-          case BinaryOp::kMul:
-            return GlobalInit::Int(a * b);
-          case BinaryOp::kDiv:
-            return GlobalInit::Int(b != 0 ? a / b : 0);
-          case BinaryOp::kShl:
-            return GlobalInit::Int(a << b);
-          default:
-            break;
-        }
+      std::optional<IrBinOp> op = ArithOpFor(expr.binary_op);
+      if (op.has_value() && lhs.kind == GlobalInit::Kind::kInt &&
+          rhs.kind == GlobalInit::Kind::kInt) {
+        return FoldInt(*op, lhs.int_value, rhs.int_value, expr.loc);
       }
       break;
     }
@@ -214,6 +234,15 @@ GlobalInit LoweringContext::EvalConstInit(const Expr& expr) {
   }
   diags_->Error(expr.loc, "unsupported constant initializer expression");
   return GlobalInit::Int(0);
+}
+
+GlobalInit LoweringContext::FoldInt(IrBinOp op, int64_t a, int64_t b, const SourceLoc& loc) {
+  int64_t out = 0;
+  if (const char* trap = EvalIntBinOp(op, a, b, &out)) {
+    diags_->Error(loc, std::string("constant initializer traps at run time: ") + trap);
+    return GlobalInit::Int(0);
+  }
+  return GlobalInit::Int(out);
 }
 
 void LoweringContext::LowerGlobals() {
@@ -893,40 +922,7 @@ Value* LoweringContext::LowerExpr(const Expr& expr) {
         }
         return builder_->CreateCmp(pred, lhs, rhs, expr.loc);
       }
-      IrBinOp op;
-      switch (expr.binary_op) {
-        case BinaryOp::kAdd:
-          op = IrBinOp::kAdd;
-          break;
-        case BinaryOp::kSub:
-          op = IrBinOp::kSub;
-          break;
-        case BinaryOp::kMul:
-          op = IrBinOp::kMul;
-          break;
-        case BinaryOp::kDiv:
-          op = IrBinOp::kDiv;
-          break;
-        case BinaryOp::kRem:
-          op = IrBinOp::kRem;
-          break;
-        case BinaryOp::kShl:
-          op = IrBinOp::kShl;
-          break;
-        case BinaryOp::kShr:
-          op = IrBinOp::kShr;
-          break;
-        case BinaryOp::kBitAnd:
-          op = IrBinOp::kAnd;
-          break;
-        case BinaryOp::kBitOr:
-          op = IrBinOp::kOr;
-          break;
-        default:
-          op = IrBinOp::kXor;
-          break;
-      }
-      return builder_->CreateBinOp(op, lhs, rhs, expr.loc);
+      return builder_->CreateBinOp(*ArithOpFor(expr.binary_op), lhs, rhs, expr.loc);
     }
     case ExprKind::kTernary:
       return LowerTernary(expr);

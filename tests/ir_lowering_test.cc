@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/interp/interpreter.h"
 #include "src/lang/parser.h"
 
 namespace spex {
@@ -271,6 +272,54 @@ TEST(LoweringTest, ModulePrintIsStable) {
   std::string printed = module->Print();
   EXPECT_NE(printed.find("@x"), std::string::npos);
   EXPECT_NE(printed.find("define i32 f"), std::string::npos);
+}
+
+// A folded global initializer must equal the same expression computed at
+// run time: add, sub, mul and negate wrap, shift counts outside [0, 63] give
+// 0, and a fold that would trap at run time is a lowering error.
+TEST(LoweringTest, ConstantFoldingMatchesRuntime) {
+  const std::vector<std::string> exprs = {
+      "9223372036854775807 + 1",
+      "(-9223372036854775807 - 1) - 1",
+      "4611686018427387904 * 4",
+      "-(-9223372036854775807 - 1)",
+      "1 << 64",
+      "1 << 63",
+      "3 << -1",
+      "-1 >> 70",
+      "-9 >> 1",
+      "-7 / 2",
+      "-7 % 3",
+      "12 & 10 | 1 ^ 7",
+  };
+  std::string source;
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    std::string n = std::to_string(i);
+    source += "long g" + n + " = " + exprs[i] + ";\n";
+    source += "long f" + n + "() { return " + exprs[i] + "; }\n";
+  }
+  auto module = Lower(source);
+  ASSERT_NE(module, nullptr);
+  OsSimulator os;
+  Interpreter interp(*module, &os);
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    std::string n = std::to_string(i);
+    CallOutcome computed = interp.Call("f" + n, {});
+    ASSERT_TRUE(computed.ok()) << exprs[i] << ": " << computed.trap_reason;
+    std::optional<RtValue> folded = interp.ReadGlobal("g" + n);
+    ASSERT_TRUE(folded.has_value()) << exprs[i];
+    EXPECT_EQ(folded->AsInt(), computed.return_value.AsInt()) << exprs[i];
+  }
+
+  for (const char* trapping : {"(-9223372036854775807 - 1) / -1", "5 % 0", "5 / (2 - 2)"}) {
+    DiagnosticEngine diags;
+    auto unit = ParseSource("long g = " + std::string(trapping) + ";", "trap.c", &diags);
+    ASSERT_FALSE(diags.HasErrors()) << diags.Render();
+    LowerToIr(*unit, &diags);
+    EXPECT_TRUE(diags.HasErrors()) << trapping;
+    EXPECT_NE(diags.Render().find("constant initializer traps at run time"), std::string::npos)
+        << diags.Render();
+  }
 }
 
 }  // namespace
