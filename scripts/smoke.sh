@@ -13,7 +13,8 @@
 # Usage:
 #   scripts/smoke.sh          # full: Release ctest + ASan/UBSan ctest + TSan tests
 #   scripts/smoke.sh --quick  # Release campaign/interp/session/store tests, ASan/UBSan
-#                             # interp/inject/store tests, TSan tests
+#                             # interp/inject/store/lowering/parser-harness tests,
+#                             # TSan tests
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,7 +38,7 @@ cmake -B build-asan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}"
 if [[ "${QUICK}" == "1" ]]; then
-  ctest --test-dir build-asan --output-on-failure -R 'interp_test|inject_test|verdict_store_test'
+  ctest --test-dir build-asan --output-on-failure -R 'interp_test|inject_test|verdict_store_test|ir_lowering_test|parser_robustness_test'
 else
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 fi
@@ -49,7 +50,7 @@ cmake -B build-tsan -S . \
   -DSPEX_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test interp_test string_pool_test corpus_test session_test dynamic_check_test batch_check_test matrix_check_test cancel_test serve_test serve_concurrency_test verdict_store_test config_set_test parser_robustness_test
+cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test interp_test corpus_test session_test dynamic_check_test batch_check_test matrix_check_test cancel_test serve_test serve_concurrency_test verdict_store_test config_set_test parser_robustness_test
 # Two callers sharing one pool: each ShardRange call waits on its own latch.
 ./build-tsan/thread_pool_test
 # The parallel-campaign and snapshot-replay determinism tests are the point
@@ -58,7 +59,6 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # the serial run's.
 ./build-tsan/inject_test --gtest_filter='CampaignParallelTest.*:CampaignTest.*:CampaignSnapshotTest.*'
 ./build-tsan/interp_test
-./build-tsan/string_pool_test
 # The golden corpus run: Session::RunCorpusCampaigns loads all 7 targets
 # concurrently (synthesize/parse/lower/infer outside the session lock) and
 # runs their campaigns on the session pool; every run must match the golden.
@@ -70,7 +70,7 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # sharded batch and a parallel campaign share the session pool at the
 # same time, parallel campaigns stream through observers, and repeated
 # campaigns exercise the persistent snapshot cache.
-./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionPoolTest.*:SessionDynamicTest.*'
+./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionDynamicTest.*'
 ./build-tsan/dynamic_check_test
 # Fleet batch checking: the 4-worker sharded batch (parse/static-check
 # fan-out plus unique-suspect replays, whole key-sets per worker, through

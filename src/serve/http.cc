@@ -104,7 +104,10 @@ HttpParser::State HttpParser::Consume(const char* data, size_t n) {
   buffer_.append(data, n);
   size_t header_end = buffer_.find("\r\n\r\n");
   if (header_end == std::string::npos) {
-    if (buffer_.size() > kMaxHeaderBytes) {
+    // A terminator still to come starts at buffer_.size() - 3 or later, so
+    // fail only once that is past the cap: however the bytes are split,
+    // the verdict is the one a single Consume of the whole request gives.
+    if (buffer_.size() > kMaxHeaderBytes + 3) {
       // An attacker streaming endless headers hits the cap, not the heap.
       return Fail("request header block exceeds " + std::to_string(kMaxHeaderBytes) +
                   " bytes");

@@ -4,13 +4,24 @@
 // bodies. The bar everywhere is containment — a clean error record or
 // kInvalidArgument, never a crash, never an unbounded expansion. Runs
 // under TSan in scripts/smoke.sh alongside the serve suites.
+//
+// The ParserHarnessTest suites generate their inputs from a DeterministicRng.
+// Under --gtest_shuffle it is seeded from gtest's random seed, otherwise
+// from 0: ctest runs one fixed input set, and scripts/soak.sh varies it
+// with --gtest_shuffle --gtest_random_seed=N --gtest_repeat=M.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/api/batch_check.h"
 #include "src/api/config_set.h"
 #include "src/api/session.h"
+#include "src/confgen/config_file.h"
+#include "src/serve/http.h"
+#include "src/support/rng.h"
 
 namespace spex {
 namespace {
@@ -195,6 +206,249 @@ TEST(ParserRobustnessTest, MalformedTreesCheckEndToEndWithoutCrashing) {
   }
   EXPECT_EQ(CountErrors(resolutions[0], ConfigSetError::Kind::kIncludeCycle), 1u);
   EXPECT_EQ(CountErrors(resolutions[1], ConfigSetError::Kind::kMissingInclude), 1u);
+}
+
+// --- Seeded generative harnesses.
+
+int GtestSeed() {
+  return ::testing::GTEST_FLAG(shuffle) ? ::testing::UnitTest::GetInstance()->random_seed() : 0;
+}
+
+uint64_t HarnessSeed(uint64_t salt) { return salt ^ static_cast<uint64_t>(GtestSeed()); }
+
+constexpr size_t kHarnessMaxBody = 4096;
+
+// What one HttpParser made of a byte stream.
+struct HttpOutcome {
+  HttpParser::State state = HttpParser::State::kNeedMore;
+  HttpRequest request;  // kComplete only.
+  Status error;         // kError only.
+};
+
+// Feeds `wire` to a fresh parser in chunks that end at each of `cuts`
+// (ascending offsets) and at the end of the input.
+HttpOutcome FeedHttp(std::string_view wire, const std::vector<size_t>& cuts) {
+  HttpParser parser(kHarnessMaxBody);
+  size_t start = 0;
+  for (size_t cut : cuts) {
+    parser.Consume(wire.data() + start, cut - start);
+    start = cut;
+  }
+  parser.Consume(wire.data() + start, wire.size() - start);
+  HttpOutcome outcome;
+  outcome.state = parser.state();
+  if (outcome.state == HttpParser::State::kComplete) {
+    outcome.request = parser.request();
+  } else if (outcome.state == HttpParser::State::kError) {
+    outcome.error = parser.error();
+  }
+  return outcome;
+}
+
+std::string DescribeHttp(const HttpOutcome& outcome) {
+  std::string out = "state=" + std::to_string(static_cast<int>(outcome.state));
+  if (outcome.state == HttpParser::State::kComplete) {
+    out += " method=" + outcome.request.method + " path=" + outcome.request.path;
+    for (const auto& [name, value] : outcome.request.headers) {
+      out += " [" + name + ": " + value + "]";
+    }
+    out += " body=" + outcome.request.body;
+  } else if (outcome.state == HttpParser::State::kError) {
+    out += " error=" + outcome.error.ToString();
+  }
+  return out;
+}
+
+// The contract every outcome must keep, however hostile the bytes.
+void ExpectHttpInvariants(const HttpOutcome& outcome, const std::string& wire) {
+  if (outcome.state == HttpParser::State::kComplete) {
+    EXPECT_LE(outcome.request.body.size(), kHarnessMaxBody) << testing::PrintToString(wire);
+  }
+  if (outcome.state == HttpParser::State::kError) {
+    EXPECT_EQ(outcome.error.code(), StatusCode::kInvalidArgument) << testing::PrintToString(wire);
+  }
+}
+
+std::string WithBody(std::string head, std::string_view body, std::string_view trailing = "") {
+  head += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
+  head += body;
+  head += trailing;
+  return head;
+}
+
+std::vector<std::string> ValidHttpRequests() {
+  std::vector<std::string> requests = {
+      "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      WithBody("POST /check?target=squid&name=a.conf HTTP/1.1\r\nConnection: keep-alive\r\n",
+               "workers 4\r\ncache_mem 64 MB\n"),
+      // Mixed-case names, OWS, a junk line without a colon, and a body that
+      // itself contains the header terminator.
+      WithBody("POST /check HTTP/1.1\r\nX-Junk-No-Colon\r\nHOST:   example  \r\n", "a\r\n\r\nb"),
+      WithBody("POST /check?target=mysql HTTP/1.1\r\n", ""),
+      // Pipelined bytes after the body are discarded.
+      WithBody("POST /check HTTP/1.1\r\n", "k = v\n", "GET /statz HTTP/1.1\r\n\r\n"),
+  };
+  // A header block exactly at the cap: the largest a request may carry.
+  std::string at_cap = "GET /big HTTP/1.1\r\nX-Pad: ";
+  at_cap += std::string(kMaxHeaderBytes - at_cap.size(), 'p');
+  requests.push_back(at_cap + "\r\n\r\n");
+  return requests;
+}
+
+TEST(ParserHarnessTest, HttpSplitPointsAndByteFeedingMatchOneCall) {
+  for (const std::string& wire : ValidHttpRequests()) {
+    HttpOutcome whole = FeedHttp(wire, {});
+    ASSERT_EQ(whole.state, HttpParser::State::kComplete) << DescribeHttp(whole);
+    const std::string expected = DescribeHttp(whole);
+    // Every split point of the short requests; around the terminator and
+    // at a stride for the one at the header cap.
+    size_t header_end = wire.find("\r\n\r\n");
+    for (size_t cut = 0; cut <= wire.size(); ++cut) {
+      bool near_terminator = cut + 8 >= header_end && cut <= header_end + 8;
+      if (wire.size() > 1024 && !near_terminator && cut % 251 != 0) {
+        continue;
+      }
+      EXPECT_EQ(DescribeHttp(FeedHttp(wire, {cut})), expected) << "split at " << cut;
+    }
+    std::vector<size_t> every_byte(wire.size());
+    for (size_t i = 0; i < wire.size(); ++i) {
+      every_byte[i] = i;
+    }
+    EXPECT_EQ(DescribeHttp(FeedHttp(wire, every_byte)), expected) << "byte at a time";
+  }
+}
+
+// Bit flips, truncation, stray CR/LF and hostile Content-Length values over
+// the valid requests. One call, random chunks and byte-at-a-time feeding
+// must agree, and every outcome keeps the parser's contract.
+TEST(ParserHarnessTest, MutatedHttpRequestsKeepTheParserContract) {
+  SCOPED_TRACE("gtest random seed " + std::to_string(GtestSeed()));
+  DeterministicRng rng(HarnessSeed(0x4774702d68726e73ULL));
+  std::vector<std::string> bases = ValidHttpRequests();
+  bases.pop_back();  // The 16 KiB request costs more than it adds here.
+  const std::vector<std::string> kContentLengths = {
+      "4097",  // One past the harness body cap.
+      "99999999999999999999", "18446744073709551615", "18446744073709551616",
+      "9223372036854775807", "-1", "+5", "0x10", "1e3", "", " 3 ", std::string("3\0" "9", 3)};
+  size_t completes = 0;
+  size_t errors = 0;
+  for (int iteration = 0; iteration < 20000; ++iteration) {
+    std::string wire = bases[rng.NextBounded(bases.size())];
+    for (uint64_t round = rng.NextBounded(3) + 1; round > 0; --round) {
+      switch (rng.NextBounded(4)) {
+        case 0:
+          if (!wire.empty()) {
+            wire[rng.NextBounded(wire.size())] ^= static_cast<char>(1u << rng.NextBounded(8));
+          }
+          break;
+        case 1:
+          wire.resize(rng.NextBounded(wire.size() + 1));
+          break;
+        case 2:
+          wire.insert(rng.NextBounded(wire.size() + 1), 1, rng.NextBounded(2) != 0 ? '\r' : '\n');
+          break;
+        default: {
+          const std::string& length = kContentLengths[rng.NextBounded(kContentLengths.size())];
+          size_t at = wire.find("Content-Length:");
+          if (at == std::string::npos) {
+            size_t eol = wire.find("\r\n");
+            wire.insert(eol == std::string::npos ? wire.size() : eol + 2,
+                        "Content-Length: " + length + "\r\n");
+          } else {
+            size_t value = at + std::string_view("Content-Length:").size();
+            size_t eol = wire.find("\r\n", value);
+            wire.replace(value, (eol == std::string::npos ? wire.size() : eol) - value,
+                         " " + length);
+          }
+          break;
+        }
+      }
+    }
+    HttpOutcome whole = FeedHttp(wire, {});
+    ExpectHttpInvariants(whole, wire);
+    completes += whole.state == HttpParser::State::kComplete ? 1 : 0;
+    errors += whole.state == HttpParser::State::kError ? 1 : 0;
+
+    std::vector<size_t> cuts;
+    for (size_t pieces = rng.NextBounded(4); pieces > 0 && !wire.empty(); --pieces) {
+      cuts.push_back(rng.NextBounded(wire.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    HttpOutcome chunked = FeedHttp(wire, cuts);
+    ExpectHttpInvariants(chunked, wire);
+    EXPECT_EQ(DescribeHttp(chunked), DescribeHttp(whole)) << testing::PrintToString(wire);
+
+    std::vector<size_t> every_byte(wire.size());
+    for (size_t i = 0; i < wire.size(); ++i) {
+      every_byte[i] = i;
+    }
+    EXPECT_EQ(DescribeHttp(FeedHttp(wire, every_byte)), DescribeHttp(whole))
+        << testing::PrintToString(wire);
+  }
+  // The mutations must reach both outcomes, or the harness proves nothing.
+  EXPECT_GT(completes, 100u);
+  EXPECT_GT(errors, 100u);
+}
+
+// Random config text over a hostile alphabet. For every text the checker
+// accepts, Serialize(Parse(text)) must be a fixed point: parsing it again
+// gives the same entries and the same text.
+TEST(ParserHarnessTest, AcceptedConfigTextSerializesToAFixedPoint) {
+  SCOPED_TRACE("gtest random seed " + std::to_string(GtestSeed()));
+  const std::vector<std::string> kTokens = {
+      "=", "#", ";", "\"", "'", "\t", " ", " ", "\r", "\v", std::string(1, '\0'), "\x80",
+      "\xc3\xa9", "\xff", "k", "key", "v", "value", "1", "64 MB", "include "};
+  for (ConfigDialect dialect : {ConfigDialect::kKeyEqualsValue, ConfigDialect::kKeyValue}) {
+    DeterministicRng rng(HarnessSeed(0x636f6e66ULL + static_cast<uint64_t>(dialect)));
+    auto tokens = [&](uint64_t max_count) {
+      std::string out;
+      for (uint64_t n = rng.NextBounded(max_count + 1); n > 0; --n) {
+        out += kTokens[rng.NextBounded(kTokens.size())];
+      }
+      return out;
+    };
+    size_t accepted = 0;
+    constexpr int kTexts = 20000;
+    for (int iteration = 0; iteration < kTexts; ++iteration) {
+      std::string text;
+      for (uint64_t line = rng.NextBounded(6); line > 0; --line) {
+        switch (rng.NextBounded(4)) {
+          case 0:
+            text += tokens(4);
+            break;
+          case 1:
+            text += "#" + tokens(3);
+            break;
+          default:
+            text += "k" + tokens(3) + (rng.NextBounded(2) != 0 ? "=" : " ") + tokens(4);
+            break;
+        }
+        text += rng.NextBounded(3) == 0 ? "\r\n" : "\n";
+      }
+      if (rng.NextBounded(4) == 0) {
+        text += tokens(3);  // No final newline.
+      }
+      if (!ValidateConfigText(text, dialect).ok()) {
+        continue;
+      }
+      ++accepted;
+      ConfigFile parsed = ConfigFile::Parse(text, dialect);
+      std::string once = parsed.Serialize();
+      ConfigFile reparsed = ConfigFile::Parse(once, dialect);
+      EXPECT_EQ(reparsed.Serialize(), once) << testing::PrintToString(text);
+      ASSERT_EQ(reparsed.entries().size(), parsed.entries().size())
+          << testing::PrintToString(text);
+      for (size_t i = 0; i < parsed.entries().size(); ++i) {
+        const ConfigEntry& a = parsed.entries()[i];
+        const ConfigEntry& b = reparsed.entries()[i];
+        EXPECT_TRUE(a.kind == b.kind && a.key == b.key && a.value == b.value && a.raw == b.raw &&
+                    a.line == b.line)
+            << "entry " << i << " of " << testing::PrintToString(text);
+      }
+    }
+    // Most generated texts must pass validation, or the property is vacuous.
+    EXPECT_GT(accepted, static_cast<size_t>(kTexts / 4)) << ConfigDialectName(dialect);
+  }
 }
 
 }  // namespace
