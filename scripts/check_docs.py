@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo markdown links, dead anchors, and untagged
-fenced code blocks.
+"""Fail on broken intra-repo markdown links, dead anchors, untagged
+fenced code blocks, and code that cites a missing markdown file.
 
 Three checks over every tracked .md file:
 
@@ -12,6 +12,11 @@ Three checks over every tracked .md file:
     file, using GitHub's heading-to-anchor slug rules.
  3. Every fenced code block must carry a language tag (```cpp, ```sh,
     ```text, ...) so renderers highlight instead of guessing.
+
+And one over the files under src/, bench/ and tests/ (golden outputs
+included): every markdown path they cite, such as `EXPERIMENTS.md` or
+`docs/api.md#section`, is taken relative to the repository root and must
+resolve, anchor included.
 
 Run from anywhere:
 
@@ -35,6 +40,9 @@ HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 # block whose ``` content is literal text, not a delimiter.
 FENCE_RE = re.compile(r"^ {0,3}(```+|~~~+)\s*(\S*)")
 INLINE_LINK_IN_HEADING_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
+# A repo-relative markdown path cited in code or in a golden output.
+CODE_MD_REF_RE = re.compile(r"(?<![\w./-])([\w][\w./-]*\.md)(?:#([\w-]+))?")
+CODE_DIRS = ("src", "bench", "tests")
 
 
 def markdown_files():
@@ -98,6 +106,26 @@ def scan_file(path, problems):
     return anchors, prose
 
 
+def check_code_references(anchors, problems):
+    """Every markdown path cited under CODE_DIRS resolves from the root."""
+    for top in CODE_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, top)):
+            for name in sorted(filenames):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, REPO_ROOT)
+                with open(path, encoding="utf-8", errors="replace") as handle:
+                    for lineno, line in enumerate(handle, 1):
+                        for match in CODE_MD_REF_RE.finditer(line):
+                            target = os.path.join(REPO_ROOT, match.group(1))
+                            fragment = match.group(2)
+                            if not os.path.isfile(target):
+                                problems.append(
+                                    f"{rel}:{lineno}: cites missing {match.group(1)}")
+                            elif fragment and fragment not in anchors.get(target, set()):
+                                problems.append(
+                                    f"{rel}:{lineno}: dead anchor -> {match.group(0)}")
+
+
 def main():
     problems = []
     files = sorted(markdown_files())
@@ -127,12 +155,15 @@ def main():
                             f"(no heading slugs to #{fragment})"
                         )
 
+    check_code_references(anchors, problems)
+
     if problems:
         print("check_docs: documentation problems:", file=sys.stderr)
         for entry in problems:
             print(f"  {entry}", file=sys.stderr)
         return 1
-    print(f"check_docs: {len(files)} markdown files OK (links, anchors, code fences)")
+    print(f"check_docs: {len(files)} markdown files OK (links, anchors, code fences, "
+          f"markdown paths cited under {', '.join(CODE_DIRS)})")
     return 0
 
 
