@@ -1,6 +1,7 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "src/ir/cond_eval.h"
