@@ -245,6 +245,15 @@ HttpOutcome FeedHttp(std::string_view wire, const std::vector<size_t>& cuts) {
   return outcome;
 }
 
+// Cuts after every byte: byte-at-a-time feeding.
+std::vector<size_t> EveryByte(std::string_view wire) {
+  std::vector<size_t> cuts(wire.size());
+  for (size_t i = 0; i < wire.size(); ++i) {
+    cuts[i] = i;
+  }
+  return cuts;
+}
+
 std::string DescribeHttp(const HttpOutcome& outcome) {
   std::string out = "state=" + std::to_string(static_cast<int>(outcome.state));
   if (outcome.state == HttpParser::State::kComplete) {
@@ -310,11 +319,7 @@ TEST(ParserHarnessTest, HttpSplitPointsAndByteFeedingMatchOneCall) {
       }
       EXPECT_EQ(DescribeHttp(FeedHttp(wire, {cut})), expected) << "split at " << cut;
     }
-    std::vector<size_t> every_byte(wire.size());
-    for (size_t i = 0; i < wire.size(); ++i) {
-      every_byte[i] = i;
-    }
-    EXPECT_EQ(DescribeHttp(FeedHttp(wire, every_byte)), expected) << "byte at a time";
+    EXPECT_EQ(DescribeHttp(FeedHttp(wire, EveryByte(wire))), expected) << "byte at a time";
   }
 }
 
@@ -378,11 +383,7 @@ TEST(ParserHarnessTest, MutatedHttpRequestsKeepTheParserContract) {
     ExpectHttpInvariants(chunked, wire);
     EXPECT_EQ(DescribeHttp(chunked), DescribeHttp(whole)) << testing::PrintToString(wire);
 
-    std::vector<size_t> every_byte(wire.size());
-    for (size_t i = 0; i < wire.size(); ++i) {
-      every_byte[i] = i;
-    }
-    EXPECT_EQ(DescribeHttp(FeedHttp(wire, every_byte)), DescribeHttp(whole))
+    EXPECT_EQ(DescribeHttp(FeedHttp(wire, EveryByte(wire))), DescribeHttp(whole))
         << testing::PrintToString(wire);
   }
   // The mutations must reach both outcomes, or the harness proves nothing.
