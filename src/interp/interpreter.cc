@@ -1238,13 +1238,13 @@ RtValue Interpreter::RunFunction(uint32_t function, size_t args_base, size_t arg
             regs[op.dst] = RtValue::Int(operand.IsTruthy() ? 1 : 0);
             break;
           case CastTo::kInt8:
-            regs[op.dst] = RtValue::Int(static_cast<int8_t>(operand.AsInt()));
+            regs[op.dst] = RtValue::Int(WrapToIntWidth(operand.AsInt(), 8));
             break;
           case CastTo::kInt16:
-            regs[op.dst] = RtValue::Int(static_cast<int16_t>(operand.AsInt()));
+            regs[op.dst] = RtValue::Int(WrapToIntWidth(operand.AsInt(), 16));
             break;
           case CastTo::kInt32:
-            regs[op.dst] = RtValue::Int(static_cast<int32_t>(operand.AsInt()));
+            regs[op.dst] = RtValue::Int(WrapToIntWidth(operand.AsInt(), 32));
             break;
           case CastTo::kInt64:
             regs[op.dst] = RtValue::Int(operand.AsInt());

@@ -167,8 +167,24 @@ IrCmpPred NegateCmpPred(IrCmpPred pred);
 // The predicate with operands swapped (e.g. a<b -> b>a).
 IrCmpPred SwapCmpPred(IrCmpPred pred);
 
+// MiniC integer conversion to an N-bit integer type: keep the low N bits and
+// sign-extend them (for unsigned types too), as the interpreter's casts do.
+inline int64_t WrapToIntWidth(int64_t value, int bit_width) {
+  switch (bit_width) {
+    case 8:
+      return static_cast<int8_t>(value);
+    case 16:
+      return static_cast<int16_t>(value);
+    case 32:
+      return static_cast<int32_t>(value);
+    default:
+      return value;
+  }
+}
+
 // MiniC integer arithmetic, shared by the interpreter and constant folding
-// so that a folded global equals the same expression computed at run time.
+// so that a folded integer global, converted to its declared type as a run
+// time cast would convert it, equals the same expression computed at run time.
 // Add, sub and mul wrap in two's complement; shift counts outside [0, 63]
 // shift every bit out. Returns the trap reason for `/` and `%` by zero and
 // for INT64_MIN / -1 (x86 raises SIGFPE for both), else nullptr with the

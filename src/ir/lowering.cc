@@ -1,5 +1,6 @@
 #include "src/ir/lowering.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <optional>
@@ -92,6 +93,7 @@ class LoweringContext {
   void LowerStructs();
   void LowerGlobals();
   GlobalInit EvalConstInit(const Expr& expr);
+  void ConvertInit(GlobalInit* init, const IrType* type);
   // Folds one integer operation with the interpreter's rules; an operation
   // that would trap at run time is a lowering error.
   GlobalInit FoldInt(IrBinOp op, int64_t a, int64_t b, const SourceLoc& loc);
@@ -245,6 +247,26 @@ GlobalInit LoweringContext::FoldInt(IrBinOp op, int64_t a, int64_t b, const Sour
   return GlobalInit::Int(out);
 }
 
+// Converts folded integers to the declared type as Coerce converts the same
+// expression, typed `int` like every integer literal, at run time: `char c =
+// 300;` holds 44 and `bool b = 2;` holds 1, while an `int` keeps all 64 bits
+// because a value is cast only when the two types differ.
+void LoweringContext::ConvertInit(GlobalInit* init, const IrType* type) {
+  if (type == module_->types().IntType(32, false)) {
+    return;
+  }
+  if (init->kind == GlobalInit::Kind::kInt && type->IsInteger()) {
+    init->int_value = WrapToIntWidth(init->int_value, type->bit_width());
+  } else if (init->kind == GlobalInit::Kind::kInt && type->IsBool()) {
+    init->int_value = init->int_value != 0 ? 1 : 0;
+  } else if (init->kind == GlobalInit::Kind::kList && type->IsStruct()) {
+    size_t fields = std::min(init->elements.size(), type->field_types().size());
+    for (size_t i = 0; i < fields; ++i) {
+      ConvertInit(&init->elements[i], type->field_types()[i]);
+    }
+  }
+}
+
 void LoweringContext::LowerGlobals() {
   for (const auto& decl : unit_.globals) {
     const IrType* type = ConvertType(decl->type);
@@ -258,6 +280,13 @@ void LoweringContext::LowerGlobals() {
       init = EvalConstInit(*decl->init);
       if (is_array && array_size < 0 && init.kind == GlobalInit::Kind::kList) {
         array_size = static_cast<int64_t>(init.elements.size());
+      }
+      if (is_array && init.kind == GlobalInit::Kind::kList) {
+        for (GlobalInit& element : init.elements) {
+          ConvertInit(&element, type);
+        }
+      } else {
+        ConvertInit(&init, type);
       }
     }
     GlobalVariable* global = module_->AddGlobal(type, decl->name, is_array, array_size);

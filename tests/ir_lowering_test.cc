@@ -276,39 +276,70 @@ TEST(LoweringTest, ModulePrintIsStable) {
 
 // A folded global initializer must equal the same expression computed at
 // run time: add, sub, mul and negate wrap, shift counts outside [0, 63] give
-// 0, and a fold that would trap at run time is a lowering error.
+// 0, the result is converted to the declared type, and a fold that would
+// trap at run time is a lowering error.
 TEST(LoweringTest, ConstantFoldingMatchesRuntime) {
-  const std::vector<std::string> exprs = {
-      "9223372036854775807 + 1",
-      "(-9223372036854775807 - 1) - 1",
-      "4611686018427387904 * 4",
-      "-(-9223372036854775807 - 1)",
-      "1 << 64",
-      "1 << 63",
-      "3 << -1",
-      "-1 >> 70",
-      "-9 >> 1",
-      "-7 / 2",
-      "-7 % 3",
-      "12 & 10 | 1 ^ 7",
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"long", "9223372036854775807 + 1"},
+      {"long", "(-9223372036854775807 - 1) - 1"},
+      {"long", "4611686018427387904 * 4"},
+      {"long", "-(-9223372036854775807 - 1)"},
+      {"long", "1 << 64"},
+      {"long", "1 << 63"},
+      {"long", "3 << -1"},
+      {"long", "-1 >> 70"},
+      {"long", "-9 >> 1"},
+      {"long", "-7 / 2"},
+      {"long", "-7 % 3"},
+      {"long", "12 & 10 | 1 ^ 7"},
+      {"int", "2147483647 + 1"},
+      {"int", "9000000000"},
+      {"unsigned int", "4294967295"},
+      {"short", "40000"},
+      {"char", "300"},
+      {"unsigned char", "200"},
+      {"bool", "2"},
   };
   std::string source;
-  for (size_t i = 0; i < exprs.size(); ++i) {
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [type, expr] = cases[i];
     std::string n = std::to_string(i);
-    source += "long g" + n + " = " + exprs[i] + ";\n";
-    source += "long f" + n + "() { return " + exprs[i] + "; }\n";
+    source += type + " g" + n + " = " + expr + ";\n";
+    source += type + " f" + n + "() { " + type + " x = " + expr + "; return x; }\n";
   }
   auto module = Lower(source);
   ASSERT_NE(module, nullptr);
   OsSimulator os;
   Interpreter interp(*module, &os);
-  for (size_t i = 0; i < exprs.size(); ++i) {
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [type, expr] = cases[i];
     std::string n = std::to_string(i);
     CallOutcome computed = interp.Call("f" + n, {});
-    ASSERT_TRUE(computed.ok()) << exprs[i] << ": " << computed.trap_reason;
+    ASSERT_TRUE(computed.ok()) << type << " " << expr << ": " << computed.trap_reason;
     std::optional<RtValue> folded = interp.ReadGlobal("g" + n);
-    ASSERT_TRUE(folded.has_value()) << exprs[i];
-    EXPECT_EQ(folded->AsInt(), computed.return_value.AsInt()) << exprs[i];
+    ASSERT_TRUE(folded.has_value()) << type << " " << expr;
+    EXPECT_EQ(folded->AsInt(), computed.return_value.AsInt()) << type << " " << expr;
+  }
+
+  // Array elements and struct fields are converted to their own types.
+  auto aggregates = Lower(R"(
+    struct pair { char c; long l; };
+    char small[] = { 300, 1 };
+    struct pair rows[] = { { 300, 300 } };
+    struct pair one = { 300, 300 };
+    long r0() { return small[0]; }
+    long r1() { return rows[0].c; }
+    long r2() { return rows[0].l; }
+    long r3() { return one.c; }
+  )");
+  ASSERT_NE(aggregates, nullptr);
+  Interpreter aggregate_interp(*aggregates, &os);
+  const std::vector<std::pair<std::string, int64_t>> reads = {
+      {"r0", 44}, {"r1", 44}, {"r2", 300}, {"r3", 44}};
+  for (const auto& [fn, want] : reads) {
+    CallOutcome read = aggregate_interp.Call(fn, {});
+    ASSERT_TRUE(read.ok()) << fn << ": " << read.trap_reason;
+    EXPECT_EQ(read.return_value.AsInt(), want) << fn;
   }
 
   for (const char* trapping : {"(-9223372036854775807 - 1) / -1", "5 % 0", "5 / (2 - 2)"}) {
