@@ -15,16 +15,15 @@
 #      "drained;" stats line in the log.
 #
 # Before the daemon starts, the seeded parser harnesses (HttpParser and
-# ConfigFile, in parser_robustness_test next to the daemon binary) run
-# SOAK_HARNESS_REPEAT times, each repetition on a new seed: gtest advances
+# ConfigFile, in parser_robustness_test next to the daemon binary) run 100
+# times from a random seed, each repetition on a new seed: gtest advances
 # --gtest_random_seed on every --gtest_repeat when --gtest_shuffle is on.
+# A failure prints the gtest command that reproduces it.
 #
 # Usage: scripts/soak.sh [path-to-spexcheckd]
 # Env:   SOAK_SECONDS (default 15), SOAK_CLIENTS (default 8),
 #        SOAK_RAMP_CONNS (default 24), SOAK_PORT (default 18321),
-#        SOAK_RSS_LIMIT_KB (default 786432), SOAK_HARNESS_REPEAT (default
-#        100; 0 skips the harnesses), SOAK_HARNESS_SEED (default random,
-#        1..99999).
+#        SOAK_RSS_LIMIT_KB (default 786432).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,15 +39,13 @@ LOG="$(mktemp /tmp/spexcheckd-soak.XXXXXX.log)"
 [[ -x "${BIN}" ]] || { echo "soak: daemon binary not found: ${BIN}" >&2; exit 2; }
 
 HARNESS="$(dirname "${BIN}")/parser_robustness_test"
-HARNESS_REPEAT="${SOAK_HARNESS_REPEAT:-100}"
-HARNESS_SEED="${SOAK_HARNESS_SEED:-$(( RANDOM % 99999 + 1 ))}"
-if (( HARNESS_REPEAT > 0 )); then
-  [[ -x "${HARNESS}" ]] || { echo "soak: harness binary not found: ${HARNESS}" >&2; exit 2; }
-  echo "soak: parser harnesses x ${HARNESS_REPEAT} from seed ${HARNESS_SEED}"
-  "${HARNESS}" --gtest_filter='ParserHarnessTest.*' --gtest_shuffle \
-    --gtest_random_seed="${HARNESS_SEED}" --gtest_repeat="${HARNESS_REPEAT}" --gtest_brief=1 \
-    || { echo "soak: FAIL — parser harness (rerun with SOAK_HARNESS_SEED=${HARNESS_SEED})"; exit 1; }
-fi
+[[ -x "${HARNESS}" ]] || { echo "soak: harness binary not found: ${HARNESS}" >&2; exit 2; }
+HARNESS_CMD=("${HARNESS}" --gtest_filter='ParserHarnessTest.*' --gtest_shuffle
+  --gtest_random_seed="$(( RANDOM % 99999 + 1 ))" --gtest_repeat=100)
+printf -v HARNESS_LINE '%q ' "${HARNESS_CMD[@]}"
+echo "soak: ${HARNESS_LINE}"
+"${HARNESS_CMD[@]}" --gtest_brief=1 \
+  || { echo "soak: FAIL — parser harness; reproduce with: ${HARNESS_LINE}"; exit 1; }
 
 # Faults armed: every dynamic check dawdles 20ms (overlapping in-flight
 # work, exercising the replay cap + shedding) and every request token is
