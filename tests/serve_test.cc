@@ -243,6 +243,22 @@ TEST(ServeTest, MalformedRequestLineIs400) {
   EXPECT_EQ(StatusOf(response), 400);
 }
 
+// A /check body with a malformed line is a 400 carrying the status JSON,
+// counted as an invalid request and never as served.
+TEST(ServeTest, MalformedRawAndSetBodiesGet400) {
+  CheckServer server;
+  ASSERT_TRUE(server.Start().ok());
+  const std::string route = std::string("/check?target=") + kTarget;
+
+  std::string response = RoundTrip(server.port(), Request("POST", route, "= 5\n"));
+  EXPECT_EQ(StatusOf(response), 400) << response;
+  EXPECT_EQ(BodyOf(response),
+            "{\"type\":\"error\",\"status\":\"invalid_argument\","
+            "\"message\":\"line 1: settings line has an empty key\"}\n");
+  EXPECT_EQ(server.stats().invalid_requests, 1u);
+  EXPECT_EQ(server.stats().served_ok, 0u);
+}
+
 TEST(ServeTest, BatchFramesConfigsAndContainsPoisonedOnes) {
   CheckServer server;
   ASSERT_TRUE(server.Start().ok());
