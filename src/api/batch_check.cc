@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/api/dynamic_check.h"
-#include "src/support/strings.h"
 
 namespace spex {
 
@@ -15,34 +14,10 @@ double BatchSummary::DedupRatio() const {
   return 1.0 - static_cast<double>(unique_replays) / static_cast<double>(total_suspects);
 }
 
-Status ValidateConfigText(std::string_view text, ConfigDialect dialect) {
-  uint32_t line_number = 0;
-  for (const std::string& raw_line : SplitString(text, '\n')) {
-    ++line_number;
-    std::string_view line = TrimWhitespace(raw_line);
-    if (line.empty() || line[0] == '#' || line[0] == ';') {
-      continue;
-    }
-    if (dialect != ConfigDialect::kKeyEqualsValue) {
-      continue;  // Bare directives are legal key-value dialect.
-    }
-    size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": settings line has no '='");
-    }
-    if (TrimWhitespace(line.substr(0, eq)).empty()) {
-      return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": settings line has an empty key");
-    }
-  }
-  return Status::Ok();
-}
-
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
                            const ConfigFile& template_config, ConfigDialect dialect,
                            InjectionCampaign* campaign, ThreadPool* pool,
-                           std::span<const ConfigInput> configs, const BatchOptions& options,
+                           std::span<const BatchConfig> configs, const BatchOptions& options,
                            BatchObserver* observer) {
   const size_t count = configs.size();
   if (observer != nullptr) {
@@ -50,13 +25,14 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   }
   const bool dynamic = campaign != nullptr && options.check.mode == CheckMode::kDynamic;
 
-  // --- Phase 1 (sharded): parse, static check and suspect extraction are
-  // independent per config — pure functions into pre-sized slots. A config
-  // that fails validation is contained right here: its slot carries the
-  // error and contributes nothing downstream, so the poisoned entry is
+  // --- Phase 1 (sharded): parse (once per text), static check and suspect
+  // extraction are independent per config — pure functions into pre-sized
+  // slots. A malformed config is contained right here: its slot carries
+  // the error and contributes nothing downstream, so the poisoned entry is
   // invisible to every other config's phases (dedup, replay, fan-out).
   struct PerConfig {
-    ConfigFile parsed;
+    ConfigFile parsed;                  // Text inputs only.
+    const ConfigFile* config = nullptr;  // What was checked.
     std::vector<Violation> violations;
     std::vector<Misconfiguration> suspects;
     std::vector<size_t> unique_index;  // Parallel to suspects.
@@ -66,15 +42,20 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   auto analyze_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       PerConfig& slot = state[i];
-      slot.status = ValidateConfigText(configs[i].text, dialect);
+      const BatchConfig& input = configs[i];
+      slot.status = input.status;
+      slot.config = input.config;
+      if (slot.status.ok() && slot.config == nullptr) {
+        slot.parsed = ConfigFile::Parse(input.text, dialect, &slot.status);
+        slot.config = &slot.parsed;
+      }
       if (!slot.status.ok()) {
         continue;
       }
-      slot.parsed = ConfigFile::Parse(configs[i].text, dialect);
-      slot.violations = CheckConfigFile(constraints, slot.parsed, configs[i].name);
+      slot.violations = CheckConfigFile(constraints, *slot.config, input.name);
       if (dynamic) {
         slot.suspects =
-            BuildDynamicSuspects(constraints, template_config, slot.parsed, slot.violations);
+            BuildDynamicSuspects(constraints, template_config, *slot.config, slot.violations);
       }
     }
   };
@@ -147,7 +128,7 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
           ++timed_out;
         }
       }
-      AttachReactions(slot.suspects, results, slot.parsed, configs[i].name, &slot.violations);
+      AttachReactions(slot.suspects, results, *slot.config, configs[i].name, &slot.violations);
       for (const InjectionResult& result : results) {
         ++summary.reactions_by_category[static_cast<size_t>(result.category)];
       }
@@ -162,7 +143,7 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
 
     ConfigReport report;
     report.index = i;
-    report.name = configs[i].name;
+    report.name = std::string(configs[i].name);
     report.suspects = slot.suspects.size();
     report.status = std::move(slot.status);
     for (size_t unique_idx : slot.unique_index) {

@@ -24,9 +24,10 @@
 // ReattributeResult instead of splitting the key, so a fanned-out result
 // is field-for-field what a dedicated replay would have produced.
 //
-// Target::CheckConfigBatch (src/api/session.h) runs the whole loop; the
-// types and the engine live here so tests and custom drivers can reach
-// them without a Session.
+// The execution identity is SuspectExecutionKey (src/inject/campaign.h),
+// which the verdict store keys on too. Target::CheckConfigBatch and
+// CheckConfigSet (src/api/session.h) run the whole loop through
+// RunBatchCheck below.
 #ifndef SPEX_API_BATCH_CHECK_H_
 #define SPEX_API_BATCH_CHECK_H_
 
@@ -34,6 +35,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/api/config_checker.h"
@@ -74,7 +76,7 @@ struct ConfigReport {
   // batch also needed — the per-config view of cross-config dedup.
   size_t shared_replays = 0;
   // Containment verdict. Errors are per-config, never per-batch: a config
-  // that fails validation (kInvalidArgument — see ValidateConfigText) or
+  // with a malformed line (kInvalidArgument — see ConfigFile::Parse) or
   // whose replays ran out of budget (kDeadlineExceeded) carries the error
   // here, and every *other* config's report is bit-identical to what it
   // would be with the poisoned config absent from the batch. An
@@ -141,32 +143,28 @@ class BatchObserver {
   virtual void OnBatchEnd(const BatchSummary& summary) { (void)summary; }
 };
 
-// The execution identity two suspects must share to be served by one
-// replay — SuspectExecutionKey — lives in src/inject/campaign.h now: the
-// persistent VerdictStore keys on the same identity, so the key belongs
-// next to the replay engine both consumers share.
+// One config for the engine: raw `text`, parsed once in the sharded phase
+// 1, or an already parsed `config` (a resolved set's effective file). A
+// non-ok `status` fails the config before the engine looks at it.
+struct BatchConfig {
+  std::string_view name;
+  std::string_view text;
+  const ConfigFile* config = nullptr;
+  Status status;
+};
 
-// Syntactic admission check for untrusted config text. ConfigFile::Parse
-// is deliberately lenient (a campaign replays whatever the user wrote);
-// a *service* boundary wants the opposite: reject text that cannot mean
-// anything in the dialect before paying for analysis. kKeyEqualsValue
-// flags a settings line with no '=' or an empty key; kKeyValue accepts
-// bare directives (Apache/Squid-style flag settings are legal). Returns
-// Status::Ok or kInvalidArgument naming the first offending line.
-Status ValidateConfigText(std::string_view text, ConfigDialect dialect);
-
-// The batch engine behind Target::CheckConfigBatch. `campaign` carries
-// the persistent snapshot cache and may be null for static-only batches
-// (it is also ignored when options.check.mode is kStatic); `pool` may be
-// null for serial runs. A sharded batch waits only for its own pool tasks,
-// so concurrent batches and campaigns may share one pool. Every config is
-// checked against
-// `constraints` + `template_config` exactly as a dedicated
-// Target::CheckConfig call would check it.
+// The batch engine behind Target::CheckConfigBatch and
+// Target::CheckResolvedConfigSets. `campaign` carries the persistent
+// snapshot cache and may be null for static-only batches (it is also
+// ignored when options.check.mode is kStatic); `pool` may be null for
+// serial runs. A sharded batch waits only for its own pool tasks, so
+// concurrent batches and campaigns may share one pool. Every well-formed
+// config is checked against `constraints` + `template_config` exactly as
+// a dedicated Target::CheckConfig call would check it.
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
                            const ConfigFile& template_config, ConfigDialect dialect,
                            InjectionCampaign* campaign, ThreadPool* pool,
-                           std::span<const ConfigInput> configs, const BatchOptions& options,
+                           std::span<const BatchConfig> configs, const BatchOptions& options,
                            BatchObserver* observer);
 
 }  // namespace spex

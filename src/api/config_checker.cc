@@ -514,10 +514,4 @@ std::vector<Violation> CheckConfigFile(const ModuleConstraints& constraints,
   return Checker(constraints, config, file_name).Run();
 }
 
-std::vector<Violation> CheckConfigText(const ModuleConstraints& constraints,
-                                       std::string_view config_text, ConfigDialect dialect,
-                                       std::string_view file_name) {
-  return CheckConfigFile(constraints, ConfigFile::Parse(config_text, dialect), file_name);
-}
-
 }  // namespace spex

@@ -171,11 +171,6 @@ std::optional<SuffixedConfigValue> ParseSuffixedConfigValue(std::string_view tex
 // worse, strtol-with-base-8 would silently truncate.
 std::optional<uint32_t> ParseOctalMode(std::string_view text);
 
-// Convenience overload: parse `config_text` in `dialect`, then check.
-std::vector<Violation> CheckConfigText(const ModuleConstraints& constraints,
-                                       std::string_view config_text, ConfigDialect dialect,
-                                       std::string_view file_name);
-
 }  // namespace spex
 
 #endif  // SPEX_API_CONFIG_CHECKER_H_

@@ -1,6 +1,7 @@
 #include "src/api/config_set.h"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <unordered_map>
 #include <unordered_set>
@@ -173,7 +174,7 @@ class SetResolver {
 
   void ExpandFile(const std::string& name, const std::string& from_file, uint32_t from_line,
                   size_t depth) {
-    if (expansion_stopped_) {
+    if (expansion_stopped_ || !out_.status.ok()) {
       return;
     }
     if (depth > options_.max_include_depth) {
@@ -200,12 +201,20 @@ class SetResolver {
     stack_.insert(name);
     ConfigFile file = ConfigFile::Parse(*text, dialect_);
     for (const ConfigEntry& entry : file.entries()) {
+      if (!out_.status.ok()) {
+        break;  // A malformed line fails the whole set; stop where it is.
+      }
       if (entry.kind != ConfigEntry::Kind::kSetting) {
         continue;
       }
       bool is_dir = false;
       std::string operand;
       if (!ParseIncludeDirective(entry, &is_dir, &operand)) {
+        if (entry.defect != nullptr) {
+          out_.status = Status::InvalidArgument(name + ": line " + std::to_string(entry.line) +
+                                                ": " + entry.defect);
+          continue;
+        }
         Apply(name, entry);
         continue;
       }
@@ -286,26 +295,23 @@ void RewriteViolationsWithProvenance(const ResolvedConfigSet& set,
     // Cross-parameter findings: name the file the peer resolved from when
     // it is not the same file as the primary — the whole point of checking
     // the set instead of its fragments.
+    auto note_peer = [&](const std::string& peer_key) {
+      const SettingProvenance* peer = set.FindProvenance(peer_key);
+      if (peer != nullptr && peer->winner.file != prov->winner.file) {
+        AppendNote(&note, "cross-file: " + peer_key + " = '" + peer->winner.value +
+                              "' resolves from " + OriginRef(peer->winner));
+      }
+    };
     if (violation.category == ViolationCategory::kValueRel) {
       for (const ValueRelConstraint& rel : constraints.value_rels) {
-        if (rel.lhs != violation.param) {
-          continue;
-        }
-        const SettingProvenance* peer = set.FindProvenance(rel.rhs);
-        if (peer != nullptr && peer->winner.file != prov->winner.file) {
-          AppendNote(&note, "cross-file: " + rel.rhs + " = '" + peer->winner.value +
-                                "' resolves from " + OriginRef(peer->winner));
+        if (rel.lhs == violation.param) {
+          note_peer(rel.rhs);
         }
       }
     } else if (violation.category == ViolationCategory::kControlDep) {
       for (const ControlDepConstraint& dep : constraints.control_deps) {
-        if (dep.dependent != violation.param) {
-          continue;
-        }
-        const SettingProvenance* peer = set.FindProvenance(dep.master);
-        if (peer != nullptr && peer->winner.file != prov->winner.file) {
-          AppendNote(&note, "cross-file: " + dep.master + " = '" + peer->winner.value +
-                                "' resolves from " + OriginRef(peer->winner));
+        if (dep.dependent == violation.param) {
+          note_peer(dep.master);
         }
       }
     }
@@ -324,11 +330,9 @@ class SetJsonParser {
   explicit SetJsonParser(std::string_view text) : text_(text) {}
 
   Status Parse(ConfigSetInput* out) {
-    SkipSpace();
     if (!Consume('{')) {
       return Bad("expected '{'");
     }
-    SkipSpace();
     std::string key;
     Status status = ParseString(&key);
     if (!status.ok()) {
@@ -337,35 +341,25 @@ class SetJsonParser {
     if (key != "files") {
       return Bad("expected a \"files\" key");
     }
-    SkipSpace();
     if (!Consume(':')) {
       return Bad("expected ':' after \"files\"");
     }
-    SkipSpace();
     if (!Consume('[')) {
       return Bad("expected '[' to open the files array");
     }
-    SkipSpace();
     if (!Consume(']')) {
-      while (true) {
+      do {
         ConfigInput file;
         status = ParseFile(&file);
         if (!status.ok()) {
           return status;
         }
         out->files.push_back(std::move(file));
-        SkipSpace();
-        if (Consume(',')) {
-          SkipSpace();
-          continue;
-        }
-        if (Consume(']')) {
-          break;
-        }
+      } while (Consume(','));
+      if (!Consume(']')) {
         return Bad("expected ',' or ']' in the files array");
       }
     }
-    SkipSpace();
     if (!Consume('}')) {
       return Bad("expected '}' to close the request");
     }
@@ -382,28 +376,22 @@ class SetJsonParser {
 
  private:
   Status ParseFile(ConfigInput* out) {
-    SkipSpace();
     if (!Consume('{')) {
       return Bad("expected '{' to open a file object");
     }
     bool saw_name = false;
     bool saw_text = false;
-    SkipSpace();
     if (!Consume('}')) {
-      while (true) {
-        SkipSpace();
+      do {
         std::string key;
-        Status status = ParseString(&key);
-        if (!status.ok()) {
-          return status;
-        }
-        SkipSpace();
-        if (!Consume(':')) {
-          return Bad("expected ':' in a file object");
-        }
-        SkipSpace();
         std::string value;
-        status = ParseString(&value);
+        Status status = ParseString(&key);
+        if (status.ok() && !Consume(':')) {
+          status = Bad("expected ':' in a file object");
+        }
+        if (status.ok()) {
+          status = ParseString(&value);
+        }
         if (!status.ok()) {
           return status;
         }
@@ -416,13 +404,8 @@ class SetJsonParser {
         } else {
           return Bad("unknown file field \"" + key + "\" (want name/text)");
         }
-        SkipSpace();
-        if (Consume(',')) {
-          continue;
-        }
-        if (Consume('}')) {
-          break;
-        }
+      } while (Consume(','));
+      if (!Consume('}')) {
         return Bad("expected ',' or '}' in a file object");
       }
     }
@@ -435,12 +418,24 @@ class SetJsonParser {
     return Status::Ok();
   }
 
+  // A JSON string. Raw bytes must be well-formed UTF-8 and a \u escape a
+  // scalar value (a surrogate only as half of a pair), so every accepted
+  // string is UTF-8 that JsonEscape writes back unchanged.
   Status ParseString(std::string* out) {
     if (!Consume('"')) {
       return Bad("expected a string");
     }
     out->clear();
     while (pos_ < text_.size()) {
+      if (static_cast<unsigned char>(text_[pos_]) >= 0x80) {
+        size_t length = Utf8SequenceLength(text_, pos_);
+        if (length == 0) {
+          return Bad("string is not valid UTF-8");
+        }
+        out->append(text_.substr(pos_, length));
+        pos_ += length;
+        continue;
+      }
       char c = text_[pos_++];
       if (c == '"') {
         return Status::Ok();
@@ -453,65 +448,56 @@ class SetJsonParser {
         break;
       }
       char escape = text_[pos_++];
-      switch (escape) {
-        case '"':
-        case '\\':
-        case '/':
-          out->push_back(escape);
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 'b':
-          out->push_back('\b');
-          break;
-        case 'f':
-          out->push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Bad("truncated \\u escape");
-          }
-          uint32_t code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char hex = text_[pos_++];
-            code <<= 4;
-            if (hex >= '0' && hex <= '9') {
-              code |= static_cast<uint32_t>(hex - '0');
-            } else if (hex >= 'a' && hex <= 'f') {
-              code |= static_cast<uint32_t>(hex - 'a' + 10);
-            } else if (hex >= 'A' && hex <= 'F') {
-              code |= static_cast<uint32_t>(hex - 'A' + 10);
-            } else {
-              return Bad("bad hex digit in \\u escape");
-            }
-          }
-          AppendUtf8(code, out);
-          break;
-        }
-        default:
-          return Bad(std::string("unknown escape '\\") + escape + "'");
+      static constexpr std::string_view kEscaped = "\"\\/ntrbf";
+      static constexpr std::string_view kDecoded = "\"\\/\n\t\r\b\f";
+      if (size_t simple = kEscaped.find(escape); simple != std::string_view::npos) {
+        out->push_back(kDecoded[simple]);
+        continue;
       }
+      if (escape != 'u') {
+        return Bad(std::string("unknown escape '\\") + escape + "'");
+      }
+      uint32_t code = 0;
+      uint32_t low = 0;
+      Status status = ParseHex4(&code);
+      const bool high_half = code >= 0xD800 && code <= 0xDBFF;
+      if (status.ok() && high_half && text_.substr(pos_, 2) == "\\u") {
+        pos_ += 2;
+        status = ParseHex4(&low);
+      }
+      if (!status.ok()) {
+        return status;
+      }
+      if (high_half != (low >= 0xDC00 && low <= 0xDFFF) || (code >= 0xDC00 && code <= 0xDFFF)) {
+        return Bad("lone surrogate in \\u escape");
+      }
+      AppendUtf8(high_half ? 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00) : code, out);
     }
     return Bad("unterminated string");
+  }
+
+  // The four hex digits of a \u escape.
+  Status ParseHex4(uint32_t* code) {
+    if (pos_ + 4 > text_.size()) {
+      return Bad("truncated \\u escape");
+    }
+    const char* digits = text_.data() + pos_;
+    if (std::from_chars(digits, digits + 4, *code, 16).ptr != digits + 4) {
+      return Bad("bad hex digit in \\u escape");
+    }
+    pos_ += 4;
+    return Status::Ok();
   }
 
   static void AppendUtf8(uint32_t code, std::string* out) {
     if (code < 0x80) {
       out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      return;
+    }
+    const int trail = code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+    out->push_back(static_cast<char>((0xFF << (7 - trail)) | (code >> (6 * trail))));
+    for (int shift = 6 * (trail - 1); shift >= 0; shift -= 6) {
+      out->push_back(static_cast<char>(0x80 | ((code >> shift) & 0x3F)));
     }
   }
 
@@ -523,7 +509,9 @@ class SetJsonParser {
     }
   }
 
+  // Takes `c` if it is the next byte after JSON whitespace.
   bool Consume(char c) {
+    SkipSpace();
     if (pos_ < text_.size() && text_[pos_] == c) {
       ++pos_;
       return true;

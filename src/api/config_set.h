@@ -28,17 +28,17 @@
 //     include cycle, a too-deep chain or an include bomb each produce a
 //     ConfigSetError record and resolution continues with what it has.
 //     Only an unloadable *root* leaves the set unresolved.
+//   - Every file is parsed under ConfigFile::Parse's syntax rule, include
+//     directives exempt. A malformed line stops resolution and fails the
+//     set, as the same line fails a flat file (ResolvedConfigSet::status).
 //
-// The companion check path, Target::CheckConfigSet (src/api/session.h),
-// feeds the flattened configs through CheckConfigBatch, so a suspect's
-// execution identity is the *effective* value: two fleets that differ
-// only in include structure deduplicate to the same replay. Checking a
-// resolved set is bit-identical to checking its serialized effective
-// config as a single file — same violations, same verdicts, same batch
-// counters, at every thread count — except that violations are
-// re-addressed to the winning assignment's file:line and annotated with
-// the assignments they override (tests/config_set_test.cc proves this
-// differentially).
+// Target::CheckConfigSet (src/api/session.h) hands each effective config
+// to the batch engine as parsed, so a suspect's execution identity is the
+// *effective* value: two fleets that differ only in include structure
+// deduplicate to the same replay. A set checks bit-identically to its
+// serialized effective config as a single file, at every thread count,
+// except that violations point at the winning assignment's file:line and
+// name what it overrode (tests/config_set_test.cc proves this).
 //
 // Thread-safety: resolution is a pure function of the source; distinct
 // ResolveConfigSet calls may run concurrently (a ConfigSetSource shared
@@ -110,6 +110,9 @@ struct ResolvedConfigSet {
   std::vector<SettingProvenance> provenance;
   std::vector<ConfigSetError> errors;
   size_t files_resolved = 0;
+  // kInvalidArgument "<file>: line N: <defect>" for the first malformed
+  // settings line; the set is then not checked at all.
+  Status status;
 
   // False only when the root itself could not be loaded — every other
   // fault is contained and leaves a (partial) effective config.

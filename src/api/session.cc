@@ -136,7 +136,7 @@ Target::Target(Session* session, TargetAnalysis analysis)
 
 std::vector<Violation> Target::CheckConfig(std::string_view config_text,
                                            std::string_view file_name) const {
-  return CheckConfigText(analysis_.constraints, config_text, analysis_.bundle.dialect,
+  return CheckConfigFile(analysis_.constraints, ConfigFile::Parse(config_text, dialect()),
                          file_name);
 }
 
@@ -247,8 +247,8 @@ std::vector<Violation> Target::CheckConfig(std::string_view config_text,
   return violations;
 }
 
-BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
-                                      const BatchOptions& options, BatchObserver* observer) {
+BatchSummary Target::RunBatch(std::span<const BatchConfig> configs, const BatchOptions& options,
+                              BatchObserver* observer) {
   // Dynamic batches share the target's persistent campaign (and its
   // snapshot cache) with single checks and RunCampaign; targets that
   // cannot be driven dynamically degrade to the static result per config,
@@ -263,6 +263,16 @@ BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
                        configs, options, observer);
 }
 
+BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
+                                      const BatchOptions& options, BatchObserver* observer) {
+  std::vector<BatchConfig> inputs;
+  inputs.reserve(configs.size());
+  for (const ConfigInput& config : configs) {
+    inputs.push_back(BatchConfig{.name = config.name, .text = config.text});
+  }
+  return RunBatch(inputs, options, observer);
+}
+
 BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
                                     const BatchOptions& options, BatchObserver* observer,
                                     std::vector<ResolvedConfigSet>* resolutions,
@@ -270,13 +280,11 @@ BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
   std::vector<ResolvedConfigSet> local;
   std::vector<ResolvedConfigSet>& resolved = resolutions != nullptr ? *resolutions : local;
   resolved.clear();
-  resolved.reserve(sets.size());
   for (const ConfigSetInput& set : sets) {
-    ResolvedConfigSet resolution = ResolveConfigSet(set.files, dialect(), set_options);
+    resolved.push_back(ResolveConfigSet(set.files, dialect(), set_options));
     if (!set.name.empty()) {
-      resolution.name = set.name;
+      resolved.back().name = set.name;
     }
-    resolved.push_back(std::move(resolution));
   }
   return CheckResolvedConfigSets(resolved, options, observer);
 }
@@ -284,30 +292,29 @@ BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
 BatchSummary Target::CheckResolvedConfigSets(std::span<const ResolvedConfigSet> sets,
                                              const BatchOptions& options,
                                              BatchObserver* observer) {
-  std::vector<ConfigInput> effective;
-  effective.reserve(sets.size());
-  for (const ResolvedConfigSet& resolution : sets) {
-    effective.push_back(ConfigInput{resolution.name, resolution.effective.Serialize()});
-  }
   // The batch sees only the flattened configs, so dedup across sets keys
-  // on effective values exactly as it does for single files. The observer
-  // is withheld here and replayed below: reports stream only after their
-  // violations have been re-addressed to winning-assignment origins.
-  BatchSummary summary = CheckConfigBatch(effective, options, nullptr);
-  for (size_t i = 0; i < summary.reports.size() && i < sets.size(); ++i) {
-    ConfigReport& report = summary.reports[i];
-    const ResolvedConfigSet& resolution = sets[i];
+  // on effective values exactly as it does for single files. A set that
+  // could not be resolved, or that has a malformed line, fails before the
+  // batch looks at it.
+  std::vector<BatchConfig> inputs;
+  inputs.reserve(sets.size());
+  for (const ResolvedConfigSet& resolution : sets) {
+    BatchConfig input{.name = resolution.name, .config = &resolution.effective,
+                      .status = resolution.status};
     if (!resolution.resolved()) {
-      if (report.status.ok()) {
-        ++summary.configs_with_errors;
-      }
       std::string detail = resolution.errors.empty() ? std::string("no files resolved")
                                                      : resolution.errors.front().ToString();
-      report.status =
+      input.status =
           Status::InvalidArgument("config set '" + resolution.name + "' unresolvable: " + detail);
-      continue;  // An empty effective config produced no violations to rewrite.
     }
-    RewriteViolationsWithProvenance(resolution, analysis_.constraints, &report.violations);
+    inputs.push_back(std::move(input));
+  }
+  // The observer is withheld here and replayed below: reports stream only
+  // after their violations have been re-addressed to winning-assignment
+  // origins.
+  BatchSummary summary = RunBatch(inputs, options, nullptr);
+  for (size_t i = 0; i < summary.reports.size(); ++i) {
+    RewriteViolationsWithProvenance(sets[i], analysis_.constraints, &summary.reports[i].violations);
   }
   if (observer != nullptr) {
     observer->OnBatchBegin(summary.reports.size());

@@ -232,23 +232,13 @@ class Target {
                                 BatchObserver* observer = nullptr);
 
   // Multi-file fleet checking: each ConfigSetInput is an include tree
-  // (files[0] the root) that is resolved to its flattened effective
-  // config (src/api/config_set.h) and then checked through
-  // CheckConfigBatch — so a suspect's execution identity is the
-  // *effective* value, and two sets differing only in include structure
-  // deduplicate to the same replay. Per set the result is bit-identical
-  // to checking the serialized effective config as a single file (same
-  // violations, verdicts and counters, at every options.num_threads),
-  // except that each violation's file/line point at the *winning*
-  // assignment's origin and `override_note` records what it shadowed.
-  // Resolution faults (missing includes, cycles, depth/file caps) are
-  // contained per set: they land on the set's ResolvedConfigSet (written
-  // to `resolutions` when non-null, batch order) and checking continues
-  // with the partial effective config; only a set whose root cannot be
-  // loaded carries kInvalidArgument in its report. `observer` streams
-  // per-set reports on the calling thread in batch order — after the
-  // whole batch, since provenance rewriting happens batch-wide.
-  // Thread-safety matches CheckConfigBatch.
+  // (files[0] the root), resolved to its effective config and checked as
+  // src/api/config_set.h describes. Resolution faults land on the set's
+  // ResolvedConfigSet (written to `resolutions` when non-null, batch
+  // order); an unloadable root or a malformed line fails the set with
+  // kInvalidArgument and no violations. `observer` streams per-set
+  // reports in batch order after the whole batch, since provenance
+  // rewriting happens batch-wide. Thread-safety matches CheckConfigBatch.
   BatchSummary CheckConfigSet(std::span<const ConfigSetInput> sets,
                               const BatchOptions& options = {},
                               BatchObserver* observer = nullptr,
@@ -296,6 +286,10 @@ class Target {
   friend class Session;
 
   Target(Session* session, TargetAnalysis analysis);
+  // RunBatchCheck on this target's campaign and the session pool: the one
+  // engine behind CheckConfigBatch and CheckResolvedConfigSets.
+  BatchSummary RunBatch(std::span<const BatchConfig> configs, const BatchOptions& options,
+                        BatchObserver* observer);
   // Generates the batch on first use; caller holds campaign_mutex_.
   const std::vector<Misconfiguration>& MisconfigsLocked();
   // The persistent campaign (created with default options on first use);

@@ -31,8 +31,11 @@ std::string SupportedConfigDialectNames() {
          ConfigDialectName(ConfigDialect::kKeyValue);
 }
 
-ConfigFile ConfigFile::Parse(std::string_view text, ConfigDialect dialect) {
+ConfigFile ConfigFile::Parse(std::string_view text, ConfigDialect dialect, Status* error) {
   ConfigFile file(dialect);
+  if (error != nullptr) {
+    *error = Status::Ok();
+  }
   uint32_t line_number = 0;
   for (const std::string& raw_line : SplitString(text, '\n')) {
     ++line_number;
@@ -55,9 +58,17 @@ ConfigFile ConfigFile::Parse(std::string_view text, ConfigDialect dialect) {
       size_t eq = line.find('=');
       if (eq == std::string_view::npos) {
         entry.key = std::string(TrimWhitespace(line));
+        entry.defect = "settings line has no '='";
       } else {
         entry.key = std::string(TrimWhitespace(line.substr(0, eq)));
         entry.value = std::string(TrimWhitespace(line.substr(eq + 1)));
+        if (entry.key.empty()) {
+          entry.defect = "settings line has an empty key";
+        }
+      }
+      if (entry.defect != nullptr && error != nullptr && error->ok()) {
+        *error = Status::InvalidArgument("line " + std::to_string(line_number) + ": " +
+                                         entry.defect);
       }
     } else {
       size_t space = line.find_first_of(" \t");

@@ -12,6 +12,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/support/status.h"
+
 namespace spex {
 
 enum class ConfigDialect {
@@ -36,6 +38,9 @@ struct ConfigEntry {
   std::string value;
   std::string raw;  // Comments/blank lines verbatim.
   uint32_t line = 0;
+  // Why a settings line is malformed, e.g. "settings line has no '='";
+  // null when well formed. The line is still kept as a setting.
+  const char* defect = nullptr;
 };
 
 class ConfigFile {
@@ -43,7 +48,11 @@ class ConfigFile {
   ConfigFile() = default;
   explicit ConfigFile(ConfigDialect dialect) : dialect_(dialect) {}
 
-  static ConfigFile Parse(std::string_view text, ConfigDialect dialect);
+  // The one syntax rule for config text: a key=value settings line with no
+  // '=' or an empty key is malformed; key-value accepts bare directives.
+  // Parsing never fails; `error`, when given, receives Ok or
+  // kInvalidArgument "line N: <defect>" for the first malformed line.
+  static ConfigFile Parse(std::string_view text, ConfigDialect dialect, Status* error = nullptr);
 
   ConfigDialect dialect() const { return dialect_; }
   const std::vector<ConfigEntry>& entries() const { return entries_; }

@@ -1,6 +1,8 @@
 #include "src/serve/http.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cstdint>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -64,11 +66,14 @@ HttpParser::State HttpParser::FinishHeaders(size_t header_end) {
   body_length_ = 0;
   auto it = request_.headers.find("content-length");
   if (it != request_.headers.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed < 0) {
+    // Digits only (RFC 9110 §8.6): no sign, no NUL, nothing after them.
+    const std::string& length = it->second;
+    uint64_t value = 0;
+    auto [end, error] = std::from_chars(length.data(), length.data() + length.size(), value);
+    if (length.empty() || error != std::errc() || end != length.data() + length.size()) {
       return Fail("malformed Content-Length");
     }
-    body_length_ = static_cast<size_t>(*parsed);
+    body_length_ = static_cast<size_t>(value);
   }
   if (body_length_ > max_body_) {
     return Fail("request body of " + std::to_string(body_length_) +

@@ -618,11 +618,15 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
   // bad_alloc or logic error becomes this request's 500, never the
   // daemon's last words.
   try {
+    // Every 400 of this route: the status JSON, counted as invalid.
+    auto reject = [&](const Status& why) {
+      stat_invalid_.fetch_add(1, std::memory_order_relaxed);
+      WriteError(fd, why);
+      return false;
+    };
     std::string target_name = QueryParam(query, "target");
     if (target_name.empty()) {
-      stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-      WriteError(fd, Status::InvalidArgument("missing required query parameter 'target'"));
-      return false;
+      return reject(Status::InvalidArgument("missing required query parameter 'target'"));
     }
     Status status;
     std::shared_ptr<TargetPool::Entry> entry = targets_->Acquire(target_name, &status);
@@ -676,18 +680,16 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
     // The body is /batch frames, a '{'-opening multi-file set (a JSON
     // object naming the set's files, resolved — includes, last-wins
     // overrides — to one flattened effective config before checking), or
-    // the classic raw config text.
+    // the classic raw config text, which only the check below judges.
     size_t first_byte = body.find_first_not_of(" \t\r\n");
     const bool set_body = !batch && first_byte != std::string::npos && body[first_byte] == '{';
     std::vector<ConfigInput> inputs;
     ConfigSetInput set_input;
     Status parsed = batch      ? ParseBatchBody(body, &inputs)
                     : set_body ? ParseConfigSetJson(body, &set_input)
-                               : ValidateConfigText(body, entry->target->dialect());
+                               : Status::Ok();
     if (!parsed.ok()) {
-      stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-      WriteError(fd, parsed);
-      return false;
+      return reject(parsed);
     }
     std::string name = QueryParam(query, "name");
     if (name.empty()) {
@@ -718,6 +720,11 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
         inputs.push_back(ConfigInput{name, body});
       }
       summary = entry->target->CheckConfigBatch(inputs, batch_options);
+    }
+    // A raw or set body is one config, answered from its one report; /batch
+    // reports keep their per-config statuses.
+    if (!batch && summary.reports.front().status.code() == StatusCode::kInvalidArgument) {
+      return reject(summary.reports.front().status);
     }
     stat_batch_configs_.fetch_add(batch ? inputs.size() : 0, std::memory_order_relaxed);
     stat_store_hits_.fetch_add(summary.store_hits, std::memory_order_relaxed);

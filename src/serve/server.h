@@ -64,9 +64,10 @@
 //
 //   GET  /healthz                      "ok" (503 "draining" during drain)
 //   GET  /statz                        JSON counters (admission, pool, ...)
-//   POST /check?target=NAME[&...]      body = config text; response = one
-//                                      JSON line per violation + a summary
-//                                      line.
+//   POST /check?target=NAME[&...]      body = config text or a JSON set;
+//                                      response = one JSON line per
+//                                      violation + a summary line, or a
+//                                      400 when a line is malformed.
 //   POST /batch?target=NAME[&...]      body = configs framed by "=== name"
 //                                      lines; response = violation lines +
 //                                      one report line per config + a batch

@@ -135,6 +135,24 @@ bool ContainsSubstringIgnoreCase(std::string_view haystack, std::string_view nee
   return lowered_haystack.find(lowered_needle) != std::string::npos;
 }
 
+size_t Utf8SequenceLength(std::string_view text, size_t i) {
+  auto byte = [&](size_t k) { return static_cast<unsigned char>(text[i + k]); };
+  const unsigned char lead = byte(0);
+  const size_t length = lead < 0xc2 ? 0 : lead < 0xe0 ? 2 : lead < 0xf0 ? 3 : lead < 0xf5 ? 4 : 0;
+  if (length == 0 || i + length > text.size()) {
+    return 0;
+  }
+  // The lead byte narrows the first continuation byte; the rest are 80..BF.
+  const unsigned char low = lead == 0xe0 ? 0xa0 : lead == 0xf0 ? 0x90 : 0x80;
+  const unsigned char high = lead == 0xed ? 0x9f : lead == 0xf4 ? 0x8f : 0xbf;
+  for (size_t k = 1; k < length; ++k) {
+    if (byte(k) < (k == 1 ? low : 0x80) || byte(k) > (k == 1 ? high : 0xbf)) {
+      return 0;
+    }
+  }
+  return length;
+}
+
 std::optional<int64_t> ParseInt64(std::string_view text) {
   std::string_view trimmed = TrimWhitespace(text);
   if (trimmed.empty()) {

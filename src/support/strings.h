@@ -35,12 +35,17 @@ int CompareStringsIgnoreCase(std::string_view a, std::string_view b);
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool ContainsSubstringIgnoreCase(std::string_view haystack, std::string_view needle);
 
-// Strict integer parsing: the whole string must be a decimal (optionally
-// signed) integer with no trailing garbage. Returns nullopt on any deviation,
-// including overflow of int64_t.
+// Length of the well-formed multi-byte UTF-8 sequence at text[i] (Unicode
+// Table 3-7: no overlongs, no surrogates, nothing past U+10FFFF), else 0.
+size_t Utf8SequenceLength(std::string_view text, size_t i);
+
+// Integer parsing with C semantics: after whitespace trimming, the text up
+// to the first NUL must be a decimal (optionally signed) integer, without
+// overflow of int64_t; else nullopt. Config values and MiniC's
+// parse_int_strict stop at the NUL on purpose: a C target's strtol does too.
 std::optional<int64_t> ParseInt64(std::string_view text);
 
-// Strict floating-point parsing with the same whole-string requirement.
+// Floating-point parsing with the same C semantics.
 std::optional<double> ParseDouble(std::string_view text);
 
 // Replaces every occurrence of `from` with `to`.

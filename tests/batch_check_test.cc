@@ -465,17 +465,22 @@ TEST(BatchCheckTest, DeadlineExceededMarksOnlyConfigsWhoseReplaysTimedOut) {
   }
 }
 
-TEST(BatchCheckTest, ValidateConfigTextFlagsOnlyStructuralFailures) {
-  EXPECT_TRUE(ValidateConfigText("", ConfigDialect::kKeyEqualsValue).ok());
-  EXPECT_TRUE(ValidateConfigText("# comment\n\nkey = value\n", ConfigDialect::kKeyEqualsValue).ok());
-  EXPECT_EQ(ValidateConfigText("key value no equals\n", ConfigDialect::kKeyEqualsValue).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(ValidateConfigText("= dangling\n", ConfigDialect::kKeyEqualsValue).code(),
-            StatusCode::kInvalidArgument);
+TEST(BatchCheckTest, ParseFlagsOnlyStructuralFailures) {
+  auto parse_error = [](std::string_view text, ConfigDialect dialect) {
+    Status error = Status::Internal("not written");
+    ConfigFile::Parse(text, dialect, &error);
+    return error;
+  };
+  EXPECT_TRUE(parse_error("", ConfigDialect::kKeyEqualsValue).ok());
+  EXPECT_TRUE(parse_error("# comment\n\nkey = value\n", ConfigDialect::kKeyEqualsValue).ok());
+  Status no_equals = parse_error("a = 1\nkey value no equals\n", ConfigDialect::kKeyEqualsValue);
+  EXPECT_EQ(no_equals.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(no_equals.message(), "line 2: settings line has no '='");
+  Status empty_key = parse_error("= dangling\nalso no equals\n", ConfigDialect::kKeyEqualsValue);
+  EXPECT_EQ(empty_key.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(empty_key.message(), "line 1: settings line has an empty key");
   // Bare directives are legal key-value dialect (Apache/Squid style flags).
-  EXPECT_TRUE(ValidateConfigText("PassivePorts 30000 31000\nUseIPv6\n",
-                                 ConfigDialect::kKeyValue)
-                  .ok());
+  EXPECT_TRUE(parse_error("PassivePorts 30000 31000\nUseIPv6\n", ConfigDialect::kKeyValue).ok());
 }
 
 TEST(BatchCheckTest, ExecutionKeySeparatesEveryReplayRelevantField) {

@@ -365,6 +365,66 @@ TEST(ConfigSetTest, UnresolvableSetIsContainedWithinTheBatch) {
       HasViolation(summary.reports[1].violations, ViolationCategory::kRange, "worker_threads"));
 }
 
+// A fragment line with no '=' fails its set exactly as the same line
+// fails a flat file: kInvalidArgument with the flat file's reason, now
+// addressed to the fragment, no violations and no replays. The quoted
+// include directive, which has no '=' either, is exempt.
+TEST(ConfigSetTest, FragmentLineWithoutEqualsFailsTheSet) {
+  Session session;
+  Target* target = LoadFleetServer(session);
+  ASSERT_NE(target, nullptr);
+  std::vector<ConfigSetInput> sets(2);
+  sets[0].files = {
+      {"main.conf", "worker_threads = 99\ninclude \"conf.d/frag.conf\"\n"},
+      {"conf.d/frag.conf", "key value no equals\nidle_timeout = 5\n"},
+  };
+  sets[1].files = {{"good.conf", "worker_threads = 99\n"}};
+  std::vector<ResolvedConfigSet> resolutions;
+  BatchSummary summary = target->CheckConfigSet(sets, {}, nullptr, &resolutions);
+  ASSERT_EQ(summary.reports.size(), 2u);
+  const ConfigReport& report = summary.reports[0];
+  EXPECT_EQ(report.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(report.status.message(), "conf.d/frag.conf: line 1: settings line has no '='");
+  EXPECT_EQ(resolutions[0].status.message(), report.status.message());
+  EXPECT_TRUE(resolutions[0].errors.empty());
+  EXPECT_TRUE(report.violations.empty());
+  EXPECT_EQ(report.suspects, 0u);
+  EXPECT_EQ(summary.configs_with_errors, 1u);
+
+  // The flat file with the same lines fails with the same reason.
+  std::vector<ConfigInput> flat = {
+      {"flat.conf", "worker_threads = 99\nkey value no equals\nidle_timeout = 5\n"}};
+  BatchSummary flat_summary = target->CheckConfigBatch(flat);
+  EXPECT_EQ(flat_summary.reports[0].status.message(), "line 2: settings line has no '='");
+
+  // The healthy neighbour is checked as if the poisoned set were absent.
+  BatchSummary alone = target->CheckConfigSet({&sets[1], 1});
+  EXPECT_EQ(summary.reports[1].violations.size(), alone.reports[0].violations.size());
+  EXPECT_EQ(summary.total_suspects, alone.total_suspects);
+  EXPECT_EQ(summary.reports[1].shared_replays, alone.reports[0].shared_replays);
+}
+
+TEST(ConfigSetTest, FragmentEmptyKeyIsReportedAtItsFileAndLine) {
+  Session session;
+  Target* target = LoadFleetServer(session);
+  ASSERT_NE(target, nullptr);
+  std::vector<ConfigSetInput> sets(1);
+  sets[0].files = {
+      {"main.conf", "cache_ttl = 300\ninclude frag.conf\nidle_timeout = 5\n"},
+      {"frag.conf", "worker_threads = 8\n= 5\n"},
+  };
+  std::vector<ResolvedConfigSet> resolutions;
+  BatchSummary summary = target->CheckConfigSet(sets, {}, nullptr, &resolutions);
+  ASSERT_EQ(summary.reports.size(), 1u);
+  EXPECT_EQ(summary.reports[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(summary.reports[0].status.message(),
+            "frag.conf: line 2: settings line has an empty key");
+  EXPECT_TRUE(summary.reports[0].violations.empty());
+  // Resolution stops at the malformed line.
+  EXPECT_EQ(resolutions[0].effective.Get("worker_threads"), "8");
+  EXPECT_FALSE(resolutions[0].effective.Get("idle_timeout").has_value());
+}
+
 TEST(ConfigSetTest, IncludeShapeDoesNotChangeExecutionIdentity) {
   Session session;
   Target* target = LoadFleetServer(session);
@@ -522,6 +582,21 @@ TEST(ConfigSetTest, ParseConfigSetJsonDecodesEscapesAndNamesRoot) {
   EXPECT_EQ(input.files[0].text, "a = 1\nb = \"x\"\n");
   EXPECT_EQ(input.files[1].name, "conf.d/x.conf");
   EXPECT_EQ(input.files[1].text, "A = 2\n");
+}
+
+// Accepted strings are UTF-8: a surrogate pair decodes to one 4-byte
+// sequence, and a lone surrogate or a raw byte that is not UTF-8 is
+// rejected rather than passed on as bytes no encoder writes back.
+TEST(ConfigSetTest, ParseConfigSetJsonKeepsStringsUtf8) {
+  ConfigSetInput input;
+  const char* body = "{\"files\":[{\"name\":\"a\",\"text\":\"\\ud83d\\ude00 \\u00e9\xc3\xa9\"}]}";
+  ASSERT_TRUE(ParseConfigSetJson(body, &input).ok());
+  EXPECT_EQ(input.files[0].text, "\xf0\x9f\x98\x80 \xc3\xa9\xc3\xa9");
+  for (const char* text : {"\\ud83d", "\\ude00\\ud83d", "\\ud83d\\u0041", "\xff", "\xed\xa0\x80"}) {
+    Status status = ParseConfigSetJson(
+        std::string("{\"files\":[{\"name\":\"a\",\"text\":\"") + text + "\"}]}", &input);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(ConfigSetTest, ParseConfigSetJsonRejectsShapeErrorsWithPosition) {

@@ -12,16 +12,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/api/batch_check.h"
+#include "src/api/report_json.h"
 #include "src/api/config_set.h"
 #include "src/api/session.h"
 #include "src/confgen/config_file.h"
 #include "src/serve/http.h"
 #include "src/support/rng.h"
+#include "src/support/strings.h"
 
 namespace spex {
 namespace {
@@ -335,6 +339,17 @@ TEST(ParserHarnessTest, MutatedHttpRequestsKeepTheParserContract) {
       "4097",  // One past the harness body cap.
       "99999999999999999999", "18446744073709551615", "18446744073709551616",
       "9223372036854775807", "-1", "+5", "0x10", "1e3", "", " 3 ", std::string("3\0" "9", 3)};
+  // A Content-Length that is not all digits after trimming never frames a
+  // body, whatever strtoll would make of it ("+5", "3\0009").
+  for (const std::string& length : kContentLengths) {
+    std::string_view trimmed = TrimWhitespace(length);
+    if (!trimmed.empty() && trimmed.find_first_not_of("0123456789") == std::string_view::npos) {
+      continue;
+    }
+    std::string wire = "POST /check HTTP/1.1\r\nContent-Length: " + length + "\r\n\r\nabcdefghi";
+    EXPECT_EQ(FeedHttp(wire, {}).state, HttpParser::State::kError)
+        << testing::PrintToString(length);
+  }
   size_t completes = 0;
   size_t errors = 0;
   for (int iteration = 0; iteration < 20000; ++iteration) {
@@ -391,49 +406,65 @@ TEST(ParserHarnessTest, MutatedHttpRequestsKeepTheParserContract) {
   EXPECT_GT(errors, 100u);
 }
 
-// Random config text over a hostile alphabet. For every text the checker
+// Random config lines over a hostile alphabet: bare token runs, comments,
+// and key/value lines split by '=' or a space.
+class HostileLines {
+ public:
+  explicit HostileLines(DeterministicRng& rng) : rng_(rng) {}
+
+  std::string Tokens(uint64_t max_count) {
+    static const std::vector<std::string> kTokens = {
+        "=", "#", ";", "\"", "'", "\t", " ", " ", "\r", "\v", std::string(1, '\0'), "\x80",
+        "\xc3\xa9", "\xff", "k", "key", "v", "value", "1", "64 MB", "include "};
+    std::string out;
+    for (uint64_t n = rng_.NextBounded(max_count + 1); n > 0; --n) {
+      out += kTokens[rng_.NextBounded(kTokens.size())];
+    }
+    return out;
+  }
+
+  std::string Line() {
+    switch (rng_.NextBounded(4)) {
+      case 0:
+        return Tokens(4);
+      case 1:
+        return "#" + Tokens(3);
+      default:
+        return "k" + Tokens(3) + (rng_.NextBounded(2) != 0 ? "=" : " ") + Tokens(4);
+    }
+  }
+
+  std::string Terminator() { return rng_.NextBounded(3) == 0 ? "\r\n" : "\n"; }
+
+ private:
+  DeterministicRng& rng_;
+};
+
+// Random config text over the hostile alphabet. For every text Parse
 // accepts, Serialize(Parse(text)) must be a fixed point: parsing it again
 // gives the same entries and the same text.
 TEST(ParserHarnessTest, AcceptedConfigTextSerializesToAFixedPoint) {
   SCOPED_TRACE("gtest random seed " + std::to_string(GtestSeed()));
-  const std::vector<std::string> kTokens = {
-      "=", "#", ";", "\"", "'", "\t", " ", " ", "\r", "\v", std::string(1, '\0'), "\x80",
-      "\xc3\xa9", "\xff", "k", "key", "v", "value", "1", "64 MB", "include "};
   for (ConfigDialect dialect : {ConfigDialect::kKeyEqualsValue, ConfigDialect::kKeyValue}) {
     DeterministicRng rng(HarnessSeed(0x636f6e66ULL + static_cast<uint64_t>(dialect)));
-    auto tokens = [&](uint64_t max_count) {
-      std::string out;
-      for (uint64_t n = rng.NextBounded(max_count + 1); n > 0; --n) {
-        out += kTokens[rng.NextBounded(kTokens.size())];
-      }
-      return out;
-    };
+    HostileLines hostile(rng);
     size_t accepted = 0;
     constexpr int kTexts = 20000;
     for (int iteration = 0; iteration < kTexts; ++iteration) {
       std::string text;
       for (uint64_t line = rng.NextBounded(6); line > 0; --line) {
-        switch (rng.NextBounded(4)) {
-          case 0:
-            text += tokens(4);
-            break;
-          case 1:
-            text += "#" + tokens(3);
-            break;
-          default:
-            text += "k" + tokens(3) + (rng.NextBounded(2) != 0 ? "=" : " ") + tokens(4);
-            break;
-        }
-        text += rng.NextBounded(3) == 0 ? "\r\n" : "\n";
+        text += hostile.Line();
+        text += hostile.Terminator();
       }
       if (rng.NextBounded(4) == 0) {
-        text += tokens(3);  // No final newline.
+        text += hostile.Tokens(3);  // No final newline.
       }
-      if (!ValidateConfigText(text, dialect).ok()) {
+      Status error;
+      ConfigFile parsed = ConfigFile::Parse(text, dialect, &error);
+      if (!error.ok()) {
         continue;
       }
       ++accepted;
-      ConfigFile parsed = ConfigFile::Parse(text, dialect);
       std::string once = parsed.Serialize();
       ConfigFile reparsed = ConfigFile::Parse(once, dialect);
       EXPECT_EQ(reparsed.Serialize(), once) << testing::PrintToString(text);
@@ -447,9 +478,264 @@ TEST(ParserHarnessTest, AcceptedConfigTextSerializesToAFixedPoint) {
             << "entry " << i << " of " << testing::PrintToString(text);
       }
     }
-    // Most generated texts must pass validation, or the property is vacuous.
+    // Most generated texts must parse without error, or the property is
+    // vacuous.
     EXPECT_GT(accepted, static_cast<size_t>(kTexts / 4)) << ConfigDialectName(dialect);
   }
+}
+
+// The depth-first concatenation of an include tree with its include lines
+// dropped, built the way the resolver walks it (same caps, same cycle
+// rule), and the file:line each flat line came from.
+class TreeFlattener {
+ public:
+  TreeFlattener(const std::vector<ConfigInput>& files, ConfigDialect dialect,
+                const ConfigSetOptions& options)
+      : source_(files), dialect_(dialect), options_(options) {}
+
+  void Expand(const std::string& name, size_t depth) {
+    if (stopped_ || depth > options_.max_include_depth || stack_.count(name) > 0) {
+      return;
+    }
+    if (loaded_ >= options_.max_files) {
+      stopped_ = true;
+      return;
+    }
+    std::optional<std::string> text = source_.Load(name);
+    if (!text.has_value()) {
+      return;
+    }
+    ++loaded_;
+    stack_.insert(name);
+    std::vector<std::string> lines = SplitString(*text, '\n');
+    ConfigFile parsed = ConfigFile::Parse(*text, dialect_);
+    for (const ConfigEntry& entry : parsed.entries()) {
+      bool is_dir = false;
+      std::string operand;
+      if (!ParseIncludeDirective(entry, &is_dir, &operand)) {
+        flat_ += lines[entry.line - 1] + "\n";
+        origins_.push_back(name + ": line " + std::to_string(entry.line));
+        continue;
+      }
+      if (operand.empty()) {
+        continue;
+      }
+      std::string target = JoinIncludePath(name, operand);
+      if (!is_dir) {
+        Expand(target, depth + 1);
+        continue;
+      }
+      std::optional<std::vector<std::string>> listed = source_.ListDir(target);
+      for (const std::string& child : listed.value_or(std::vector<std::string>{})) {
+        Expand(child, depth + 1);
+      }
+    }
+    stack_.erase(name);
+  }
+
+  const std::string& flat() const { return flat_; }
+  // "<file>: line N" of flat line `line` (1-based).
+  const std::string& origin(size_t line) const { return origins_.at(line - 1); }
+
+ private:
+  MemoryConfigSetSource source_;
+  ConfigDialect dialect_;
+  ConfigSetOptions options_;
+  std::set<std::string> stack_;
+  size_t loaded_ = 0;
+  bool stopped_ = false;
+  std::string flat_;
+  std::vector<std::string> origins_;
+};
+
+// Seeded include trees over the hostile alphabet, with include and
+// include_dir lines whose operands are empty, quoted, "..", absolute, the
+// file itself or a cycle. Resolution stays within its caps and reports
+// only its four fault kinds, and a tree fails a static check exactly when
+// its flat concatenation does, for the same reason at the same source
+// line.
+TEST(ParserHarnessTest, HostileConfigTreesMatchTheirFlatFile) {
+  SCOPED_TRACE("gtest random seed " + std::to_string(GtestSeed()));
+  const std::vector<std::string> kNames = {"root.conf", "a.conf", "conf.d/b.conf",
+                                           "conf.d/c.conf", "/etc/abs.conf"};
+  ConfigSetOptions set_options;
+  set_options.max_files = 4;
+  set_options.max_include_depth = 2;
+  BatchOptions static_check;
+  static_check.check.mode = CheckMode::kStatic;
+  for (ConfigDialect dialect : {ConfigDialect::kKeyEqualsValue, ConfigDialect::kKeyValue}) {
+    DeterministicRng rng(HarnessSeed(0x74726565ULL + static_cast<uint64_t>(dialect)));
+    HostileLines hostile(rng);
+    Session session;
+    const bool equals = dialect == ConfigDialect::kKeyEqualsValue;
+    Target* target = session.LoadSource("int depth = 1;\nint server_init() { return 0; }\n", "",
+                                        "tree.c", dialect, SutSpec{},
+                                        equals ? "depth = 1\n" : "depth 1\n");
+    ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+
+    auto include_line = [&](const std::string& self) {
+      const std::vector<std::string> operands = {
+          "", "\"\"", self, "\"" + self + "\"", "'a.conf'", "<conf.d/b.conf>", "a.conf",
+          "../a.conf", "conf.d/../root.conf", "/etc/abs.conf", "root.conf", "conf.d",
+          "missing.conf", "conf.d/c.conf"};
+      const std::string& operand = operands[rng.NextBounded(operands.size())];
+      std::string word = rng.NextBounded(3) == 0 ? "include_dir" : "include";
+      if (equals && rng.NextBounded(2) == 0) {
+        return word + " = " + operand;
+      }
+      return word + (operand.empty() ? "" : " " + operand);
+    };
+    constexpr size_t kTrees = 20000;
+    std::vector<ConfigSetInput> sets(kTrees);
+    std::vector<ConfigInput> flats(kTrees);
+    std::vector<TreeFlattener> flatteners;
+    flatteners.reserve(kTrees);
+    for (size_t tree = 0; tree < kTrees; ++tree) {
+      std::vector<ConfigInput>& files = sets[tree].files;
+      for (const std::string& name : kNames) {
+        if (!files.empty() && rng.NextBounded(3) == 0) {
+          continue;
+        }
+        std::string text;
+        for (uint64_t line = rng.NextBounded(5); line > 0; --line) {
+          text += rng.NextBounded(2) == 0 ? include_line(name) : hostile.Line();
+          text += hostile.Terminator();
+        }
+        files.push_back(ConfigInput{name, std::move(text)});
+      }
+      flatteners.emplace_back(files, dialect, set_options);
+      flatteners.back().Expand(files.front().name, 0);
+      flats[tree] = ConfigInput{"flat.conf", flatteners.back().flat()};
+    }
+
+    std::vector<ResolvedConfigSet> resolutions;
+    BatchSummary tree_summary =
+        target->CheckConfigSet(sets, static_check, nullptr, &resolutions, set_options);
+    BatchSummary flat_summary = target->CheckConfigBatch(flats, static_check);
+    ASSERT_EQ(tree_summary.reports.size(), kTrees);
+    ASSERT_EQ(flat_summary.reports.size(), kTrees);
+    size_t failed = 0;
+    std::set<std::string> kinds;
+    for (size_t tree = 0; tree < kTrees; ++tree) {
+      const ResolvedConfigSet& resolution = resolutions[tree];
+      EXPECT_LE(resolution.files_resolved, set_options.max_files);
+      for (const ConfigSetError& error : resolution.errors) {
+        kinds.insert(ConfigSetErrorKindName(error.kind));
+      }
+      const Status& tree_status = tree_summary.reports[tree].status;
+      const Status& flat_status = flat_summary.reports[tree].status;
+      const std::string trace = testing::PrintToString(sets[tree].files.front().text) + " flat " +
+                                testing::PrintToString(flats[tree].text);
+      ASSERT_EQ(tree_status.ok(), flat_status.ok()) << tree_status.ToString() << " vs "
+                                                    << flat_status.ToString() << " for " << trace;
+      if (flat_status.ok()) {
+        continue;
+      }
+      ++failed;
+      // "line K: <reason>" of the flat file is "<file>: line N: <reason>"
+      // of the tree, where flat line K came from line N of <file>.
+      const std::string& message = flat_status.message();
+      size_t colon = message.find(": ");
+      ASSERT_EQ(message.rfind("line ", 0), 0u) << message;
+      EXPECT_EQ(tree_status.code(), StatusCode::kInvalidArgument) << trace;
+      EXPECT_EQ(tree_status.message(),
+                flatteners[tree].origin(std::stoul(message.substr(5, colon - 5))) +
+                    message.substr(colon))
+          << trace;
+      EXPECT_TRUE(tree_summary.reports[tree].violations.empty()) << trace;
+    }
+    // Every fault kind shows up; in key=value both outcomes do, and the
+    // key-value dialect has no malformed lines at all.
+    EXPECT_EQ(kinds, (std::set<std::string>{"missing-include", "include-cycle",
+                                            "depth-exceeded", "too-many-files"}));
+    if (equals) {
+      EXPECT_GT(failed, kTrees / 10);
+      EXPECT_LT(failed, kTrees - kTrees / 10);
+    } else {
+      EXPECT_EQ(failed, 0u);
+    }
+  }
+}
+
+// The one encoding a client is told to use: every name and text through
+// JsonEscape.
+std::string EncodeSetBody(const std::vector<ConfigInput>& files) {
+  std::string body = "{\"files\":[";
+  for (size_t i = 0; i < files.size(); ++i) {
+    body += i == 0 ? "" : ",";
+    body += "{\"name\":\"" + JsonEscape(files[i].name) + "\",\"text\":\"" +
+            JsonEscape(files[i].text) + "\"}";
+  }
+  return body + "]}";
+}
+
+// Bit flips, truncation, stray quotes and backslashes, \u escapes (lone
+// surrogates included) and NUL bytes over valid /check set bodies. Every
+// body parses or is a kInvalidArgument naming a byte inside it, and every
+// accepted body, encoded again, parses back to the same files.
+TEST(ParserHarnessTest, MutatedSetBodiesKeepTheParserContract) {
+  SCOPED_TRACE("gtest random seed " + std::to_string(GtestSeed()));
+  DeterministicRng rng(HarnessSeed(0x6a736f6e2d736574ULL));
+  const std::vector<std::vector<ConfigInput>> kSets = {
+      {{"main.conf", "log_level = 2\ninclude conf.d/site.conf\n"},
+       {"conf.d/site.conf", "log_level = 3\n# caf\xc3\xa9 \xe2\x82\xac\n"}},
+      {{"squid.conf", "workers 4\r\ncache_mem 64 MB\tx\n"}},
+      {{"a \"quoted\" \\ name", std::string("nul\0byte = \x01\x7f\n", 17)}},
+  };
+  const std::vector<std::string> kEscapes = {
+      "\\ud800", "\\udfff", "\\ud83d\\ude00", "\\ud83d", "\\ude00\\ud83d", "\\u0000",
+      "\\u00e9", "\\u20ac", "\\uffff", "\\u12", "\\u", "\\x41", "\\"};
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int iteration = 0; iteration < 20000; ++iteration) {
+    std::string body = EncodeSetBody(kSets[rng.NextBounded(kSets.size())]);
+    for (uint64_t round = rng.NextBounded(3) + 1; round > 0; --round) {
+      size_t at = rng.NextBounded(body.size() + 1);
+      switch (rng.NextBounded(5)) {
+        case 0:
+          if (at < body.size()) {
+            body[at] ^= static_cast<char>(1u << rng.NextBounded(8));
+          }
+          break;
+        case 1:
+          body.resize(at);
+          break;
+        case 2:
+          body.insert(at, 1, rng.NextBounded(2) != 0 ? '"' : '\\');
+          break;
+        case 3:
+          body.insert(at, kEscapes[rng.NextBounded(kEscapes.size())]);
+          break;
+        default:
+          body.insert(at, 1, '\0');
+          break;
+      }
+    }
+    ConfigSetInput input;
+    Status status = ParseConfigSetJson(body, &input);
+    if (!status.ok()) {
+      ++rejected;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << testing::PrintToString(body);
+      size_t at_byte = status.message().rfind(" at byte ");
+      ASSERT_NE(at_byte, std::string::npos) << status.message();
+      EXPECT_LE(std::stoull(status.message().substr(at_byte + 9)), body.size())
+          << status.message();
+      continue;
+    }
+    ++accepted;
+    ConfigSetInput again;
+    Status reparsed = ParseConfigSetJson(EncodeSetBody(input.files), &again);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.message() << " for " << testing::PrintToString(body);
+    EXPECT_EQ(again.name, input.name) << testing::PrintToString(body);
+    ASSERT_EQ(again.files.size(), input.files.size()) << testing::PrintToString(body);
+    for (size_t i = 0; i < input.files.size(); ++i) {
+      EXPECT_EQ(again.files[i].name, input.files[i].name) << testing::PrintToString(body);
+      EXPECT_EQ(again.files[i].text, input.files[i].text) << testing::PrintToString(body);
+    }
+  }
+  // The mutations must reach both outcomes, or the harness proves nothing.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 }  // namespace

@@ -257,6 +257,19 @@ TEST(ServeTest, MalformedRawAndSetBodiesGet400) {
             "\"message\":\"line 1: settings line has an empty key\"}\n");
   EXPECT_EQ(server.stats().invalid_requests, 1u);
   EXPECT_EQ(server.stats().served_ok, 0u);
+
+  // The same line at line 2 of a set fragment: the same 400, addressed to
+  // the fragment.
+  std::string set_body =
+      "{\"files\":[{\"name\":\"main.conf\",\"text\":\"log_level = 2\\ninclude frag.conf\\n\"},"
+      "{\"name\":\"frag.conf\",\"text\":\"log_level = 3\\n= 5\\n\"}]}";
+  response = RoundTrip(server.port(), Request("POST", route, set_body));
+  EXPECT_EQ(StatusOf(response), 400) << response;
+  EXPECT_EQ(BodyOf(response),
+            "{\"type\":\"error\",\"status\":\"invalid_argument\","
+            "\"message\":\"frag.conf: line 2: settings line has an empty key\"}\n");
+  EXPECT_EQ(server.stats().invalid_requests, 2u);
+  EXPECT_EQ(server.stats().served_ok, 0u);
 }
 
 TEST(ServeTest, BatchFramesConfigsAndContainsPoisonedOnes) {
