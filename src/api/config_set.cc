@@ -202,7 +202,7 @@ class SetResolver {
     ConfigFile file = ConfigFile::Parse(*text, dialect_);
     for (const ConfigEntry& entry : file.entries()) {
       if (!out_.status.ok()) {
-        break;  // A malformed line fails the whole set; stop where it is.
+        break;  // An included file had a malformed line: the set fails.
       }
       if (entry.kind != ConfigEntry::Kind::kSetting) {
         continue;
@@ -213,7 +213,7 @@ class SetResolver {
         if (entry.defect != nullptr) {
           out_.status = Status::InvalidArgument(name + ": line " + std::to_string(entry.line) +
                                                 ": " + entry.defect);
-          continue;
+          break;
         }
         Apply(name, entry);
         continue;

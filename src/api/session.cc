@@ -265,10 +265,10 @@ BatchSummary Target::RunBatch(std::span<const BatchConfig> configs, const BatchO
 
 BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
                                       const BatchOptions& options, BatchObserver* observer) {
-  std::vector<BatchConfig> inputs;
-  inputs.reserve(configs.size());
-  for (const ConfigInput& config : configs) {
-    inputs.push_back(BatchConfig{.name = config.name, .text = config.text});
+  std::vector<BatchConfig> inputs(configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    inputs[i].name = configs[i].name;
+    inputs[i].text = configs[i].text;
   }
   return RunBatch(inputs, options, observer);
 }
@@ -296,18 +296,18 @@ BatchSummary Target::CheckResolvedConfigSets(std::span<const ResolvedConfigSet> 
   // on effective values exactly as it does for single files. A set that
   // could not be resolved, or that has a malformed line, fails before the
   // batch looks at it.
-  std::vector<BatchConfig> inputs;
-  inputs.reserve(sets.size());
-  for (const ResolvedConfigSet& resolution : sets) {
-    BatchConfig input{.name = resolution.name, .config = &resolution.effective,
-                      .status = resolution.status};
+  std::vector<BatchConfig> inputs(sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const ResolvedConfigSet& resolution = sets[i];
+    inputs[i].name = resolution.name;
+    inputs[i].config = &resolution.effective;
+    inputs[i].status = resolution.status;
     if (!resolution.resolved()) {
       std::string detail = resolution.errors.empty() ? std::string("no files resolved")
                                                      : resolution.errors.front().ToString();
-      input.status =
+      inputs[i].status =
           Status::InvalidArgument("config set '" + resolution.name + "' unresolvable: " + detail);
     }
-    inputs.push_back(std::move(input));
   }
   // The observer is withheld here and replayed below: reports stream only
   // after their violations have been re-addressed to winning-assignment
