@@ -676,11 +676,12 @@ std::string EncodeSetBody(const std::vector<ConfigInput>& files) {
 TEST(ParserHarnessTest, MutatedSetBodiesKeepTheParserContract) {
   SCOPED_TRACE("gtest random seed " + std::to_string(GtestSeed()));
   DeterministicRng rng(HarnessSeed(0x6a736f6e2d736574ULL));
+  static constexpr char kNulText[] = "nul\0byte = \x01\x7f\n";
   const std::vector<std::vector<ConfigInput>> kSets = {
       {{"main.conf", "log_level = 2\ninclude conf.d/site.conf\n"},
        {"conf.d/site.conf", "log_level = 3\n# caf\xc3\xa9 \xe2\x82\xac\n"}},
       {{"squid.conf", "workers 4\r\ncache_mem 64 MB\tx\n"}},
-      {{"a \"quoted\" \\ name", std::string("nul\0byte = \x01\x7f\n", 17)}},
+      {{"a \"quoted\" \\ name", std::string(kNulText, sizeof(kNulText) - 1)}},
   };
   const std::vector<std::string> kEscapes = {
       "\\ud800", "\\udfff", "\\ud83d\\ude00", "\\ud83d", "\\ude00\\ud83d", "\\u0000",
