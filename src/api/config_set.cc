@@ -136,6 +136,10 @@ class SetResolver {
   ResolvedConfigSet Run(const std::string& root_name) {
     out_.name = root_name;
     ExpandFile(root_name, /*from_file=*/"", /*from_line=*/0, /*depth=*/0);
+    if (!out_.resolved()) {  // The root's load failure is the first error.
+      out_.status = Status::InvalidArgument("config set '" + root_name +
+                                            "' unresolvable: " + out_.errors.front().ToString());
+    }
     // Materialize the effective config: each key once, at the position of
     // its first assignment, carrying the value of its last.
     ConfigFile effective(dialect_);

@@ -110,8 +110,8 @@ struct ResolvedConfigSet {
   std::vector<SettingProvenance> provenance;
   std::vector<ConfigSetError> errors;
   size_t files_resolved = 0;
-  // kInvalidArgument "<file>: line N: <defect>" for the first malformed
-  // settings line; the set is then not checked at all.
+  // kInvalidArgument when the set cannot be checked at all: its root did
+  // not load, or "<file>: line N: <defect>" for its first malformed line.
   Status status;
 
   // False only when the root itself could not be loaded — every other

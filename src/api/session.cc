@@ -293,21 +293,14 @@ BatchSummary Target::CheckResolvedConfigSets(std::span<const ResolvedConfigSet> 
                                              const BatchOptions& options,
                                              BatchObserver* observer) {
   // The batch sees only the flattened configs, so dedup across sets keys
-  // on effective values exactly as it does for single files. A set that
-  // could not be resolved, or that has a malformed line, fails before the
-  // batch looks at it.
+  // on effective values exactly as it does for single files. A set whose
+  // status failed is not checked.
   std::vector<BatchConfig> inputs(sets.size());
   for (size_t i = 0; i < sets.size(); ++i) {
     const ResolvedConfigSet& resolution = sets[i];
     inputs[i].name = resolution.name;
     inputs[i].config = &resolution.effective;
     inputs[i].status = resolution.status;
-    if (!resolution.resolved()) {
-      std::string detail = resolution.errors.empty() ? std::string("no files resolved")
-                                                     : resolution.errors.front().ToString();
-      inputs[i].status =
-          Status::InvalidArgument("config set '" + resolution.name + "' unresolvable: " + detail);
-    }
   }
   // The observer is withheld here and replayed below: reports stream only
   // after their violations have been re-addressed to winning-assignment
