@@ -573,7 +573,9 @@ TEST(ParserHarnessTest, HostileConfigTreesMatchTheirFlatFile) {
                                         equals ? "depth = 1\n" : "depth 1\n");
     ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
 
-    auto include_line = [&](const std::string& self) {
+    auto include_line = [&](const std::string& name) {
+      // The including file itself, named relative to its own directory.
+      const std::string self = name.front() == '/' ? name : name.substr(name.rfind('/') + 1);
       const std::vector<std::string> operands = {
           "", "\"\"", self, "\"" + self + "\"", "'a.conf'", "<conf.d/b.conf>", "a.conf",
           "../a.conf", "conf.d/../root.conf", "/etc/abs.conf", "root.conf", "conf.d",
