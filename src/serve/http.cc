@@ -60,7 +60,12 @@ HttpParser::State HttpParser::FinishHeaders(size_t header_end) {
       continue;  // Tolerate junk header lines; framing is what matters.
     }
     std::string name = ToLowerCopy(TrimOws(line.substr(0, colon)));
-    request_.headers[name] = std::string(TrimOws(line.substr(colon + 1)));
+    auto [it, inserted] = request_.headers.try_emplace(name);
+    if (!inserted && name == "content-length") {
+      // Which length frames the body would be a guess (RFC 9112 §6.3).
+      return Fail("repeated Content-Length header");
+    }
+    it->second = std::string(TrimOws(line.substr(colon + 1)));
   }
 
   body_length_ = 0;

@@ -64,7 +64,9 @@ inline constexpr size_t kMaxHeaderBytes = 16 * 1024;
 //   }
 //
 // Extra bytes past the current request's Content-Length are consumed and
-// discarded (no pipelining — same contract as before). Reset() rearms the
+// discarded (no pipelining — same contract as before). A Content-Length
+// that is not all digits, or a second Content-Length header, is kError:
+// the body's framing would be a guess (RFC 9112 §6.3). Reset() rearms the
 // machine for the next request on a kept-alive connection.
 class HttpParser {
  public:

@@ -406,6 +406,24 @@ TEST(ParserHarnessTest, MutatedHttpRequestsKeepTheParserContract) {
   EXPECT_GT(errors, 100u);
 }
 
+// Two Content-Length headers leave the body's framing ambiguous, so the
+// request fails whether the values differ or agree, whatever the case of
+// the names, and however the bytes arrive.
+TEST(ParserRobustnessTest, RepeatedContentLengthFailsTheRequest) {
+  const std::vector<std::string> wires = {
+      "POST /check HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nabcdefgh",
+      "POST /check HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc",
+      "POST /check HTTP/1.1\r\nContent-Length: 3\r\nHost: x\r\nCONTENT-LENGTH:5\r\n\r\nabcde",
+  };
+  for (const std::string& wire : wires) {
+    for (const HttpOutcome& outcome : {FeedHttp(wire, {}), FeedHttp(wire, EveryByte(wire))}) {
+      ASSERT_EQ(outcome.state, HttpParser::State::kError)
+          << testing::PrintToString(wire) << " " << DescribeHttp(outcome);
+      EXPECT_EQ(outcome.error.message(), "repeated Content-Length header");
+    }
+  }
+}
+
 // Random config lines over a hostile alphabet: bare token runs, comments,
 // and key/value lines split by '=' or a space.
 class HostileLines {
