@@ -696,6 +696,74 @@ void BM_FleetCheckRecheck(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetCheckRecheck)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// Include-tree fleet: 200 squid trees shaped like perfbench's
+// fleet-recheck ones. Each root holds half the template and includes a
+// base fragment (the other half) and a site fragment that overrides two
+// settings with per-user values. Static mode, so a batch times include
+// resolution plus phase 1 (static check of each effective file).
+std::vector<ConfigSetInput>* BuildConfigSetFleet(Target* target) {
+  const ConfigFile base = ConfigFile::Parse(target->analysis().bundle.template_config,
+                                            target->dialect());
+  const char* separator = target->dialect() == ConfigDialect::kKeyValue ? " " : " = ";
+  auto line = [&](const std::string& key, const std::string& value) {
+    return key + separator + value + "\n";
+  };
+  std::vector<const ConfigEntry*> settings;
+  for (const ConfigEntry& entry : base.entries()) {
+    if (entry.kind == ConfigEntry::Kind::kSetting) {
+      settings.push_back(&entry);
+    }
+  }
+  auto* fleet = new std::vector<ConfigSetInput>;
+  fleet->reserve(200);
+  for (int i = 0; i < 200; ++i) {
+    const std::string stem = "user" + std::to_string(i);
+    std::string root, rest, site;
+    for (size_t k = 0; k < settings.size(); ++k) {
+      (k < settings.size() / 2 ? root : rest) += line(settings[k]->key, settings[k]->value);
+    }
+    root += line("include", "conf.d/" + stem + "-base.conf");
+    root += line("include", "conf.d/" + stem + "-site.conf");
+    site += line("client_lifetime_0", std::to_string(9000000000LL + i));  // 32-bit overflow.
+    site += line("request_buffer_len_0", std::to_string(1 + i % 50));     // Below the range.
+    fleet->push_back(ConfigSetInput{stem + ".conf",
+                                    {{stem + ".conf", std::move(root)},
+                                     {"conf.d/" + stem + "-base.conf", std::move(rest)},
+                                     {"conf.d/" + stem + "-site.conf", std::move(site)}}});
+  }
+  return fleet;
+}
+
+// Arg 0: BatchOptions::num_threads (1 = serial, 0 = session pool width).
+void BM_ConfigSetCheck(benchmark::State& state) {
+  static Session* kSession = new Session();
+  static Target* kTarget = [] {
+    Target* target = kSession->LoadTarget("squid");
+    if (target == nullptr) {
+      std::cerr << kSession->RenderDiagnostics();
+      std::abort();
+    }
+    return target;
+  }();
+  static std::vector<ConfigSetInput>* kFleet = BuildConfigSetFleet(kTarget);
+  BatchOptions options;
+  options.check.mode = CheckMode::kStatic;
+  options.num_threads = static_cast<int>(state.range(0));
+  std::vector<ResolvedConfigSet> resolutions;
+  for (auto _ : state) {
+    BatchSummary summary = kTarget->CheckConfigSet(*kFleet, options, nullptr, &resolutions);
+    benchmark::DoNotOptimize(summary);
+  }
+  size_t files = 0;
+  for (const ResolvedConfigSet& set : resolutions) {
+    files += set.files_resolved;
+  }
+  state.counters["files_resolved"] = static_cast<double>(files);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kFleet->size()));
+}
+BENCHMARK(BM_ConfigSetCheck)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Two inline versions of a MiniC server for the matrix benchmark: v2
 // tightens worker_threads (64 -> 8) — the upgrade-regression shape.
 constexpr const char* kMatrixV1 = R"(

@@ -98,10 +98,12 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # 4-way sharded warm batches while the append path publishes copy-on-write
 # updates — the single-writer/lock-free-reader contract must be race-free.
 ./build-tsan/verdict_store_test
-# Multi-file config sets under TSan: the seeded differential harness runs
-# the 4-worker sharded CheckConfigSet path (resolution + provenance rewrite
-# around the sharded batch), which must be race-free and bit-identical to
-# the serial single-file reference.
+# Multi-file config sets under TSan: the seeded differential harnesses run
+# the 4-worker CheckConfigSet path (resolution sharded on the session pool,
+# one set per slot, then the sharded batch and the provenance rewrite),
+# which must be race-free, resolve every set exactly as a direct
+# ResolveConfigSet does, and check bit-identically to the serial
+# single-file reference.
 ./build-tsan/config_set_test
 # Malformed-input corpus (truncated includes, self-includes, include
 # bombs, non-UTF8, megabyte lines, hostile JSON bodies): containment must

@@ -14,6 +14,14 @@ double BatchSummary::DedupRatio() const {
   return 1.0 - static_cast<double>(unique_replays) / static_cast<double>(total_suspects);
 }
 
+size_t BatchWorkerCount(const BatchOptions& options, const ThreadPool* pool) {
+  if (options.num_threads == 0 && pool != nullptr) {
+    return pool->size();
+  }
+  return ThreadPool::ResolveThreadCount(
+      options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads));
+}
+
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
                            const ConfigFile& template_config, ConfigDialect dialect,
                            InjectionCampaign* campaign, ThreadPool* pool,
@@ -59,11 +67,7 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
       }
     }
   };
-  const size_t requested_workers =
-      options.num_threads == 0 && pool != nullptr
-          ? pool->size()
-          : ThreadPool::ResolveThreadCount(
-                options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads));
+  const size_t requested_workers = BatchWorkerCount(options, pool);
   if (pool == nullptr) {
     analyze_range(0, count);
   } else {

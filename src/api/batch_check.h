@@ -153,6 +153,11 @@ struct BatchConfig {
   Status status;
 };
 
+// The one worker-count rule of a batch, shared by every sharded phase
+// (include resolution, phase 1, replay): the pool's full width for
+// num_threads == 0, else num_threads itself (a negative count means 1).
+size_t BatchWorkerCount(const BatchOptions& options, const ThreadPool* pool);
+
 // The batch engine behind Target::CheckConfigBatch and
 // Target::CheckResolvedConfigSets. `campaign` carries the persistent
 // snapshot cache and may be null for static-only batches (it is also

@@ -40,13 +40,24 @@ std::string ConfigSetError::ToString() const {
   return at + ": ?";
 }
 
-const SettingProvenance* ResolvedConfigSet::FindProvenance(std::string_view key) const {
-  for (const SettingProvenance& prov : provenance) {
-    if (prov.key == key) {
-      return &prov;
+namespace {
+
+// The index of `key` in set.effective, which is also its provenance's.
+std::optional<size_t> EffectiveIndex(const ResolvedConfigSet& set, std::string_view key) {
+  const std::vector<ConfigEntry>& entries = set.effective.entries();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].key == key) {
+      return i;
     }
   }
-  return nullptr;
+  return std::nullopt;
+}
+
+}  // namespace
+
+const SettingProvenance* ResolvedConfigSet::FindProvenance(std::string_view key) const {
+  std::optional<size_t> index = EffectiveIndex(*this, key);
+  return index.has_value() ? &provenance[*index] : nullptr;
 }
 
 MemoryConfigSetSource::MemoryConfigSetSource(std::span<const ConfigInput> files) {
@@ -141,12 +152,19 @@ class SetResolver {
                                             "' unresolvable: " + out_.errors.front().ToString());
     }
     // Materialize the effective config: each key once, at the position of
-    // its first assignment, carrying the value of its last.
-    ConfigFile effective(dialect_);
-    for (const SettingProvenance& prov : out_.provenance) {
-      effective.Set(prov.key, prov.winner.value);
+    // its first assignment, carrying the value of its last. Keys are
+    // unique by construction, so one pass builds it.
+    std::vector<ConfigEntry> entries(out_.provenance.size());
+    for (const auto& [key, index] : key_index_) {
+      entries[index].key = key;
     }
-    out_.effective = std::move(effective);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      entries[i].value = std::move(values_[i]);
+      entries[i].line = static_cast<uint32_t>(i + 1);
+    }
+    out_.effective = ConfigFile(dialect_, std::move(entries));
+    // The set outlives its resolution; drop the vector's growth slack.
+    out_.provenance.shrink_to_fit();
     return std::move(out_);
   }
 
@@ -161,19 +179,19 @@ class SetResolver {
     out_.errors.push_back(std::move(error));
   }
 
-  void Apply(const std::string& file, const ConfigEntry& entry) {
-    auto it = key_index_.find(entry.key);
-    if (it == key_index_.end()) {
-      SettingProvenance prov;
-      prov.key = entry.key;
-      prov.winner = SettingOrigin{file, entry.line, entry.value};
-      key_index_.emplace(entry.key, out_.provenance.size());
-      out_.provenance.push_back(std::move(prov));
+  void Apply(uint32_t file, const ConfigEntry& entry) {
+    auto [it, inserted] = key_index_.try_emplace(entry.key, out_.provenance.size());
+    if (inserted) {
+      out_.provenance.push_back(SettingProvenance{file, entry.line, {}});
+      values_.push_back(entry.value);
       return;
     }
     SettingProvenance& prov = out_.provenance[it->second];
-    prov.shadowed.push_back(std::move(prov.winner));
-    prov.winner = SettingOrigin{file, entry.line, entry.value};
+    std::string& value = values_[it->second];
+    prov.shadowed.push_back(SettingOrigin{prov.file, prov.line, std::move(value)});
+    prov.file = file;
+    prov.line = entry.line;
+    value = entry.value;
   }
 
   void ExpandFile(const std::string& name, const std::string& from_file, uint32_t from_line,
@@ -201,6 +219,8 @@ class SetResolver {
       AddError(ConfigSetError::Kind::kMissingInclude, from_file, from_line, name);
       return;
     }
+    const uint32_t file_index = static_cast<uint32_t>(out_.files.size());
+    out_.files.push_back(name);
     ++out_.files_resolved;
     stack_.insert(name);
     ConfigFile file = ConfigFile::Parse(*text, dialect_);
@@ -219,7 +239,7 @@ class SetResolver {
                                                 ": " + entry.defect);
           break;
         }
-        Apply(name, entry);
+        Apply(file_index, entry);
         continue;
       }
       if (operand.empty()) {
@@ -248,6 +268,7 @@ class SetResolver {
   ConfigSetOptions options_;
   ResolvedConfigSet out_;
   std::unordered_map<std::string, size_t> key_index_;
+  std::vector<std::string> values_;  // Each key's winning value, by index.
   std::unordered_set<std::string> stack_;
   bool expansion_stopped_ = false;
 };
@@ -268,8 +289,8 @@ ResolvedConfigSet ResolveConfigSet(std::span<const ConfigInput> files, ConfigDia
 
 namespace {
 
-std::string OriginRef(const SettingOrigin& origin) {
-  return origin.file + ":" + std::to_string(origin.line);
+std::string OriginRef(const ResolvedConfigSet& set, uint32_t file, uint32_t line) {
+  return set.files[file] + ":" + std::to_string(line);
 }
 
 void AppendNote(std::string* note, std::string text) {
@@ -289,21 +310,27 @@ void RewriteViolationsWithProvenance(const ResolvedConfigSet& set,
     if (prov == nullptr) {
       continue;  // Not a key of this set (defensive; should not happen).
     }
-    violation.file = prov->winner.file;
-    violation.line = prov->winner.line;
+    violation.file = set.files[prov->file];
+    violation.line = prov->line;
     std::string note;
     for (const SettingOrigin& shadow : prov->shadowed) {
-      AppendNote(&note, "overridden at " + OriginRef(shadow) + " (earlier value '" +
-                            shadow.value + "')");
+      AppendNote(&note, "overridden at " + OriginRef(set, shadow.file, shadow.line) +
+                            " (earlier value '" + shadow.value + "')");
     }
     // Cross-parameter findings: name the file the peer resolved from when
     // it is not the same file as the primary — the whole point of checking
-    // the set instead of its fragments.
+    // the set instead of its fragments. Names, not indices, are compared:
+    // one file can load twice.
     auto note_peer = [&](const std::string& peer_key) {
-      const SettingProvenance* peer = set.FindProvenance(peer_key);
-      if (peer != nullptr && peer->winner.file != prov->winner.file) {
-        AppendNote(&note, "cross-file: " + peer_key + " = '" + peer->winner.value +
-                              "' resolves from " + OriginRef(peer->winner));
+      std::optional<size_t> index = EffectiveIndex(set, peer_key);
+      if (!index.has_value()) {
+        return;
+      }
+      const SettingProvenance& peer = set.provenance[*index];
+      if (set.files[peer.file] != set.files[prov->file]) {
+        AppendNote(&note, "cross-file: " + peer_key + " = '" +
+                              set.effective.entries()[*index].value + "' resolves from " +
+                              OriginRef(set, peer.file, peer.line));
       }
     };
     if (violation.category == ViolationCategory::kValueRel) {

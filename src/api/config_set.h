@@ -32,10 +32,11 @@
 //     directives exempt. A malformed line stops resolution and fails the
 //     set, as the same line fails a flat file (ResolvedConfigSet::status).
 //
-// Target::CheckConfigSet (src/api/session.h) hands each effective config
-// to the batch engine as parsed, so a suspect's execution identity is the
-// *effective* value: two fleets that differ only in include structure
-// deduplicate to the same replay. A set checks bit-identically to its
+// Target::CheckConfigSet (src/api/session.h) resolves its sets on the
+// batch's shards and hands each effective config to the batch engine as
+// parsed, so a suspect's execution identity is the *effective* value: two
+// fleets that differ only in include structure deduplicate to the same
+// replay. A set checks bit-identically to its
 // serialized effective config as a single file, at every thread count,
 // except that violations point at the winning assignment's file:line and
 // name what it overrode (tests/config_set_test.cc proves this).
@@ -81,18 +82,21 @@ struct ConfigSetError {
 
 const char* ConfigSetErrorKindName(ConfigSetError::Kind kind);
 
-// One assignment as written in one source file.
+// One assignment as written in one source file. `file` indexes the
+// resolved set's `files`.
 struct SettingOrigin {
-  std::string file;
+  uint32_t file = 0;
   uint32_t line = 0;
   std::string value;
 };
 
-// Where a key's effective value came from, and every assignment it
-// overrode (in resolution order — earliest first).
+// Where one effective key's value came from. provenance[i] belongs to
+// effective.entries()[i], which holds the key and the winning value; here
+// are the winning assignment's file (an index into `files`) and line, and
+// every assignment it overrode (in resolution order — earliest first).
 struct SettingProvenance {
-  std::string key;
-  SettingOrigin winner;
+  uint32_t file = 0;
+  uint32_t line = 0;
   std::vector<SettingOrigin> shadowed;
 };
 
@@ -104,12 +108,15 @@ struct ConfigSetOptions {
 
 // The flattened result of resolving one root file.
 struct ResolvedConfigSet {
-  std::string name;      // Root file name; the report identity downstream.
+  std::string name;  // Root file name; the report identity downstream.
+  // The name of every file loaded, in load order; a file loaded twice is
+  // listed twice. Provenance names files by their index here.
+  std::vector<std::string> files;
   ConfigFile effective;  // Flattened last-wins config (settings only).
-  // One entry per effective key, in effective-file order.
+  // provenance[i] belongs to effective.entries()[i].
   std::vector<SettingProvenance> provenance;
   std::vector<ConfigSetError> errors;
-  size_t files_resolved = 0;
+  size_t files_resolved = 0;  // Always files.size().
   // kInvalidArgument when the set cannot be checked at all: its root did
   // not load, or "<file>: line N: <defect>" for its first malformed line.
   Status status;

@@ -258,9 +258,12 @@ BatchSummary Target::RunBatch(std::span<const BatchConfig> configs, const BatchO
   if (dynamic) {
     campaign = EnsureCampaign();
   }
-  ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
-  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(), pool,
-                       configs, options, observer);
+  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(),
+                       BatchPool(options), configs, options, observer);
+}
+
+ThreadPool* Target::BatchPool(const BatchOptions& options) {
+  return options.num_threads != 1 ? session_->worker_pool() : nullptr;
 }
 
 BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
@@ -280,11 +283,22 @@ BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
   std::vector<ResolvedConfigSet> local;
   std::vector<ResolvedConfigSet>& resolved = resolutions != nullptr ? *resolutions : local;
   resolved.clear();
-  for (const ConfigSetInput& set : sets) {
-    resolved.push_back(ResolveConfigSet(set.files, dialect(), set_options));
-    if (!set.name.empty()) {
-      resolved.back().name = set.name;
+  resolved.resize(sets.size());
+  // Each set resolves independently into its own slot, so a sharded batch
+  // resolves on the pool with phase 1's shard count.
+  auto resolve_range = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      resolved[i] = ResolveConfigSet(sets[i].files, dialect(), set_options);
+      if (!sets[i].name.empty()) {
+        resolved[i].name = sets[i].name;
+      }
     }
+  };
+  ThreadPool* pool = BatchPool(options);
+  if (pool == nullptr) {
+    resolve_range(0, sets.size());
+  } else {
+    pool->ShardRange(sets.size(), BatchWorkerCount(options, pool), resolve_range);
   }
   return CheckResolvedConfigSets(resolved, options, observer);
 }

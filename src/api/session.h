@@ -233,8 +233,10 @@ class Target {
 
   // Multi-file fleet checking: each ConfigSetInput is an include tree
   // (files[0] the root), resolved to its effective config and checked as
-  // src/api/config_set.h describes. Resolution faults land on the set's
-  // ResolvedConfigSet (written to `resolutions` when non-null, batch
+  // src/api/config_set.h describes. Sets resolve on the calling thread
+  // at num_threads == 1, else sharded on the session pool with the
+  // batch's worker count (BatchWorkerCount). Resolution faults land on the
+  // set's ResolvedConfigSet (written to `resolutions` when non-null, batch
   // order); an unloadable root or a malformed line fails the set with
   // kInvalidArgument and no violations. `observer` streams per-set
   // reports in batch order after the whole batch, since provenance
@@ -290,6 +292,8 @@ class Target {
   // engine behind CheckConfigBatch and CheckResolvedConfigSets.
   BatchSummary RunBatch(std::span<const BatchConfig> configs, const BatchOptions& options,
                         BatchObserver* observer);
+  // The session pool for a sharded batch (num_threads != 1), else null.
+  ThreadPool* BatchPool(const BatchOptions& options);
   // Generates the batch on first use; caller holds campaign_mutex_.
   const std::vector<Misconfiguration>& MisconfigsLocked();
   // The persistent campaign (created with default options on first use);

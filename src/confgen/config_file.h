@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/support/status.h"
@@ -47,6 +48,9 @@ class ConfigFile {
  public:
   ConfigFile() = default;
   explicit ConfigFile(ConfigDialect dialect) : dialect_(dialect) {}
+  // Adopts `entries` as they are; the caller keeps setting keys unique.
+  ConfigFile(ConfigDialect dialect, std::vector<ConfigEntry> entries)
+      : dialect_(dialect), entries_(std::move(entries)) {}
 
   // The one syntax rule for config text: a key=value settings line with no
   // '=' or an empty key is malformed; key-value accepts bare directives.

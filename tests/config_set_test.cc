@@ -210,14 +210,17 @@ TEST(ConfigSetTest, ResolvesNestedIncludesDepthFirstLastWins) {
 
   const SettingProvenance* prov = set.FindProvenance("worker_threads");
   ASSERT_NE(prov, nullptr);
-  EXPECT_EQ(prov->winner.file, "conf.d/b.conf");
-  EXPECT_EQ(prov->winner.line, 1u);
-  EXPECT_EQ(prov->winner.value, "16");
+  // provenance[i] belongs to effective.entries()[i]; files in load order.
+  EXPECT_EQ(prov, &set.provenance[0]);
+  EXPECT_EQ(set.files[prov->file], "conf.d/b.conf");
+  EXPECT_EQ(prov->line, 1u);
+  EXPECT_EQ(set.effective.entries()[0].value, "16");
   ASSERT_EQ(prov->shadowed.size(), 2u);
-  EXPECT_EQ(prov->shadowed[0].file, "base.conf");
+  EXPECT_EQ(set.files[prov->shadowed[0].file], "base.conf");
   EXPECT_EQ(prov->shadowed[0].value, "2");
-  EXPECT_EQ(prov->shadowed[1].file, "conf.d/a.conf");
+  EXPECT_EQ(set.files[prov->shadowed[1].file], "conf.d/a.conf");
   EXPECT_EQ(prov->shadowed[1].value, "8");
+  EXPECT_EQ(set.files, (std::vector<std::string>{"base.conf", "conf.d/a.conf", "conf.d/b.conf"}));
 }
 
 TEST(ConfigSetTest, IncludeDirAppliesSortedAndQuotedOperandsResolve) {
@@ -236,10 +239,10 @@ TEST(ConfigSetTest, IncludeDirAppliesSortedAndQuotedOperandsResolve) {
   // Sorted order: 05-early applies before 10-late, so 10-late wins.
   const SettingProvenance* prov = set.FindProvenance("cache_ttl");
   ASSERT_NE(prov, nullptr);
-  EXPECT_EQ(prov->winner.file, "conf.d/10-late.conf");
-  EXPECT_EQ(prov->winner.value, "900");
+  EXPECT_EQ(set.files[prov->file], "conf.d/10-late.conf");
+  EXPECT_EQ(set.effective.Get("cache_ttl"), "900");
   ASSERT_EQ(prov->shadowed.size(), 1u);
-  EXPECT_EQ(prov->shadowed[0].file, "conf.d/05-early.conf");
+  EXPECT_EQ(set.files[prov->shadowed[0].file], "conf.d/05-early.conf");
   EXPECT_EQ(set.effective.Get("use_cache"), "off");
 }
 
@@ -342,6 +345,46 @@ TEST(ConfigSetTest, CrossFileControlDependencyNamesThePeerFile) {
   EXPECT_EQ(violation->file, "conf.d/site.conf");
   EXPECT_NE(violation->override_note.find("cross-file: use_cache = 'off' resolves from base.conf:1"),
             std::string::npos)
+      << violation->override_note;
+}
+
+// A file included twice loads twice and is listed twice in `files`. Its
+// two loads are one file to the cross-file note, which compares names.
+TEST(ConfigSetTest, FileLoadedTwiceIsOneFileToTheCrossFileNote) {
+  Session session;
+  Target* target = LoadFleetServer(session);
+  ASSERT_NE(target, nullptr);
+  std::vector<ConfigSetInput> sets(1);
+  sets[0].files = {
+      {"base.conf",
+       "include conf.d/site.conf\n"
+       "use_cache = on\n"
+       "include conf.d/site.conf\n"},
+      {"conf.d/site.conf", "use_cache = off\ncache_ttl = 600\n"},
+  };
+  std::vector<ResolvedConfigSet> resolutions;
+  BatchSummary summary = target->CheckConfigSet(sets, {}, nullptr, &resolutions);
+  ASSERT_EQ(resolutions.size(), 1u);
+  const ResolvedConfigSet& set = resolutions[0];
+  EXPECT_EQ(set.files,
+            (std::vector<std::string>{"base.conf", "conf.d/site.conf", "conf.d/site.conf"}));
+  EXPECT_EQ(set.files_resolved, 3u);
+  const SettingProvenance* prov = set.FindProvenance("use_cache");
+  ASSERT_NE(prov, nullptr);
+  EXPECT_EQ(prov->file, 2u);
+  ASSERT_EQ(prov->shadowed.size(), 2u);
+  EXPECT_EQ(prov->shadowed[0].file, 1u);
+  EXPECT_EQ(set.files[prov->shadowed[1].file], "base.conf");
+
+  ASSERT_EQ(summary.reports.size(), 1u);
+  const Violation* violation =
+      FindViolation(summary.reports[0].violations, ViolationCategory::kControlDep, "cache_ttl");
+  ASSERT_NE(violation, nullptr);
+  EXPECT_EQ(violation->file, "conf.d/site.conf");
+  EXPECT_EQ(violation->line, 2u);
+  EXPECT_EQ(violation->override_note.find("cross-file"), std::string::npos)
+      << violation->override_note;
+  EXPECT_NE(violation->override_note.find("overridden at conf.d/site.conf:2"), std::string::npos)
       << violation->override_note;
 }
 
@@ -765,21 +808,28 @@ void ExpandReference(const GenTree& tree, size_t index, std::set<size_t>* stack,
   stack->erase(index);
 }
 
-// Reference last-wins flattening of the assignment sequence.
-std::vector<SettingProvenance> ReferenceProvenance(const std::vector<RefAssign>& sequence) {
-  std::vector<SettingProvenance> provenance;
+// One key of the reference flattening: its last assignment and the ones
+// it overrode, earliest first.
+struct RefProvenance {
+  RefAssign winner;
+  std::vector<RefAssign> shadowed;
+};
+
+// Reference last-wins flattening of the assignment sequence, one entry
+// per key in first-assignment order.
+std::vector<RefProvenance> ReferenceProvenance(const std::vector<RefAssign>& sequence) {
+  std::vector<RefProvenance> provenance;
   std::unordered_map<std::string, size_t> index;
   for (const RefAssign& assign : sequence) {
-    SettingOrigin origin{assign.file, assign.line, assign.value};
     auto it = index.find(assign.key);
     if (it == index.end()) {
       index.emplace(assign.key, provenance.size());
-      provenance.push_back(SettingProvenance{assign.key, std::move(origin), {}});
+      provenance.push_back(RefProvenance{assign, {}});
       continue;
     }
-    SettingProvenance& prov = provenance[it->second];
+    RefProvenance& prov = provenance[it->second];
     prov.shadowed.push_back(std::move(prov.winner));
-    prov.winner = std::move(origin);
+    prov.winner = assign;
   }
   return provenance;
 }
@@ -802,23 +852,26 @@ TEST(ConfigSetDifferentialTest, SeededTreesResolveToTheirReferenceFlattening) {
     std::vector<RefAssign> sequence;
     std::set<size_t> stack;
     ExpandReference(tree, 0, &stack, &sequence);
-    std::vector<SettingProvenance> expected = ReferenceProvenance(sequence);
+    std::vector<RefProvenance> expected = ReferenceProvenance(sequence);
     ASSERT_EQ(set.provenance.size(), expected.size()) << files[0].name;
+    ASSERT_EQ(set.effective.entries().size(), expected.size()) << files[0].name;
     EXPECT_EQ(set.effective.SettingCount(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      const SettingProvenance& want = expected[i];
+      const RefProvenance& want = expected[i];
       const SettingProvenance& got = set.provenance[i];
-      EXPECT_EQ(got.key, want.key) << files[0].name << " #" << i;
-      EXPECT_EQ(got.winner.file, want.winner.file) << files[0].name << " " << want.key;
-      EXPECT_EQ(got.winner.line, want.winner.line) << files[0].name << " " << want.key;
-      EXPECT_EQ(got.winner.value, want.winner.value) << files[0].name << " " << want.key;
-      ASSERT_EQ(got.shadowed.size(), want.shadowed.size()) << files[0].name << " " << want.key;
+      const std::string& key = want.winner.key;
+      EXPECT_EQ(set.effective.entries()[i].key, key) << files[0].name << " #" << i;
+      EXPECT_EQ(set.files[got.file], want.winner.file) << files[0].name << " " << key;
+      EXPECT_EQ(got.line, want.winner.line) << files[0].name << " " << key;
+      EXPECT_EQ(set.effective.entries()[i].value, want.winner.value) << files[0].name << " " << key;
+      ASSERT_EQ(got.shadowed.size(), want.shadowed.size()) << files[0].name << " " << key;
       for (size_t s = 0; s < want.shadowed.size(); ++s) {
-        EXPECT_EQ(got.shadowed[s].file, want.shadowed[s].file);
+        EXPECT_EQ(set.files[got.shadowed[s].file], want.shadowed[s].file);
         EXPECT_EQ(got.shadowed[s].line, want.shadowed[s].line);
         EXPECT_EQ(got.shadowed[s].value, want.shadowed[s].value);
       }
-      EXPECT_EQ(set.effective.Get(want.key), want.winner.value);
+      EXPECT_EQ(set.effective.Get(key), want.winner.value);
+      EXPECT_EQ(set.FindProvenance(key), &got) << files[0].name << " " << key;
     }
   }
   // The corpus must actually exercise the containment paths.
@@ -893,17 +946,104 @@ TEST(ConfigSetDifferentialTest, SetChecksMatchSingleFileChecksAtEveryThreadCount
         // ...except the address, which must be the winning assignment's.
         const SettingProvenance* prov = resolutions[i].FindProvenance(rewritten.param);
         ASSERT_NE(prov, nullptr) << where;
-        EXPECT_EQ(rewritten.file, prov->winner.file) << where;
-        EXPECT_EQ(rewritten.line, prov->winner.line) << where;
+        EXPECT_EQ(rewritten.file, resolutions[i].files[prov->file]) << where;
+        EXPECT_EQ(rewritten.line, prov->line) << where;
         for (const SettingOrigin& shadow : prov->shadowed) {
-          EXPECT_NE(rewritten.override_note.find(
-                        "overridden at " + shadow.file + ":" + std::to_string(shadow.line)),
-                    std::string::npos)
+          const std::string origin =
+              resolutions[i].files[shadow.file] + ":" + std::to_string(shadow.line);
+          EXPECT_NE(rewritten.override_note.find("overridden at " + origin), std::string::npos)
               << where << " note=" << rewritten.override_note;
         }
       }
     }
   }
+}
+
+// Field-by-field equality of two resolutions of the same set.
+void ExpectSameResolution(const ResolvedConfigSet& got, const ResolvedConfigSet& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.name, want.name) << where;
+  EXPECT_EQ(got.files, want.files) << where;
+  EXPECT_EQ(got.files_resolved, want.files_resolved) << where;
+  EXPECT_EQ(got.status.code(), want.status.code()) << where;
+  EXPECT_EQ(got.status.message(), want.status.message()) << where;
+  EXPECT_EQ(got.effective.Serialize(), want.effective.Serialize()) << where;
+  ASSERT_EQ(got.provenance.size(), want.provenance.size()) << where;
+  auto same_origin = [&](const SettingOrigin& a, const SettingOrigin& b) {
+    EXPECT_EQ(a.file, b.file) << where;
+    EXPECT_EQ(a.line, b.line) << where;
+    EXPECT_EQ(a.value, b.value) << where;
+  };
+  for (size_t i = 0; i < want.provenance.size(); ++i) {
+    EXPECT_EQ(got.provenance[i].file, want.provenance[i].file) << where;
+    EXPECT_EQ(got.provenance[i].line, want.provenance[i].line) << where;
+    ASSERT_EQ(got.provenance[i].shadowed.size(), want.provenance[i].shadowed.size()) << where;
+    for (size_t s = 0; s < want.provenance[i].shadowed.size(); ++s) {
+      same_origin(got.provenance[i].shadowed[s], want.provenance[i].shadowed[s]);
+    }
+  }
+  ASSERT_EQ(got.errors.size(), want.errors.size()) << where;
+  for (size_t e = 0; e < want.errors.size(); ++e) {
+    EXPECT_EQ(got.errors[e].kind, want.errors[e].kind) << where;
+    EXPECT_EQ(got.errors[e].file, want.errors[e].file) << where;
+    EXPECT_EQ(got.errors[e].line, want.errors[e].line) << where;
+    EXPECT_EQ(got.errors[e].target, want.errors[e].target) << where;
+  }
+}
+
+// A sharded CheckConfigSet resolves its sets on the session pool, each into
+// its own slot: resolutions[i] must equal a direct ResolveConfigSet of
+// sets[i], faulted sets included, and each report carries its set's status.
+TEST(ConfigSetDifferentialTest, ShardedResolutionMatchesDirectResolution) {
+  constexpr int kThreads = 4;
+  Lcg rng(0x5ba4dedu);
+  std::vector<ConfigSetInput> sets;
+  for (int t = 0; t < 6 * kThreads; ++t) {
+    ConfigSetInput set;
+    set.files = RenderTree(MakeTree(rng, t));
+    sets.push_back(std::move(set));
+  }
+  // Faults the generator does not make: a malformed line in a fragment
+  // (every generated file is reached) and a set with no root at all.
+  sets[5].files.back().text += "key value no equals\n";
+  sets[17].files.back().text = "= 5\n" + sets[17].files.back().text;
+  sets[9] = ConfigSetInput{"no-root", {}};
+  sets[22] = ConfigSetInput{"no-root-either", {}};
+
+  Session session(SessionOptions{.campaign_threads = kThreads});
+  Target* target = LoadFleetServer(session);
+  ASSERT_NE(target, nullptr);
+  BatchOptions options;
+  options.num_threads = kThreads;
+  std::vector<ResolvedConfigSet> resolutions;
+  BatchSummary summary = target->CheckConfigSet(sets, options, nullptr, &resolutions);
+  ASSERT_EQ(resolutions.size(), sets.size());
+  ASSERT_EQ(summary.reports.size(), sets.size());
+
+  size_t cycles = 0;
+  size_t missing = 0;
+  size_t malformed = 0;
+  size_t unloadable = 0;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    ResolvedConfigSet direct = ResolveConfigSet(sets[i].files, ConfigDialect::kKeyEqualsValue);
+    if (!sets[i].name.empty()) {
+      direct.name = sets[i].name;
+    }
+    const std::string where = "set " + std::to_string(i);
+    ExpectSameResolution(resolutions[i], direct, where);
+    EXPECT_EQ(summary.reports[i].status.code(), direct.status.code()) << where;
+    EXPECT_EQ(summary.reports[i].status.message(), direct.status.message()) << where;
+    cycles += CountErrors(direct, ConfigSetError::Kind::kIncludeCycle);
+    missing += CountErrors(direct, ConfigSetError::Kind::kMissingInclude);
+    malformed += direct.resolved() && !direct.status.ok() ? 1 : 0;
+    unloadable += direct.resolved() ? 0 : 1;
+  }
+  // Every fault kind is present, so the comparison covers them all.
+  EXPECT_GT(cycles, 0u);
+  EXPECT_GT(missing, unloadable);
+  EXPECT_EQ(malformed, 2u);
+  EXPECT_EQ(unloadable, 2u);
+  EXPECT_EQ(summary.configs_with_errors, 4u);
 }
 
 }  // namespace
