@@ -40,24 +40,14 @@ std::string ConfigSetError::ToString() const {
   return at + ": ?";
 }
 
-namespace {
-
-// The index of `key` in set.effective, which is also its provenance's.
-std::optional<size_t> EffectiveIndex(const ResolvedConfigSet& set, std::string_view key) {
-  const std::vector<ConfigEntry>& entries = set.effective.entries();
+std::optional<size_t> ResolvedConfigSet::FindEntry(std::string_view key) const {
+  const std::vector<ConfigEntry>& entries = effective.entries();
   for (size_t i = 0; i < entries.size(); ++i) {
     if (entries[i].key == key) {
       return i;
     }
   }
   return std::nullopt;
-}
-
-}  // namespace
-
-const SettingProvenance* ResolvedConfigSet::FindProvenance(std::string_view key) const {
-  std::optional<size_t> index = EffectiveIndex(*this, key);
-  return index.has_value() ? &provenance[*index] : nullptr;
 }
 
 MemoryConfigSetSource::MemoryConfigSetSource(std::span<const ConfigInput> files) {
@@ -163,8 +153,6 @@ class SetResolver {
       entries[i].line = static_cast<uint32_t>(i + 1);
     }
     out_.effective = ConfigFile(dialect_, std::move(entries));
-    // The set outlives its resolution; drop the vector's growth slack.
-    out_.provenance.shrink_to_fit();
     return std::move(out_);
   }
 
@@ -181,17 +169,16 @@ class SetResolver {
 
   void Apply(uint32_t file, const ConfigEntry& entry) {
     auto [it, inserted] = key_index_.try_emplace(entry.key, out_.provenance.size());
+    const size_t index = it->second;
     if (inserted) {
-      out_.provenance.push_back(SettingProvenance{file, entry.line, {}});
+      out_.provenance.push_back(SettingOrigin{file, entry.line});
       values_.push_back(entry.value);
       return;
     }
-    SettingProvenance& prov = out_.provenance[it->second];
-    std::string& value = values_[it->second];
-    prov.shadowed.push_back(SettingOrigin{prov.file, prov.line, std::move(value)});
-    prov.file = file;
-    prov.line = entry.line;
-    value = entry.value;
+    out_.shadowed.push_back(ShadowedSetting{static_cast<uint32_t>(index), out_.provenance[index],
+                                            std::move(values_[index])});
+    out_.provenance[index] = SettingOrigin{file, entry.line};
+    values_[index] = entry.value;
   }
 
   void ExpandFile(const std::string& name, const std::string& from_file, uint32_t from_line,
@@ -289,8 +276,8 @@ ResolvedConfigSet ResolveConfigSet(std::span<const ConfigInput> files, ConfigDia
 
 namespace {
 
-std::string OriginRef(const ResolvedConfigSet& set, uint32_t file, uint32_t line) {
-  return set.files[file] + ":" + std::to_string(line);
+std::string OriginRef(const ResolvedConfigSet& set, const SettingOrigin& origin) {
+  return set.files[origin.file] + ":" + std::to_string(origin.line);
 }
 
 void AppendNote(std::string* note, std::string text) {
@@ -306,31 +293,30 @@ void RewriteViolationsWithProvenance(const ResolvedConfigSet& set,
                                      const ModuleConstraints& constraints,
                                      std::vector<Violation>* violations) {
   for (Violation& violation : *violations) {
-    const SettingProvenance* prov = set.FindProvenance(violation.param);
-    if (prov == nullptr) {
+    const std::optional<size_t> index = set.FindEntry(violation.param);
+    if (!index.has_value()) {
       continue;  // Not a key of this set (defensive; should not happen).
     }
-    violation.file = set.files[prov->file];
-    violation.line = prov->line;
+    const SettingOrigin& winner = set.provenance[*index];
+    violation.file = set.files[winner.file];
+    violation.line = winner.line;
     std::string note;
-    for (const SettingOrigin& shadow : prov->shadowed) {
-      AppendNote(&note, "overridden at " + OriginRef(set, shadow.file, shadow.line) +
-                            " (earlier value '" + shadow.value + "')");
+    for (const ShadowedSetting& shadow : set.shadowed) {
+      if (shadow.entry == *index) {
+        AppendNote(&note, "overridden at " + OriginRef(set, shadow.origin) + " (earlier value '" +
+                              shadow.value + "')");
+      }
     }
     // Cross-parameter findings: name the file the peer resolved from when
     // it is not the same file as the primary — the whole point of checking
     // the set instead of its fragments. Names, not indices, are compared:
     // one file can load twice.
     auto note_peer = [&](const std::string& peer_key) {
-      std::optional<size_t> index = EffectiveIndex(set, peer_key);
-      if (!index.has_value()) {
-        return;
-      }
-      const SettingProvenance& peer = set.provenance[*index];
-      if (set.files[peer.file] != set.files[prov->file]) {
+      const std::optional<size_t> peer = set.FindEntry(peer_key);
+      if (peer.has_value() && set.files[set.provenance[*peer].file] != set.files[winner.file]) {
         AppendNote(&note, "cross-file: " + peer_key + " = '" +
-                              set.effective.entries()[*index].value + "' resolves from " +
-                              OriginRef(set, peer.file, peer.line));
+                              set.effective.entries()[*peer].value + "' resolves from " +
+                              OriginRef(set, set.provenance[*peer]));
       }
     };
     if (violation.category == ViolationCategory::kValueRel) {

@@ -82,22 +82,19 @@ struct ConfigSetError {
 
 const char* ConfigSetErrorKindName(ConfigSetError::Kind kind);
 
-// One assignment as written in one source file. `file` indexes the
-// resolved set's `files`.
+// Where one assignment was written: `file` indexes the resolved set's
+// `files`, `line` is that file's line.
 struct SettingOrigin {
   uint32_t file = 0;
   uint32_t line = 0;
-  std::string value;
 };
 
-// Where one effective key's value came from. provenance[i] belongs to
-// effective.entries()[i], which holds the key and the winning value; here
-// are the winning assignment's file (an index into `files`) and line, and
-// every assignment it overrode (in resolution order — earliest first).
-struct SettingProvenance {
-  uint32_t file = 0;
-  uint32_t line = 0;
-  std::vector<SettingOrigin> shadowed;
+// An assignment a later one overrode: the effective entry it lost to (an
+// index into `effective.entries()`), where it was written, and its value.
+struct ShadowedSetting {
+  uint32_t entry = 0;
+  SettingOrigin origin;
+  std::string value;
 };
 
 // Containment limits for one resolution. Freely copyable.
@@ -110,11 +107,13 @@ struct ConfigSetOptions {
 struct ResolvedConfigSet {
   std::string name;  // Root file name; the report identity downstream.
   // The name of every file loaded, in load order; a file loaded twice is
-  // listed twice. Provenance names files by their index here.
+  // listed twice. Origins name files by their index here.
   std::vector<std::string> files;
   ConfigFile effective;  // Flattened last-wins config (settings only).
-  // provenance[i] belongs to effective.entries()[i].
-  std::vector<SettingProvenance> provenance;
+  // provenance[i] is where effective.entries()[i] got its value.
+  std::vector<SettingOrigin> provenance;
+  // Every overridden assignment, in resolution order.
+  std::vector<ShadowedSetting> shadowed;
   std::vector<ConfigSetError> errors;
   size_t files_resolved = 0;  // Always files.size().
   // kInvalidArgument when the set cannot be checked at all: its root did
@@ -124,7 +123,8 @@ struct ResolvedConfigSet {
   // False only when the root itself could not be loaded — every other
   // fault is contained and leaves a (partial) effective config.
   bool resolved() const { return files_resolved > 0; }
-  const SettingProvenance* FindProvenance(std::string_view key) const;
+  // The index of `key` in effective.entries() and in provenance.
+  std::optional<size_t> FindEntry(std::string_view key) const;
 };
 
 // Where the resolver loads files from. Load returns the file's text or

