@@ -36,10 +36,10 @@
 // batch's shards and hands each effective config to the batch engine as
 // parsed, so a suspect's execution identity is the *effective* value: two
 // fleets that differ only in include structure deduplicate to the same
-// replay. A set checks bit-identically to its
-// serialized effective config as a single file, at every thread count,
-// except that violations point at the winning assignment's file:line and
-// name what it overrode (tests/config_set_test.cc proves this).
+// replay. A set checks bit-identically to its serialized effective config
+// as a single file, at every thread count, except that violations point
+// at the winning assignment's file:line and name what it overrode
+// (tests/config_set_test.cc proves this).
 //
 // Thread-safety: resolution is a pure function of the source; distinct
 // ResolveConfigSet calls may run concurrently (a ConfigSetSource shared
