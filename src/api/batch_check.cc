@@ -3,6 +3,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/api/config_set.h"
 #include "src/api/dynamic_check.h"
 
 namespace spex {
@@ -12,14 +13,6 @@ double BatchSummary::DedupRatio() const {
     return 0.0;
   }
   return 1.0 - static_cast<double>(unique_replays) / static_cast<double>(total_suspects);
-}
-
-size_t BatchWorkerCount(const BatchOptions& options, const ThreadPool* pool) {
-  if (options.num_threads == 0 && pool != nullptr) {
-    return pool->size();
-  }
-  return ThreadPool::ResolveThreadCount(
-      options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads));
 }
 
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
@@ -67,7 +60,8 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
       }
     }
   };
-  const size_t requested_workers = BatchWorkerCount(options, pool);
+  const size_t requested_workers =
+      pool == nullptr ? 1 : ThreadPool::WorkerCount(options.num_threads, pool->size());
   if (pool == nullptr) {
     analyze_range(0, count);
   } else {
@@ -113,9 +107,11 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   }
 
   // --- Phase 4 (driver thread, batch order): fan each unique verdict out
-  // to the configs that contributed it, attach reactions, stream the
-  // report. Serial on purpose: observer callbacks are ordered and the
-  // fan-out is copies, not execution.
+  // to the configs that contributed it, attach reactions, re-address a
+  // resolved set's violations to their origins, stream the report. Serial
+  // on purpose: observer callbacks are ordered and the fan-out is copies,
+  // not execution. A verdict only one suspect needed is that suspect's own
+  // replay, so it moves instead of being copied.
   BatchSummary summary;
   summary.configs_checked = count;
   summary.reports.reserve(count);
@@ -126,8 +122,10 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
       results.reserve(slot.suspects.size());
       size_t timed_out = 0;
       for (size_t j = 0; j < slot.suspects.size(); ++j) {
-        results.push_back(
-            ReattributeResult(unique_results[slot.unique_index[j]], slot.suspects[j]));
+        const size_t unique_idx = slot.unique_index[j];
+        results.push_back(use_count[unique_idx] == 1
+                              ? std::move(unique_results[unique_idx])
+                              : ReattributeResult(unique_results[unique_idx], slot.suspects[j]));
         if (results.back().category == ReactionCategory::kDeadlineExceeded) {
           ++timed_out;
         }
@@ -143,6 +141,9 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
             std::to_string(timed_out) + " of " + std::to_string(slot.suspects.size()) +
             " suspect replays exceeded the request budget");
       }
+    }
+    if (configs[i].set != nullptr) {
+      RewriteViolationsWithProvenance(*configs[i].set, constraints, &slot.violations);
     }
 
     ConfigReport report;

@@ -25,9 +25,10 @@
 // is field-for-field what a dedicated replay would have produced.
 //
 // The execution identity is SuspectExecutionKey (src/inject/campaign.h),
-// which the verdict store keys on too. Target::CheckConfigBatch and
-// CheckConfigSet (src/api/session.h) run the whole loop through
-// RunBatchCheck below.
+// which the verdict store keys on too. Every config check of
+// src/api/session.h runs through RunBatchCheck below: a dynamic
+// Target::CheckConfig is a batch of one, CheckConfigBatch a fleet, and
+// CheckConfigSet a fleet of resolved include trees.
 #ifndef SPEX_API_BATCH_CHECK_H_
 #define SPEX_API_BATCH_CHECK_H_
 
@@ -44,6 +45,8 @@
 
 namespace spex {
 
+struct ResolvedConfigSet;
+
 // One user configuration in a fleet batch. Plain value type: `name` is
 // the report identity (file name, user id, ...), `text` the raw config
 // content in the target's dialect.
@@ -57,9 +60,10 @@ struct BatchOptions {
   // Mode and snapshot knob, applied to every config in the batch (the
   // same CheckOptions a single CheckConfig call takes).
   CheckOptions check;
-  // Sharding: 1 = serial on the calling thread (the default), 0 = the
-  // session worker pool at its full width, N = N shards on the pool.
-  // Verdicts and report order are identical for every value.
+  // Sharding (ThreadPool::WorkerCount): 1 = serial on the calling thread
+  // (the default), 0 = the session worker pool at its full width, N = N
+  // shards on the pool, negative = 1. Verdicts and report order are
+  // identical for every value.
   int num_threads = 1;
 };
 
@@ -145,21 +149,19 @@ class BatchObserver {
 
 // One config for the engine: raw `text`, parsed once in the sharded phase
 // 1, or an already parsed `config` (a resolved set's effective file). A
-// non-ok `status` fails the config before the engine looks at it.
+// non-ok `status` fails the config before the engine looks at it. With
+// `set`, the resolved set `config` flattens, phase 4 re-addresses the
+// violations to their origins (RewriteViolationsWithProvenance).
 struct BatchConfig {
-  std::string_view name;
-  std::string_view text;
+  std::string_view name{};
+  std::string_view text{};
   const ConfigFile* config = nullptr;
-  Status status;
+  Status status{};
+  const ResolvedConfigSet* set = nullptr;
 };
 
-// The one worker-count rule of a batch, shared by every sharded phase
-// (include resolution, phase 1, replay): the pool's full width for
-// num_threads == 0, else num_threads itself (a negative count means 1).
-size_t BatchWorkerCount(const BatchOptions& options, const ThreadPool* pool);
-
-// The batch engine behind Target::CheckConfigBatch and
-// Target::CheckResolvedConfigSets. `campaign` carries the persistent
+// The batch engine behind every Target config check (dynamic CheckConfig,
+// CheckConfigBatch, CheckConfigSet). `campaign` carries the persistent
 // snapshot cache and may be null for static-only batches (it is also
 // ignored when options.check.mode is kStatic); `pool` may be null for
 // serial runs. A sharded batch waits only for its own pool tasks, so

@@ -19,9 +19,8 @@
 //      Violation list — and surfaces vulnerabilities the static pass could
 //      not see as kDynamicReaction violations.
 //
-// Target::CheckConfig(text, file, CheckOptions{.mode = CheckMode::kDynamic})
-// runs the whole loop; these functions are exposed for tests and for
-// embedders that drive a campaign directly.
+// RunBatchCheck (src/api/batch_check.h) runs the loop for every config
+// check; these functions are exposed for tests and direct campaign drivers.
 #ifndef SPEX_API_DYNAMIC_CHECK_H_
 #define SPEX_API_DYNAMIC_CHECK_H_
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "src/api/dynamic_check.h"
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
 #include "src/support/hashing.h"
@@ -29,6 +28,11 @@ ThreadPool* Session::worker_pool() {
         ThreadPool::ResolveThreadCount(options_.campaign_threads));
   }
   return pool_.get();
+}
+
+ThreadPool* Session::PoolFor(int num_threads) {
+  const size_t width = ThreadPool::ResolveThreadCount(options_.campaign_threads);
+  return ThreadPool::WorkerCount(num_threads, width) > 1 ? worker_pool() : nullptr;
 }
 
 bool Session::ok() const {
@@ -223,47 +227,27 @@ void Target::AttachVerdictStore(std::shared_ptr<VerdictStore> store) {
 std::vector<Violation> Target::CheckConfig(std::string_view config_text,
                                            std::string_view file_name,
                                            const CheckOptions& options) {
-  ConfigFile config = ConfigFile::Parse(config_text, analysis_.bundle.dialect);
-  std::vector<Violation> violations =
-      CheckConfigFile(analysis_.constraints, config, file_name);
-  if (options.mode != CheckMode::kDynamic || !SupportsDynamicCheck()) {
-    return violations;
-  }
-  std::vector<Misconfiguration> suspects =
-      BuildDynamicSuspects(analysis_.constraints, template_config_, config, violations);
-  if (suspects.empty()) {
-    return violations;
-  }
-  // The shared_ptr keeps the campaign (and the probe context + snapshot
-  // pools the replay touches) alive even if another thread swaps the
-  // target's campaign for one with different options mid-check.
-  std::shared_ptr<InjectionCampaign> campaign = EnsureCampaign();
-  ReplayLimits limits;
-  limits.cancel = options.cancel;
-  limits.per_replay_deadline = options.deadline;
-  std::vector<InjectionResult> results = campaign->ReplayExternal(
-      template_config_, suspects, options.use_parse_snapshot, nullptr, 1, limits);
-  AttachReactions(suspects, results, config, file_name, &violations);
-  return violations;
+  // A serial batch of one: dedup and fan-out merge nothing, since each
+  // first-occurrence key is its own execution.
+  const ConfigFile config = ConfigFile::Parse(config_text, dialect());
+  const BatchConfig input{.name = file_name, .config = &config};
+  return std::move(
+      RunBatch({&input, 1}, BatchOptions{.check = options}, nullptr).reports.front().violations);
 }
 
 BatchSummary Target::RunBatch(std::span<const BatchConfig> configs, const BatchOptions& options,
                               BatchObserver* observer) {
   // Dynamic batches share the target's persistent campaign (and its
-  // snapshot cache) with single checks and RunCampaign; targets that
-  // cannot be driven dynamically degrade to the static result per config,
-  // exactly like CheckConfig.
-  const bool dynamic = options.check.mode == CheckMode::kDynamic && SupportsDynamicCheck();
+  // snapshot cache) with RunCampaign; targets that cannot be driven
+  // dynamically degrade to the static result per config. The shared_ptr
+  // keeps the campaign alive even if another thread swaps the target's
+  // campaign for one with different options mid-batch.
   std::shared_ptr<InjectionCampaign> campaign;
-  if (dynamic) {
+  if (options.check.mode == CheckMode::kDynamic && SupportsDynamicCheck()) {
     campaign = EnsureCampaign();
   }
   return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(),
-                       BatchPool(options), configs, options, observer);
-}
-
-ThreadPool* Target::BatchPool(const BatchOptions& options) {
-  return options.num_threads != 1 ? session_->worker_pool() : nullptr;
+                       session_->PoolFor(options.num_threads), configs, options, observer);
 }
 
 BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
@@ -280,57 +264,56 @@ BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
                                     const BatchOptions& options, BatchObserver* observer,
                                     std::vector<ResolvedConfigSet>* resolutions,
                                     const ConfigSetOptions& set_options) {
+  auto resolve = [&](size_t i) {
+    ResolvedConfigSet set = ResolveConfigSet(sets[i].files, dialect(), set_options);
+    if (!sets[i].name.empty()) {
+      set.name = sets[i].name;
+    }
+    return set;
+  };
+  return CheckResolvedSets(sets.size(), resolve, options, observer, resolutions);
+}
+
+BatchSummary Target::CheckConfigSet(std::span<const std::string> roots, ConfigSetSource& source,
+                                    const BatchOptions& options, BatchObserver* observer,
+                                    std::vector<ResolvedConfigSet>* resolutions,
+                                    const ConfigSetOptions& set_options) {
+  auto resolve = [&](size_t i) {
+    return ResolveConfigSet(roots[i], source, dialect(), set_options);
+  };
+  return CheckResolvedSets(roots.size(), resolve, options, observer, resolutions);
+}
+
+BatchSummary Target::CheckResolvedSets(size_t count,
+                                       const std::function<ResolvedConfigSet(size_t)>& resolve,
+                                       const BatchOptions& options, BatchObserver* observer,
+                                       std::vector<ResolvedConfigSet>* resolutions) {
   std::vector<ResolvedConfigSet> local;
   std::vector<ResolvedConfigSet>& resolved = resolutions != nullptr ? *resolutions : local;
-  resolved.clear();
-  resolved.resize(sets.size());
+  resolved.assign(count, ResolvedConfigSet{});
   // Each set resolves independently into its own slot, so a sharded batch
   // resolves on the pool with phase 1's shard count.
   auto resolve_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      resolved[i] = ResolveConfigSet(sets[i].files, dialect(), set_options);
-      if (!sets[i].name.empty()) {
-        resolved[i].name = sets[i].name;
-      }
+      resolved[i] = resolve(i);
     }
   };
-  ThreadPool* pool = BatchPool(options);
+  ThreadPool* pool = session_->PoolFor(options.num_threads);
   if (pool == nullptr) {
-    resolve_range(0, sets.size());
+    resolve_range(0, count);
   } else {
-    pool->ShardRange(sets.size(), BatchWorkerCount(options, pool), resolve_range);
+    pool->ShardRange(count, ThreadPool::WorkerCount(options.num_threads, pool->size()),
+                     resolve_range);
   }
-  return CheckResolvedConfigSets(resolved, options, observer);
-}
-
-BatchSummary Target::CheckResolvedConfigSets(std::span<const ResolvedConfigSet> sets,
-                                             const BatchOptions& options,
-                                             BatchObserver* observer) {
   // The batch sees only the flattened configs, so dedup across sets keys
   // on effective values exactly as it does for single files. A set whose
   // status failed is not checked.
-  std::vector<BatchConfig> inputs(sets.size());
-  for (size_t i = 0; i < sets.size(); ++i) {
-    const ResolvedConfigSet& resolution = sets[i];
-    inputs[i].name = resolution.name;
-    inputs[i].config = &resolution.effective;
-    inputs[i].status = resolution.status;
+  std::vector<BatchConfig> inputs(count);
+  for (size_t i = 0; i < count; ++i) {
+    const ResolvedConfigSet& set = resolved[i];
+    inputs[i] = {.name = set.name, .config = &set.effective, .status = set.status, .set = &set};
   }
-  // The observer is withheld here and replayed below: reports stream only
-  // after their violations have been re-addressed to winning-assignment
-  // origins.
-  BatchSummary summary = RunBatch(inputs, options, nullptr);
-  for (size_t i = 0; i < summary.reports.size(); ++i) {
-    RewriteViolationsWithProvenance(sets[i], analysis_.constraints, &summary.reports[i].violations);
-  }
-  if (observer != nullptr) {
-    observer->OnBatchBegin(summary.reports.size());
-    for (const ConfigReport& report : summary.reports) {
-      observer->OnConfigChecked(report.index, report);
-    }
-    observer->OnBatchEnd(summary);
-  }
-  return summary;
+  return RunBatch(inputs, options, observer);
 }
 
 const std::vector<Misconfiguration>& Target::MisconfigsLocked() {
@@ -377,9 +360,10 @@ CampaignSummary Target::RunCampaign(CampaignOptions options, CampaignObserver* o
     }
     campaign = campaign_;
   }
-  ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
-  size_t num_threads = options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads);
-  return campaign->RunAll(template_config_, misconfigs_, observer, pool, num_threads);
+  ThreadPool* pool = session_->PoolFor(options.num_threads);
+  const size_t workers =
+      pool == nullptr ? 1 : ThreadPool::WorkerCount(options.num_threads, pool->size());
+  return campaign->RunAll(template_config_, misconfigs_, observer, pool, workers);
 }
 
 CampaignCacheStats Target::campaign_cache_stats() {

@@ -31,6 +31,7 @@
 #ifndef SPEX_API_SESSION_H_
 #define SPEX_API_SESSION_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -153,6 +154,9 @@ class Session {
   // local DiagnosticEngine, stopping at the first step that reports an
   // error. Only publishing the diagnostics and the Target takes mutex_.
   Target* Load(TargetBundle bundle, const std::string& file_name);
+  // The pool for a call asking for `num_threads` workers; null (and no
+  // pool created) when ThreadPool::WorkerCount makes that one worker.
+  ThreadPool* PoolFor(int num_threads);
 
   SessionOptions options_;
   ApiRegistry apis_;
@@ -184,25 +188,20 @@ class Target {
   std::vector<Violation> CheckConfig(std::string_view config_text,
                                      std::string_view file_name = "config") const;
 
-  // Mode-selecting overload. CheckMode::kStatic behaves exactly like the
+  // Mode-selecting overload: a serial CheckConfigBatch of one config,
+  // parsed leniently (a malformed line stays an entry, as in the
+  // two-argument form). CheckMode::kStatic behaves exactly like the
   // two-argument form; CheckMode::kDynamic additionally replays the
   // settings that deviate from the target's template through the
-  // interpreter + simulated OS — restoring the injection campaign's
-  // per-key-set prefix snapshots where available — and attaches the
-  // observed Table-3 reaction, log evidence and a "what the system will
-  // do" prediction to each Violation (plus kDynamicReaction findings for
-  // vulnerabilities the static pass cannot see). Dynamic verdicts are
-  // bit-identical to a ground-truth full replay: the campaign's per-run
-  // hazard check and first-use verification gate every snapshot shortcut.
-  //
-  // Dynamic checks share the target's persistent campaign, so a check
-  // after RunCampaign() (or after an earlier check of the same keys)
-  // replays from warm snapshots without building new ones; a check with no
-  // campaign yet lazily creates one with default CampaignOptions. Targets
-  // loaded without a template or without a SUT driver surface (parse/init
-  // functions) silently degrade to the static result — there is nothing to
-  // replay against. Safe from any number of threads concurrently (on one
-  // shared Target or across Targets), and concurrently with RunCampaign().
+  // interpreter + simulated OS and attaches the observed Table-3
+  // reaction, log evidence and a "what the system will do" prediction to
+  // each Violation (plus kDynamicReaction findings the static pass cannot
+  // see). Dynamic verdicts are bit-identical to a ground-truth full
+  // replay. Checks share the target's persistent campaign (created with
+  // default CampaignOptions on first use), so a check after RunCampaign()
+  // replays from warm snapshots. Targets without a template or SUT driver
+  // surface degrade to the static result. Safe from any number of threads
+  // concurrently, and concurrently with RunCampaign().
   //
   // Deliberately non-const (even in kStatic mode): dynamic mode
   // materializes the target's persistent campaign, the same mutation
@@ -224,9 +223,9 @@ class Target {
   // calling thread, in batch order.
   //
   // Thread-safety: any number of batches may run concurrently, with each
-  // other, with dynamic checks and with RunCampaign. Sharded batches
-  // (num_threads != 1) run on the session worker pool; each waits only
-  // for its own pool tasks.
+  // other, with dynamic checks and with RunCampaign. Sharded batches (more
+  // than one worker) run on the session worker pool; each waits only for
+  // its own pool tasks.
   BatchSummary CheckConfigBatch(std::span<const ConfigInput> configs,
                                 const BatchOptions& options = {},
                                 BatchObserver* observer = nullptr);
@@ -234,34 +233,35 @@ class Target {
   // Multi-file fleet checking: each ConfigSetInput is an include tree
   // (files[0] the root), resolved to its effective config and checked as
   // src/api/config_set.h describes. Sets resolve on the calling thread
-  // at num_threads == 1, else sharded on the session pool with the
-  // batch's worker count (BatchWorkerCount). Resolution faults land on the
+  // for one worker, else sharded on the session pool with the batch's
+  // worker count. Resolution faults land on the
   // set's ResolvedConfigSet (written to `resolutions` when non-null, batch
   // order); an unloadable root or a malformed line fails the set with
-  // kInvalidArgument and no violations. `observer` streams per-set
-  // reports in batch order after the whole batch, since provenance
-  // rewriting happens batch-wide. Thread-safety matches CheckConfigBatch.
+  // kInvalidArgument and no violations. Violations point at their winning
+  // assignments by the time a report streams. Thread-safety matches
+  // CheckConfigBatch.
   BatchSummary CheckConfigSet(std::span<const ConfigSetInput> sets,
                               const BatchOptions& options = {},
                               BatchObserver* observer = nullptr,
                               std::vector<ResolvedConfigSet>* resolutions = nullptr,
                               const ConfigSetOptions& set_options = {});
 
-  // As CheckConfigSet, but over sets the caller already resolved (e.g.
-  // spexcheck's --include-roots, which resolves against the filesystem
-  // rather than an in-memory file list). Same guarantees and observer
-  // contract; the resolution step is simply the caller's.
-  BatchSummary CheckResolvedConfigSets(std::span<const ResolvedConfigSet> sets,
-                                       const BatchOptions& options = {},
-                                       BatchObserver* observer = nullptr);
+  // As above, over trees read through `source` (spexcheck --include-roots
+  // passes the filesystem): roots[i] is the root file, and report name, of
+  // set i. A sharded batch calls `source` from several threads at once.
+  BatchSummary CheckConfigSet(std::span<const std::string> roots, ConfigSetSource& source,
+                              const BatchOptions& options = {},
+                              BatchObserver* observer = nullptr,
+                              std::vector<ResolvedConfigSet>* resolutions = nullptr,
+                              const ConfigSetOptions& set_options = {});
 
   // SPEX-INJ through the façade: generates misconfigurations from the
   // inferred constraints (once, cached) and runs the campaign. The
   // campaign object persists across calls whose options differ at most in
   // num_threads, so repeated campaigns reuse prefix snapshots instead of
   // rebuilding them; `observer` streams per-run results. Parallel
-  // campaigns (num_threads != 1) run on the session's worker pool; any
-  // number of calls may run concurrently.
+  // campaigns (more than one worker, counted as for batches) run on the
+  // session's worker pool; any number of calls may run concurrently.
   CampaignSummary RunCampaign(CampaignOptions options = {},
                               CampaignObserver* observer = nullptr);
 
@@ -289,11 +289,15 @@ class Target {
 
   Target(Session* session, TargetAnalysis analysis);
   // RunBatchCheck on this target's campaign and the session pool: the one
-  // engine behind CheckConfigBatch and CheckResolvedConfigSets.
+  // engine behind every config check.
   BatchSummary RunBatch(std::span<const BatchConfig> configs, const BatchOptions& options,
                         BatchObserver* observer);
-  // The session pool for a sharded batch (num_threads != 1), else null.
-  ThreadPool* BatchPool(const BatchOptions& options);
+  // Both CheckConfigSet entries: resolve(i) fills slot i on the batch's
+  // shards, then one RunBatch checks every set.
+  BatchSummary CheckResolvedSets(size_t count,
+                                 const std::function<ResolvedConfigSet(size_t)>& resolve,
+                                 const BatchOptions& options, BatchObserver* observer,
+                                 std::vector<ResolvedConfigSet>* resolutions);
   // Generates the batch on first use; caller holds campaign_mutex_.
   const std::vector<Misconfiguration>& MisconfigsLocked();
   // The persistent campaign (created with default options on first use);

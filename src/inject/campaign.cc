@@ -743,10 +743,9 @@ void InjectionCampaign::Replay(const std::vector<std::string>& keysets, ThreadPo
   if (keysets.empty()) {
     return;
   }
-  size_t workers = 1;
-  if (pool != nullptr) {
-    workers = num_threads == 0 ? pool->size() : num_threads;
-  }
+  size_t workers = pool == nullptr ? 1
+                                   : ThreadPool::WorkerCount(static_cast<int64_t>(num_threads),
+                                                             pool->size());
   if (workers <= 1) {
     ProbeLease lease(this);
     for (size_t i = 0; i < keysets.size(); ++i) {

@@ -234,10 +234,11 @@ class InjectionCampaign {
   InjectionResult RunOne(const ConfigFile& template_config, const Misconfiguration& config);
   // Runs the whole batch. `observer`, when given, receives one serialized
   // OnRunComplete per misconfiguration as it finishes. With `pool` and
-  // `num_threads > 1` (0 = pool size) the batch runs on the pool, whole
-  // key-sets per worker; results land in pre-sized slots, so the summary
-  // and (absent concurrent calls on this campaign) the cache_stats()
-  // increments are identical to the serial run's.
+  // more than one worker (ThreadPool::WorkerCount of `num_threads`) the
+  // batch runs on the pool, whole key-sets per worker; results land in
+  // pre-sized slots, so the summary and (absent concurrent calls on this
+  // campaign) the cache_stats() increments are identical to the serial
+  // run's.
   CampaignSummary RunAll(const ConfigFile& template_config,
                          const std::vector<Misconfiguration>& configs,
                          CampaignObserver* observer = nullptr, ThreadPool* pool = nullptr,
@@ -245,39 +246,25 @@ class InjectionCampaign {
 
   // Replays externally supplied misconfigurations — the suspect settings of
   // a *user's* config, not generator output — through the campaign's
-  // persistent snapshot cache, and classifies each reaction per Table 3.
-  // This is the engine behind the dynamic ConfigChecker: a key-set whose
-  // prefix snapshot an earlier RunAll (or earlier check) already built is
-  // served by restore + delta parse; everything else takes the ground-truth
-  // full-replay path, and the per-run hazard check plus first-use
-  // verification keep every verdict bit-identical to a full replay.
-  // `use_parse_snapshot = false` forces ground truth for every run (the
-  // verification path the dynamic-mode tests diff against).
+  // persistent snapshot cache, and classifies each reaction per Table 3:
+  // phase 3 of the batch engine behind every dynamic config check. A
+  // key-set whose prefix snapshot is already built is served by restore +
+  // delta parse, everything else by full replay; the hazard check and
+  // first-use verification keep every verdict bit-identical to a full
+  // replay. `use_parse_snapshot = false` forces ground truth everywhere.
+  // Any number of threads may call ReplayExternal and RunAll at once.
+  // `pool` and `num_threads` shard as in RunAll, with the same guarantees;
+  // the call waits only for its own shards.
   //
-  // Thread-safety: any number of threads may call ReplayExternal (and
-  // RunAll) concurrently; each call leases its own contexts and the
-  // snapshot cache is internally synchronized.
-  //
-  // With `pool` and `num_threads > 1` (0 = pool size), the batch runs on
-  // the pool through the same scheduler as RunAll — whole key-sets per
-  // worker, results in pre-sized slots — so ordering, verdicts and cache
-  // counters are identical to the serial path at every worker count. The
-  // call waits only for its own shards, so callers may share one pool.
-  //
-  // `limits` (see ReplayLimits) bounds each replay: the token is checked
-  // before every replay and polled inside the interpreter, so a
-  // fired request token converts the remaining slots to kDeadlineExceeded
-  // results within one poll interval. `limits.cancel` must outlive the
-  // call; cancellation may race the call from any thread.
-  // With an attached VerdictStore (AttachVerdictStore), each config's
-  // execution key is looked up in the store's scope for this campaign
-  // before replaying: a hit synthesizes the result from the stored record
-  // (bit-identical to a replay — the stored fields are exactly the ones
-  // ReattributeResult copies); a miss replays live and the fresh verdict
-  // is appended afterwards (kDeadlineExceeded verdicts are never stored:
-  // they describe the checker's budget, not the target). `stats`, when
-  // non-null, receives this call's increments of the store_* counters
-  // (its replay-path counters stay 0: read cache_stats() for those).
+  // `limits` (ReplayLimits) bounds each replay: a fired token turns the
+  // remaining slots into kDeadlineExceeded results within one interpreter
+  // poll; `limits.cancel` must outlive the call. With an attached
+  // VerdictStore, each execution key is looked up first: a hit rebuilds the
+  // result from the stored record (the fields ReattributeResult copies), a
+  // miss replays live and is appended afterwards, unless it is
+  // kDeadlineExceeded (the checker's budget, not the target). `stats`, when
+  // non-null, receives this call's store_* increments (read cache_stats()
+  // for the replay-path counters).
   std::vector<InjectionResult> ReplayExternal(const ConfigFile& template_config,
                                               const std::vector<Misconfiguration>& configs,
                                               bool use_parse_snapshot = true,
@@ -423,7 +410,7 @@ class InjectionCampaign {
   // The one scheduler behind RunAll and ReplayExternal: calls
   // run(context, i) once per index of `keysets` (configs[i]'s key-set id).
   // Serially, in batch order on one leased context. With `pool` and more
-  // than one worker (0 = pool size), the batch is grouped by key-set in
+  // than one worker (ThreadPool::WorkerCount), the batch is grouped by key-set in
   // first-appearance order and each worker leases one context and takes
   // whole groups off a shared cursor, running each group in batch order —
   // so a key-set's build, verification and delta runs see exactly the

@@ -640,6 +640,7 @@ void Interpreter::Reset() {
   std::fill(global_read_stamps_.begin(), global_read_stamps_.end(), 0);
   std::fill(global_write_stamps_.begin(), global_write_stamps_.end(), 0);
   logs_.clear();
+  log_bytes_ = 0;
   UnwindFrames();
   arg_stack_.clear();
   steps_ = 0;
@@ -659,6 +660,7 @@ Interpreter::Snapshot Interpreter::TakeSnapshot() const {
   snapshot.read_stamps_ = global_read_stamps_;
   snapshot.write_stamps_ = global_write_stamps_;
   snapshot.logs_ = logs_;
+  snapshot.log_bytes_ = log_bytes_;
   snapshot.steps_ = steps_;
   snapshot.os_ops_ = os_ops_;
   snapshot.stale_cell_ops_ = stale_cell_ops_;
@@ -677,6 +679,7 @@ void Interpreter::RestoreSnapshot(const Snapshot& snapshot) {
   global_read_stamps_ = snapshot.read_stamps_;
   global_write_stamps_ = snapshot.write_stamps_;
   logs_ = snapshot.logs_;
+  log_bytes_ = snapshot.log_bytes_;
   steps_ = snapshot.steps_;
   os_ops_ = snapshot.os_ops_;
   stale_cell_ops_ = snapshot.stale_cell_ops_;
@@ -1329,7 +1332,12 @@ RtValue Interpreter::RunFunction(uint32_t function, size_t args_base, size_t arg
 // Logging.
 
 void Interpreter::AppendLog(std::string level, const std::string& message) {
-  logs_.push_back(level + ": " + message);
+  std::string line = std::move(level) + ": " + message;
+  if (line.size() > kMaxLogBytes - log_bytes_) {
+    throw TrapError("log budget of " + std::to_string(kMaxLogBytes) + " bytes exhausted");
+  }
+  log_bytes_ += line.size();
+  logs_.push_back(std::move(line));
 }
 
 std::string Interpreter::FormatMessage(const std::string& format,

@@ -104,6 +104,12 @@ struct RtValue {
 
 static_assert(sizeof(RtValue) <= 16 && std::is_trivially_copyable_v<RtValue>);
 
+// Bytes of log lines one run may capture (kept whole as verdict evidence):
+// past it the run traps. Far above any corpus run's log (at most 82
+// bytes). Counted from the log lines, which snapshots carry, so delta and
+// full replays trip at the same point.
+inline constexpr size_t kMaxLogBytes = size_t{1} << 20;
+
 struct InterpOptions {
   // Instruction budget; exceeding it classifies the run as a hang.
   int64_t max_steps = 2'000'000;
@@ -115,7 +121,7 @@ struct CallOutcome {
   enum class Status {
     kOk,         // Returned normally.
     kExit,       // Called exit(code).
-    kTrap,       // Segfault / abort / division by zero / stack overflow.
+    kTrap,       // Segfault / abort / division by zero / stack overflow / logs.
     kHang,       // Step budget exhausted.
     kCancelled,  // The caller's CancelToken fired mid-execution. Unlike
                  // kHang this says nothing about the *target* — the
@@ -203,6 +209,7 @@ class Interpreter {
     std::vector<int32_t> read_stamps_;
     std::vector<int32_t> write_stamps_;
     std::vector<std::string> logs_;
+    size_t log_bytes_ = 0;
     int64_t steps_ = 0;
     int64_t os_ops_ = 0;
     int64_t stale_cell_ops_ = 0;
@@ -445,6 +452,7 @@ class Interpreter {
   std::vector<OverflowPath> overflow_paths_;  // Path id -> path.
   std::unordered_map<OverflowPath, uint32_t, OverflowPathHash> overflow_path_ids_;
   std::vector<std::string> logs_;
+  size_t log_bytes_ = 0;  // Sum of logs_' sizes, at most kMaxLogBytes.
   std::deque<Frame> frames_;  // The live call chain, innermost last.
   // Recycled register and cell arrays, so a call allocates nothing.
   std::vector<std::vector<RtValue>> buffer_pool_;

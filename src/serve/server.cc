@@ -695,10 +695,10 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
     if (name.empty()) {
       name = set_body ? set_input.name : "config";
     }
-    // /check runs as a 1-config batch rather than CheckConfig: verdicts
-    // are bit-identical (the batch identity guarantee), and the
-    // BatchSummary carries the verdict-store counters a bare CheckConfig
-    // cannot report — so /check can say whether it was served from disk.
+    // /check runs as a 1-config batch, as CheckConfig does, but keeps the
+    // BatchSummary: its verdict-store counters say whether the answer was
+    // served from disk, and its report's status says whether the body
+    // parsed.
     BatchOptions batch_options;
     batch_options.check = check;
     batch_options.num_threads = 1;  // Concurrency comes from the worker pool.

@@ -12,6 +12,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -43,6 +44,12 @@ class ThreadPool {
   // Maps a user-facing thread-count knob to a worker count:
   // 0 = hardware concurrency (at least 1), otherwise the value itself.
   static size_t ResolveThreadCount(size_t requested);
+
+  // The worker-count rule of every sharded call (batches, campaigns):
+  // 0 = `width` (a pool's), negative = 1, else the count itself.
+  static size_t WorkerCount(int64_t requested, size_t width) {
+    return requested == 0 ? width : requested < 0 ? 1 : static_cast<size_t>(requested);
+  }
 
  private:
   void WorkerLoop();

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -75,7 +76,8 @@ options:
                        listed version, diff adjacent columns (text: grid +
                        transitions; jsonl: cell/version/diff records)
   --mode <m>           static | dynamic (default: dynamic)
-  --threads <n>        batch shards: 1 = serial, 0 = hardware (default: 0)
+  --threads <n>        batch shards: 1 = serial, 0 = hardware, at most
+                       2147483647 (default: 0)
   --format <f>         text | jsonl (default: text)
   --pattern <glob>     filename filter for directories, * and ? wildcards
                        (default: *.conf)
@@ -432,10 +434,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
         return false;
       }
     } else if (arg == "--threads") {
+      // Refused, not narrowed: in an int, 4294967297 would run as 1 worker.
       char* end = nullptr;
       long threads = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || threads < 0) {
-        *error = "--threads wants a non-negative integer, got: " + std::string(value);
+      if (end == value || *end != '\0' || threads < 0 ||
+          threads > std::numeric_limits<int>::max()) {
+        *error = "--threads wants an integer from 0 to " +
+                 std::to_string(std::numeric_limits<int>::max()) + ", got: " + std::string(value);
         return false;
       }
       options->threads = static_cast<int>(threads);
@@ -566,6 +571,8 @@ bool CollectConfigs(const CliOptions& options, std::vector<ConfigInput>* configs
 // unreadable file is a missing include (contained per set). include_dir
 // applies the same --pattern filter as root collection, so an include
 // tree and a flat directory scan agree about what counts as a config.
+// Stateless past construction, so sharded resolution may call it from
+// several pool threads at once.
 class FileConfigSetSource : public ConfigSetSource {
  public:
   explicit FileConfigSetSource(std::string pattern) : pattern_(std::move(pattern)) {}
@@ -737,36 +744,29 @@ int Run(int argc, char** argv) {
 
     if (!options.include_roots.empty()) {
       // Multi-file mode: each root file in the include-roots directories
-      // is an include tree, resolved against the filesystem and checked
-      // as one flattened effective config.
+      // is an include tree, resolved against the filesystem (sharded like
+      // the batch) and checked as one flattened effective config.
       std::vector<std::string> roots;
       if (!CollectConfigSetRoots(options, &roots, &error)) {
         return Fail(error);
       }
       FileConfigSetSource source(options.pattern);
       std::vector<ResolvedConfigSet> sets;
-      sets.reserve(roots.size());
-      size_t resolvable = 0;
-      bool any_set_error = false;
-      for (const std::string& root : roots) {
-        ResolvedConfigSet set = ResolveConfigSet(root, source, target->dialect());
-        resolvable += set.resolved() ? 1 : 0;
-        any_set_error = any_set_error || !set.errors.empty();
-        sets.push_back(std::move(set));
-      }
-      if (resolvable == 0) {
+      BatchSummary summary = target->CheckConfigSet(roots, source, batch, nullptr, &sets);
+      if (std::none_of(sets.begin(), sets.end(),
+                       [](const ResolvedConfigSet& set) { return set.resolved(); })) {
         // The multi-file twin of "no config could be checked": exit 2 is
         // reserved for a run that produced no verdicts at all.
         return Fail("no config set could be resolved (" + std::to_string(sets.size()) +
                     " unresolvable root(s))");
       }
-      BatchSummary summary = target->CheckResolvedConfigSets(sets, batch, nullptr);
+      bool any_error = summary.configs_with_errors != 0;
       for (size_t i = 0; i < summary.reports.size(); ++i) {
+        any_error = any_error || !sets[i].errors.empty();
         writer.OnConfigSet(sets[i]);
         writer.OnConfigChecked(i, summary.reports[i]);
       }
       writer.OnBatchEnd(summary);
-      bool any_error = any_set_error || summary.configs_with_errors != 0;
       return summary.total_violations == 0 && !any_error ? 0 : 1;
     }
   } else if (options.dump_template) {

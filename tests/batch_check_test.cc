@@ -1,8 +1,8 @@
 // Fleet-scale batch checking (Target::CheckConfigBatch + RunBatchCheck):
 // batch verdicts bit-identical to N independent CheckConfig calls (serial
 // and sharded), cross-config dedup counters, observer ordering, empty /
-// all-clean batches, static mode, warm-cache reuse, and the execution-key
-// identity the dedup rests on.
+// all-clean batches, static mode, warm-cache reuse, the per-run log budget,
+// and the execution-key identity the dedup rests on.
 #include "src/api/batch_check.h"
 
 #include <gtest/gtest.h>
@@ -462,6 +462,119 @@ TEST(BatchCheckTest, DeadlineExceededMarksOnlyConfigsWhoseReplaysTimedOut) {
         EXPECT_EQ(*violation.reaction, ReactionCategory::kDeadlineExceeded) << label;
       }
     }
+  }
+}
+
+// A server whose handlers log a configured value in a loop: `banner`
+// while parsing, `motd` at start-up. A 4 KiB value makes about 4 MiB of
+// log lines, four times kMaxLogBytes.
+constexpr const char* kLogFloodSource = R"(
+  int verbose = 0;
+  char *motd = "hello";
+  int started = 0;
+  int handle_config_line(char *key, char *value) {
+    int i;
+    if (!strcmp(key, "banner")) {
+      for (i = 0; i < 1000; i++) { log_info("banner: %s", value); }
+    }
+    if (!strcmp(key, "motd")) { motd = value; }
+    if (!strcmp(key, "verbose")) { verbose = atoi(value); }
+    return 0;
+  }
+  int server_init() {
+    int i;
+    for (i = 0; i < 1000; i++) { log_info("motd: %s", motd); }
+    started = 1;
+    return 0;
+  }
+  int test_started() { return started; }
+)";
+
+constexpr const char* kLogFloodTemplate =
+    "banner = hi\n"
+    "motd = hello\n"
+    "verbose = 0\n";
+
+Target* LoadLogFlood(Session& session) {
+  SutSpec sut;
+  sut.tests.push_back({"started", "test_started", 1, 1});
+  Target* target = session.LoadSource(kLogFloodSource,
+                                      "@PARSER handle_config_line { par = arg0, var = arg1 }",
+                                      "flood.c", ConfigDialect::kKeyEqualsValue, sut,
+                                      kLogFloodTemplate);
+  EXPECT_NE(target, nullptr) << session.RenderDiagnostics();
+  return target;
+}
+
+// A log flood is the target crashing, not the checker growing without
+// bound: the run traps at kMaxLogBytes, in the parse phase (banner) and in
+// start-up (motd), on the snapshot path and on ground truth alike, and the
+// rest of the batch reads exactly as it does without the floods.
+TEST(BatchCheckTest, LogFloodTrapsAtTheLogBudgetOnEveryReplayPath) {
+  const std::string flood(4096, 'x');
+  const std::vector<ConfigInput> healthy = {
+      {"clean.conf", kLogFloodTemplate},
+      {"verbose.conf", "verbose = 7\n"},
+      {"short-motd.conf", "motd = welcome\n"},
+  };
+  std::vector<ConfigInput> corpus = healthy;
+  corpus.insert(corpus.begin() + 1, {"banner-flood.conf", "banner = " + flood + "\n"});
+  corpus.push_back({"motd-flood.conf", "motd = " + flood + "\n"});
+  const std::vector<std::pair<size_t, std::string>> floods = {{1, "banner"}, {4, "motd"}};
+  const std::vector<size_t> healthy_index = {0, 2, 3};
+  const std::string reason = "log budget of " + std::to_string(kMaxLogBytes) + " bytes exhausted";
+
+  std::vector<std::vector<Violation>> flood_verdicts;
+  for (bool use_parse_snapshot : {true, false}) {
+    const std::string label = use_parse_snapshot ? "snapshot" : "ground truth";
+    BatchOptions options;
+    options.check.mode = CheckMode::kDynamic;
+    options.check.use_parse_snapshot = use_parse_snapshot;
+    BatchSummary alone;
+    {
+      Session session;
+      Target* target = LoadLogFlood(session);
+      ASSERT_NE(target, nullptr);
+      alone = target->CheckConfigBatch(healthy, options);
+    }
+    Session session;
+    Target* target = LoadLogFlood(session);
+    ASSERT_NE(target, nullptr);
+    BatchSummary summary = target->CheckConfigBatch(corpus, options);
+    ASSERT_EQ(summary.reports.size(), corpus.size());
+
+    for (size_t i = 0; i < healthy.size(); ++i) {
+      const ConfigReport& report = summary.reports[healthy_index[i]];
+      EXPECT_TRUE(report.status.ok()) << label;
+      EXPECT_EQ(report.suspects, alone.reports[i].suspects) << label;
+      ExpectSameViolations(alone.reports[i].violations, report.violations,
+                           healthy[i].name + " beside floods, " + label);
+    }
+    for (const auto& [index, param] : floods) {
+      const ConfigReport& report = summary.reports[index];
+      EXPECT_TRUE(report.status.ok()) << label;
+      const Violation* verdict = nullptr;
+      for (const Violation& violation : report.violations) {
+        if (violation.param == param && violation.reaction.has_value()) {
+          verdict = &violation;
+        }
+      }
+      ASSERT_NE(verdict, nullptr) << param << ", " << label;
+      EXPECT_EQ(*verdict->reaction, ReactionCategory::kCrashHang) << param << ", " << label;
+      EXPECT_EQ(verdict->reaction_detail, reason) << param << ", " << label;
+      size_t log_bytes = 0;
+      for (const std::string& line : verdict->evidence_logs) {
+        log_bytes += line.size();
+      }
+      EXPECT_LE(log_bytes, kMaxLogBytes) << param << ", " << label;
+      EXPECT_GT(log_bytes, kMaxLogBytes - flood.size() - 64) << param << ", " << label;
+      flood_verdicts.push_back(report.violations);
+    }
+  }
+  ASSERT_EQ(flood_verdicts.size(), 2 * floods.size());
+  for (size_t f = 0; f < floods.size(); ++f) {
+    ExpectSameViolations(flood_verdicts[f], flood_verdicts[floods.size() + f],
+                         floods[f].second + " flood, snapshot vs ground truth");
   }
 }
 

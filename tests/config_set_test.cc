@@ -1061,6 +1061,42 @@ TEST(ConfigSetDifferentialTest, ShardedResolutionMatchesDirectResolution) {
   EXPECT_EQ(malformed, 2u);
   EXPECT_EQ(unloadable, 2u);
   EXPECT_EQ(summary.configs_with_errors, 4u);
+
+  // One more input, the roots + source entry: the same trees as disjoint
+  // roots over one shared source (generated file names carry their tree's
+  // index), resolved on the same shards. A rootless set's name is a root
+  // the source does not hold.
+  std::vector<ConfigInput> shared_files;
+  std::vector<std::string> roots;
+  for (const ConfigSetInput& set : sets) {
+    roots.push_back(set.files.empty() ? set.name : set.files.front().name);
+    shared_files.insert(shared_files.end(), set.files.begin(), set.files.end());
+  }
+  MemoryConfigSetSource source(shared_files);
+  std::vector<ResolvedConfigSet> from_source;
+  BatchSummary source_summary =
+      target->CheckConfigSet(roots, source, options, nullptr, &from_source);
+  ASSERT_EQ(from_source.size(), roots.size());
+  ASSERT_EQ(source_summary.reports.size(), roots.size());
+  for (size_t i = 0; i < roots.size(); ++i) {
+    ResolvedConfigSet direct = ResolveConfigSet(roots[i], source, ConfigDialect::kKeyEqualsValue);
+    const std::string where = "root " + roots[i];
+    ExpectSameResolution(from_source[i], direct, where);
+    EXPECT_EQ(source_summary.reports[i].name, roots[i]) << where;
+    EXPECT_EQ(source_summary.reports[i].status.code(), direct.status.code()) << where;
+    EXPECT_EQ(source_summary.reports[i].status.message(), direct.status.message()) << where;
+    if (direct.resolved()) {
+      // A tree with a root reads the same through either entry.
+      const std::vector<Violation>& got = source_summary.reports[i].violations;
+      const std::vector<Violation>& want = summary.reports[i].violations;
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (size_t v = 0; v < want.size(); ++v) {
+        EXPECT_EQ(got[v].ToString(), want[v].ToString()) << where;
+        EXPECT_EQ(got[v].override_note, want[v].override_note) << where;
+      }
+    }
+  }
+  EXPECT_EQ(source_summary.configs_with_errors, 4u);
 }
 
 }  // namespace

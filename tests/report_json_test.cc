@@ -380,10 +380,7 @@ std::string ConfigSetsJsonl(Target* target, const std::vector<ConfigInput>& file
                             const std::vector<std::string>& roots) {
   MemoryConfigSetSource source(files);
   std::vector<ResolvedConfigSet> sets;
-  for (const std::string& root : roots) {
-    sets.push_back(ResolveConfigSet(root, source, target->dialect()));
-  }
-  BatchSummary summary = target->CheckResolvedConfigSets(sets, DynamicBatch(), nullptr);
+  BatchSummary summary = target->CheckConfigSet(roots, source, DynamicBatch(), nullptr, &sets);
   std::string out;
   for (size_t i = 0; i < summary.reports.size(); ++i) {
     AppendConfigSetJson(&out, sets[i]);

@@ -329,6 +329,37 @@ TEST(SessionCampaignTest, ThreadCountChangeKeepsWarmCampaign) {
   ExpectSameSummaries(first, second, "4 workers then serial");
 }
 
+// One worker-count rule (ThreadPool::WorkerCount) for campaigns and
+// batches: a negative count runs serially, 0 is the pool's width. Cold
+// campaigns read the same results and cache counters at every count.
+TEST(SessionCampaignTest, CountersReadTheSameAtEveryWorkerCount) {
+  CampaignSummary serial_summary;
+  CampaignCacheStats serial_stats;
+  SessionOptions four_workers;
+  four_workers.campaign_threads = 4;
+  for (int threads : {1, -3, 0, 2, 4}) {
+    Session session(four_workers);
+    Target* target = session.LoadTarget("openldap");
+    ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+    CampaignOptions options;
+    options.num_threads = threads;
+    CampaignSummary summary = target->RunCampaign(options);
+    const CampaignCacheStats stats = target->campaign_cache_stats();
+    const std::string label = std::to_string(threads) + " workers";
+    if (threads == 1) {
+      serial_summary = summary;
+      serial_stats = stats;
+      EXPECT_GT(stats.snapshots_built, 0u);
+      continue;
+    }
+    ExpectSameSummaries(serial_summary, summary, label.c_str());
+    EXPECT_EQ(stats.snapshots_built, serial_stats.snapshots_built) << label;
+    EXPECT_EQ(stats.delta_replays, serial_stats.delta_replays) << label;
+    EXPECT_EQ(stats.full_replays, serial_stats.full_replays) << label;
+    EXPECT_EQ(stats.verifications, serial_stats.verifications) << label;
+  }
+}
+
 TEST(SessionCampaignTest, ObserverStreamsEveryRun) {
   Session session;
   Target* target = session.LoadTarget("openldap");
