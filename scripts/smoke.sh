@@ -99,8 +99,10 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # updates — the single-writer/lock-free-reader contract must be race-free.
 ./build-tsan/verdict_store_test
 # Multi-file config sets under TSan: the seeded differential harnesses run
-# the 4-worker CheckConfigSet path (resolution sharded on the session pool,
-# one set per slot, then the sharded batch and the provenance rewrite),
+# the 4-worker CheckConfigSet path through both entries (in-memory sets, and
+# roots on one shared ConfigSetSource): resolution sharded on the session
+# pool, one set per slot, then the sharded batch with its phase-4
+# provenance rewrite,
 # which must be race-free, resolve every set exactly as a direct
 # ResolveConfigSet does, and check bit-identically to the serial
 # single-file reference.
